@@ -43,6 +43,22 @@ def build_reports(spec_dir: Path) -> dict:
     }
 
 
+def stale_reports(reports: dict, out_dir: Path) -> list[str]:
+    """Names of the reports whose file in ``out_dir`` is missing or differs
+    byte for byte from a fresh dump, ``generated_at`` lines ignored."""
+    def strip(text: str) -> list[str]:
+        return [ln for ln in text.splitlines() if '"generated_at"' not in ln]
+
+    stale = []
+    for name, rep in reports.items():
+        path = out_dir / name
+        if not path.exists():
+            stale.append(f"{name}: missing")
+        elif strip(path.read_text()) != strip(dumps_report(rep)):
+            stale.append(f"{name}: differs")
+    return stale
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None,
@@ -57,18 +73,7 @@ def main() -> int:
     reports = build_reports(spec_dir)
 
     if args.check:
-        stale = []
-        for name, rep in reports.items():
-            path = out_dir / name
-            if not path.exists():
-                stale.append(f"{name}: missing")
-                continue
-            old = path.read_text()
-            new = dumps_report(rep)
-            strip = lambda text: [ln for ln in text.splitlines()
-                                  if '"generated_at"' not in ln]
-            if strip(old) != strip(new):
-                stale.append(f"{name}: differs")
+        stale = stale_reports(reports, out_dir)
         for line in stale:
             print(line)
         print(f"{len(reports) - len(stale)}/{len(reports)} golden reports "

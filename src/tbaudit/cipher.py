@@ -23,14 +23,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
-from .gf2 import (BrickLayout, Subspace, Wall, _iter_rref_bases, as_wall,
-                  bounded_image_span, count_proper_subspaces, rref,
-                  subspace_image)
+from .gf2 import (BrickLayout, Subspace, Wall, _iter_rref_bases,
+                  _maps_cosets, _reduced_rows, _span_elements, as_wall,
+                  bounded_image_span, count_proper_subspaces, subspace_image)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer,
                      family_strongly_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, ddt,
@@ -178,9 +178,7 @@ def _require_table_width(d: int) -> None:
 @lru_cache(maxsize=None)
 def _layer_table(layer: MixingLayer) -> np.ndarray:
     _require_table_width(layer.layout.d)
-    tab = np.zeros(1, dtype=np.int64)
-    for row in layer.matrix.rows:
-        tab = np.concatenate([tab, tab ^ row])
+    tab = _span_elements(layer.matrix.rows)
     tab.setflags(write=False)
     return tab
 
@@ -242,19 +240,6 @@ class LinearPartition:
         return not self.subspace.is_trivial()
 
 
-def _np_elements(s: Subspace) -> np.ndarray:
-    els = np.zeros(1, dtype=np.int64)
-    for row in s.basis:
-        els = np.concatenate([els, els ^ row])
-    return els
-
-
-def _indicator(s: Subspace) -> np.ndarray:
-    ind = np.zeros(1 << s.ambient, dtype=bool)
-    ind[_np_elements(s)] = True
-    return ind
-
-
 def partition_image(table, part: LinearPartition) -> LinearPartition | None:
     """Image of a linear partition under an arbitrary permutation table.
 
@@ -276,37 +261,12 @@ def partition_image(table, part: LinearPartition) -> LinearPartition | None:
     if k == 0 or k == d:
         return part
     x0 = int(np.nonzero(arr == 0)[0][0])
-    zero_block = arr[_np_elements(u) ^ x0]
-    w_rows = _span_rows_bounded(zero_block.tolist(), k)
-    if w_rows is None:
+    zero_block = arr[_span_elements(u.basis) ^ x0]
+    w_rows = _reduced_rows(zero_block.tolist(), limit=k)
+    if (w_rows is None or len(w_rows) != k
+            or not _maps_cosets(arr, u.basis, w_rows)):
         return None
-    w = rref(w_rows, d)
-    w_ind = _indicator(w)
-    idx = np.arange(n, dtype=np.int64)
-    for uel in u.elements()[1:]:
-        if not w_ind[arr[idx ^ uel] ^ arr].all():
-            return None
-    return LinearPartition(w)
-
-
-def _span_rows_bounded(vectors: Iterable[int], k: int) -> tuple[int, ...] | None:
-    """Echelon rows of the span, or None as soon as the rank exceeds k."""
-    red: dict[int, int] = {}
-    rank = 0
-    for y in vectors:
-        while y:
-            p = y & -y
-            q = red.get(p)
-            if q is None:
-                rank += 1
-                if rank > k:
-                    return None
-                red[p] = y
-                break
-            y ^= q
-    if rank != k:
-        return None
-    return tuple(red[p] for p in sorted(red))
+    return LinearPartition(Subspace(w_rows, d))
 
 
 def check_lemma_containment(table, u: Subspace, w: Subspace) -> bool:
@@ -319,12 +279,7 @@ def check_lemma_containment(table, u: Subspace, w: Subspace) -> bool:
         raise ValueError("dimension mismatch")
     if arr[0] != 0:
         raise ValueError("map is not normalized (f(0) != 0)")
-    w_ind = _indicator(w)
-    idx = np.arange(n, dtype=np.int64)
-    for uel in u.elements()[1:]:
-        if not w_ind[arr[idx ^ uel] ^ arr].all():
-            return False
-    return True
+    return _maps_cosets(arr, u.basis, w.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -390,21 +345,10 @@ def _scan_linear_targets(py_table: list[int], np_table: np.ndarray, d: int,
     """Scan a range of k-dim subspaces; return (U basis, W basis) for every U
     whose image partition under the table is linear."""
     found = []
-    idx = np.arange(1 << d, dtype=np.int64)
     for rows in _iter_rref_bases(d, k, start, stop):
         w_rows = bounded_image_span(py_table, rows, k)
-        if w_rows is None:
-            continue
-        u = Subspace(tuple(rows), d)
-        w = rref(w_rows, d)
-        w_ind = _indicator(w)
-        ok = True
-        for uel in u.elements()[1:]:
-            if not w_ind[np_table[idx ^ uel] ^ np_table].all():
-                ok = False
-                break
-        if ok:
-            found.append((u.basis, w.basis))
+        if w_rows is not None and _maps_cosets(np_table, rows, w_rows):
+            found.append((tuple(rows), _reduced_rows(w_rows)))
     return found
 
 
@@ -533,13 +477,7 @@ def chain_holds_under_key(cipher: TbCipher, chain: PartitionChain,
                           keys: Sequence[int]) -> bool:
     """Whether the keyed cipher maps L(U_1) to L(U_{l+1})."""
     table = encryption_table(cipher, keys)
-    first, last = chain.spaces[0], chain.spaces[-1]
-    ind = _indicator(last)
-    idx = np.arange(len(table), dtype=np.int64)
-    for uel in first.elements()[1:]:
-        if not ind[table[idx ^ uel] ^ table].all():
-            return False
-    return True
+    return _maps_cosets(table, chain.spaces[0].basis, chain.spaces[-1].basis)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cipher import TbCipher, encryption_table, round_table
 from .errors import CapExceeded, IntransitiveError
-from .gf2 import Subspace, rref
+from .gf2 import Subspace, _maps_cosets, _reduced_rows, _span_elements
 
 __all__ = [
     "MAX_DEGREE",
@@ -316,9 +316,7 @@ def sample_round_generators(cipher: TbCipher) -> GeneratorSet:
 def partition_block_system(s: Subspace) -> BlockSystem:
     """The coset partition of a subspace as a block system."""
     n = 1 << s.ambient
-    els = np.zeros(1, dtype=np.int64)
-    for row in s.basis:
-        els = np.concatenate([els, els ^ row])
+    els = _span_elements(s.basis)
     block_of = np.full(n, -1, dtype=np.int64)
     bid = 0
     for x in range(n):
@@ -332,51 +330,17 @@ def _phi_closure(images: list[np.ndarray], seed_rows: Iterable[int],
                  d: int) -> tuple[int, ...] | None:
     """Smallest subspace containing the seeds and closed under every map
     u -> g(u) + g(0); None when the closure is the full space."""
-    rows: dict[int, int] = {}
-
-    def insert(v: int) -> bool:
-        while v:
-            p = v & -v
-            q = rows.get(p)
-            if q is None:
-                rows[p] = v
-                return True
-            v ^= q
-        return False
-
-    for r in seed_rows:
-        insert(r)
-    while True:
-        if len(rows) >= d:
-            return None
-        els = np.zeros(1, dtype=np.int64)
-        for r in rows.values():
-            els = np.concatenate([els, els ^ r])
+    rows = _reduced_rows(seed_rows, limit=d - 1)
+    while rows is not None:
+        els = _span_elements(rows)
         ind = np.zeros(1 << d, dtype=bool)
         ind[els] = True
-        grew = False
-        for img in images:
-            mapped = img[els] ^ img[0]
-            outside = mapped[~ind[mapped]]
-            for v in np.unique(outside).tolist():
-                if insert(v):
-                    grew = True
-        if not grew:
-            return rref(list(rows.values()), d).basis
-
-
-def _is_invariant(images: list[np.ndarray], s: Subspace,
-                  idx: np.ndarray) -> bool:
-    ind = np.zeros(1 << s.ambient, dtype=bool)
-    els = np.zeros(1, dtype=np.int64)
-    for row in s.basis:
-        els = np.concatenate([els, els ^ row])
-    ind[els] = True
-    for img in images:
-        for u in s.basis:
-            if not ind[img[idx ^ u] ^ img].all():
-                return False
-    return True
+        mapped = np.concatenate([img[els] ^ img[0] for img in images])
+        outside = np.unique(mapped[~ind[mapped]])
+        if not len(outside):
+            return rows
+        rows = _reduced_rows(rows + tuple(outside.tolist()), limit=d - 1)
+    return None
 
 
 def invariant_linear_partition_search(gens: GeneratorSet, *,
@@ -414,12 +378,8 @@ def invariant_linear_partition_search(gens: GeneratorSet, *,
                     closures[joined] = None
                     nxt.append(joined)
         frontier = nxt
-    idx = np.arange(n, dtype=np.int64)
-    out = []
-    for rows in closures:
-        s = Subspace(tuple(rows), d)
-        if _is_invariant(images, s, idx):
-            out.append(s)
+    out = [Subspace(rows, d) for rows in closures
+           if all(_maps_cosets(img, rows, rows) for img in images)]
     out.sort(key=lambda s: (s.dim, s.basis))
     return out
 

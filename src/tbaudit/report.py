@@ -378,13 +378,16 @@ def _verify_chains(report: dict, problems: list[str]) -> None:
             problems.append(f"chain {i} does not re-verify")
 
 
-def verify_report(report: dict) -> tuple[bool, list[str]]:
+def verify_report(report: Any) -> tuple[bool, list[str]]:
     """Re-check a report from its embedded subject.
 
     Regenerates the analysis with the recorded flags and compares (modulo
     the timestamp), then re-derives each embedded witness independently.
     Returns (ok, list of problems).
     """
+    if not isinstance(report, dict):
+        return False, [f"malformed report: expected an object, got "
+                       f"{type(report).__name__}"]
     problems: list[str] = []
     kind = report.get("kind")
     if report.get("schema") != SCHEMA_VERSION:
@@ -401,6 +404,6 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
             _verify_chains(report, problems)
         else:
             problems.append(f"unknown report kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         problems.append(f"malformed report: {exc!r}")
     return not problems, problems

@@ -211,18 +211,16 @@ def is_strongly_anti_invariant(box: SBox, r: int, *,
     m = box.m
     if not 1 <= r <= m - 1:
         raise ValueError(f"r={r} out of range [1, {m - 1}]")
+    # Refuse on the whole scan's cost up front: _violation_scan spends its
+    # budget dimension by dimension, so alone it could return a violation
+    # found before the budget ran out.
     cost = anti_invariance_scan_cost(m, r)
     if cost > budget:
         raise CapExceeded(
             f"strong {r}-anti-invariance scan at m={m} refused",
             estimate=cost, limit=budget)
-    table = box.normalized()
-    for k in range(m - 1, m - r - 1, -1):
-        for rows in _iter_rref_bases(m, k):
-            w = bounded_image_span(table, rows, k)
-            if w is not None:
-                return (False, (Subspace(tuple(rows), m), rref(w, m)))
-    return (True, None)
+    _, pair, _ = _violation_scan(box.normalized(), m, m - r, budget)
+    return (pair is None, pair)
 
 
 def _violation_scan(table: Sequence[int], m: int, k_lo: int, budget: int,

@@ -316,6 +316,12 @@ def test_verify_report_bad_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify-report", str(bad))
     assert code == 64
     assert "invalid JSON" in err
+    # valid JSON that is not a report object is a malformed report
+    bad.write_text("[]")
+    for extra in ([], ["--spec", WEAK_L3]):
+        code, _, err = run_cli(capsys, "verify-report", str(bad), *extra)
+        assert code == 1
+        assert "malformed report" in err
 
 
 # ---------------------------------------------------------------------------

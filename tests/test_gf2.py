@@ -2,18 +2,20 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Subspace, Wall, as_wall,
-                         bounded_image_span, count_proper_subspaces,
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Subspace, Wall, _maps_cosets,
+                         as_wall, bounded_image_span, count_proper_subspaces,
                          enumerate_subspaces, gaussian_binomial,
                          identity_matrix, random_invertible, rref,
                          subspace_image, subspace_sum)
 
-from oracles import (all_subspaces, gaussian_recurrence,
+from oracles import (all_subspaces, brute_derivative_containment,
+                     gaussian_recurrence,
                      matrix_apply_by_columns, span_rank, wall_elements,
                      xor_span)
 
@@ -238,6 +240,22 @@ def test_singular_matrix_raises():
         BitMatrix((1, 2, 3), 2).inverse()
     assert not BitMatrix((1, 1), 2).is_invertible()
     assert BitMatrix((0, 0), 2).rank() == 0
+    # random rank-deficient matrices: every row is a combination of r < d rows
+    rng = random.Random(7)
+    for _ in range(300):
+        d = rng.randint(1, 8)
+        basis = random_invertible(rng, d).rows[:rng.randrange(d)]
+        rows = []
+        for _ in range(d):
+            v = 0
+            for b in basis:
+                if rng.getrandbits(1):
+                    v ^= b
+            rows.append(v)
+        m = BitMatrix(tuple(rows), d)
+        assert m.rank() < d
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
 
 
 @given(vectors_strategy)
@@ -266,6 +284,49 @@ def test_subspace_image_is_elementwise_image(d, seed):
 def test_subspace_image_dimension_mismatch():
     with pytest.raises(ValueError):
         subspace_image(rref([1], 3), identity_matrix(2))
+
+
+# ---------------------------------------------------------------------------
+# _maps_cosets: the basis-only coset test.
+
+
+def random_subspace(rng, d, k):
+    return rref(random_invertible(rng, d).rows[:k], d)
+
+
+def coset_mapping_table(rng, u, w):
+    """A random permutation sending each coset of U onto a coset of W
+    (dim U == dim W); f(0) is random, so the table is not normalized."""
+    d = u.ambient
+    u_reps = sorted({u.coset_rep(x) for x in range(1 << d)})
+    w_reps = sorted({w.coset_rep(x) for x in range(1 << d)})
+    rng.shuffle(w_reps)
+    table = [0] * (1 << d)
+    for ur, wr in zip(u_reps, w_reps):
+        targets = [wr ^ e for e in w.elements()]
+        rng.shuffle(targets)
+        for e, t in zip(u.elements(), targets):
+            table[ur ^ e] = t
+    return table
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32))
+def test_maps_cosets_matches_brute_containment(d, seed):
+    rng = random.Random(seed)
+    n = 1 << d
+    # every dimension of U including 0, with W = U (invariance) and W != U
+    for k in range(d + 1):
+        u = random_subspace(rng, d, k)
+        for w in (u, random_subspace(rng, d, k)):
+            table = coset_mapping_table(rng, u, w)
+            if rng.getrandbits(1):
+                i, j = rng.randrange(n), rng.randrange(n)
+                table[i], table[j] = table[j], table[i]
+            arr = np.array(table, dtype=np.int64)
+            for v in (w, random_subspace(rng, d, rng.randint(0, d))):
+                assert _maps_cosets(arr, u.basis, v.basis) == \
+                    brute_derivative_containment(table, u.elements(),
+                                                 set(v.elements()))
 
 
 # ---------------------------------------------------------------------------

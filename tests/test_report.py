@@ -1,6 +1,7 @@
 """Report generation and self-verification."""
 
 import copy
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -203,10 +204,15 @@ def test_unsupported_schema_and_kind():
 
 
 def test_malformed_report_is_reported_not_raised():
-    ok, problems = verify_report(
-        {"kind": "sbox-analysis", "schema": SCHEMA_VERSION})
-    assert not ok
-    assert any("malformed report" in p for p in problems)
+    wrong_flags = [
+        dict(rep, flags=[]) for rep in (
+            sbox_report(identity_sbox(3)),
+            mixing_report(rotation_layer(BrickLayout(2, 2)), family_ell=2))]
+    for bad in [{"kind": "sbox-analysis", "schema": SCHEMA_VERSION},
+                *wrong_flags, [], ["audit"]]:
+        ok, problems = verify_report(bad)
+        assert not ok
+        assert any("malformed report" in p for p in problems), problems
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +251,17 @@ def test_golden_reports_verify(name):
 
 def test_golden_directory_is_populated():
     assert len(list(GOLDEN_DIR.glob("*.json"))) == 6
+
+
+def test_golden_reports_are_byte_stable():
+    # the regeneration script's --check, in process: a fresh dump of every
+    # golden report must match the frozen file byte for byte (timestamps
+    # aside), which a parsed comparison would miss for e.g. 1 vs 1.0
+    script = GOLDEN_DIR.parent.parent / "scripts" / "regen_golden_reports.py"
+    spec = importlib.util.spec_from_file_location("regen_golden_reports",
+                                                  script)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    reports = regen.build_reports(GOLDEN_DIR.parent)
+    assert len(reports) == 6
+    assert regen.stale_reports(reports, GOLDEN_DIR) == []

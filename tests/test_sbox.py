@@ -234,6 +234,12 @@ def test_budget_refusal_carries_the_cost():
         is_strongly_anti_invariant(INV5, 4, budget=3)
     assert exc.value.estimate > 3
     assert exc.value.limit == 3
+    # the whole scan's cost is checked up front, even though the identity's
+    # first violation (dim 4, 31 subspaces) lies within the budget
+    with pytest.raises(CapExceeded) as exc:
+        is_strongly_anti_invariant(identity_sbox(5), 2, budget=31)
+    assert exc.value.estimate == anti_invariance_scan_cost(5, 2)
+    assert exc.value.limit == 31
 
 
 def test_order_is_capped_by_max_r():
