@@ -7,11 +7,16 @@ partitions L(U_1) -> ... -> L(U_{l+1}) transported by the keyless round
 maps; key addition never disturbs a linear partition, so such a chain works
 for every key tuple at once.
 
-Two search modes are provided.  The walls mode follows wall images through
-the mixing layers (complete for the family-not-strongly-proper case, where
-chains through walls always exist).  The exhaustive mode scans every
-nontrivial subspace of (F_2)^d for the first round and pushes survivors
-forward; it is complete but capped at small d.
+Two search modes are provided.  The walls mode takes the walls that survive
+the layer family (``mixing.family_strongly_proper``) and follows each through
+the mixing layers with ``mixing``'s single wall walker (complete for the
+family-not-strongly-proper case, where chains through walls always exist).
+The exhaustive mode scans every nontrivial subspace of (F_2)^d for the first
+round and pushes survivors forward; it is complete but capped at small d.
+
+Full-codebook tables are built per keyless round by ``round_table``, the one
+table cache, which holds at most ``_ROUND_TABLE_CACHE`` tables; the
+substitution and mixing tables it is made from are not kept.
 
 The audit itself is certificate-based: it reports Secure only when the
 layer/brick hypotheses that provably exclude all chains hold, Vulnerable
@@ -22,17 +27,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
-from .gf2 import (BrickLayout, Subspace, Wall, _iter_rref_bases,
+from .gf2 import (BrickLayout, Subspace, _iter_rref_bases,
                   _maps_cosets, _reduced_rows, _span_elements, as_wall,
                   bounded_image_span, count_proper_subspaces, subspace_image)
-from .mixing import (FamilyReport, LayerFamily, MixingLayer,
-                     family_strongly_proper, is_strongly_proper)
+from .mixing import (FamilyReport, LayerFamily, MixingLayer, _mask_wall,
+                     _wall_images, family_strongly_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, ddt,
                    differential_uniformity, is_strongly_anti_invariant,
                    min_derivative_image)
@@ -68,6 +73,11 @@ __all__ = [
 
 MAX_TABLE_D = 20
 DEFAULT_CHAIN_CAP = 9
+
+# Memo cache bounds: 16 round tables (8 MiB each at d = MAX_TABLE_D) cover
+# every round, in both normalizations, that one audit or search touches.
+_ROUND_TABLE_CACHE = 16
+_BRICK_CONDITION_CACHE = 256
 
 # Definition-resolution choices this implementation commits to; embedded in
 # machine-readable reports so downstream consumers know what was checked.
@@ -175,15 +185,6 @@ def _require_table_width(d: int) -> None:
             estimate=1 << d, limit=1 << MAX_TABLE_D)
 
 
-@lru_cache(maxsize=None)
-def _layer_table(layer: MixingLayer) -> np.ndarray:
-    _require_table_width(layer.layout.d)
-    tab = _span_elements(layer.matrix.rows)
-    tab.setflags(write=False)
-    return tab
-
-
-@lru_cache(maxsize=None)
 def substitution_table(bricks: tuple[SBox, ...], layout: BrickLayout,
                        normalized: bool = True) -> np.ndarray:
     """Lookup table of the bricklayer alone (no mixing, no key)."""
@@ -205,12 +206,12 @@ def substitution_table(bricks: tuple[SBox, ...], layout: BrickLayout,
     return sub
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROUND_TABLE_CACHE)
 def round_table(rnd: Round, normalized: bool = True) -> np.ndarray:
     """Lookup table of the keyless round map; ``normalized`` folds each
     brick's f(0) away so the table fixes 0."""
     sub = substitution_table(rnd.bricks, rnd.layout, normalized)
-    out = _layer_table(rnd.layer)[sub]
+    out = _span_elements(rnd.layer.matrix.rows)[sub]
     out.setflags(write=False)
     return out
 
@@ -304,37 +305,24 @@ class PartitionChain:
                 raise ValueError("chain contains a trivial subspace")
 
 
-def _walls_mode_chains(cipher: TbCipher) -> list[PartitionChain]:
+def _walls_mode_chains(cipher: TbCipher, family: FamilyReport | None = None
+                       ) -> list[PartitionChain]:
+    """One chain per wall that survives the layer family, in lexicographic
+    order of the starting wall.  ``family`` is the family's report over the
+    default prefix range j in [1, l-1]; it is computed when not given."""
+    if family is None:
+        family = family_strongly_proper(LayerFamily(cipher.layers()))
     layout = cipher.layout
-    ell = cipher.ell
-    supports = [rnd.layer.brick_supports() for rnd in cipher.rounds]
-    from .mixing import _lex_proper_masks
-
-    def mask_wall(mask: int) -> Wall:
-        bricks = frozenset(j + 1 for j in range(layout.b) if (mask >> j) & 1)
-        return Wall(layout, bricks)
-
+    supports = [rnd.layer.brick_supports() for rnd in cipher.rounds[:-1]]
+    last = cipher.rounds[-1].layer.matrix
+    # A wall recurs as the image of other walls: build each subspace once.
+    wall_space = lru_cache(maxsize=1 << layout.b)(
+        lambda mask: _mask_wall(layout, mask).subspace())
     chains = []
-    for _, mask in _lex_proper_masks(layout.b):
-        cur = mask
-        masks = [cur]
-        ok = True
-        for h in range(ell - 1):
-            img = 0
-            m2 = cur
-            while m2:
-                img |= supports[h][(m2 & -m2).bit_length() - 1]
-                m2 &= m2 - 1
-            if img.bit_count() != cur.bit_count():
-                ok = False
-                break
-            cur = img
-            masks.append(cur)
-        if not ok:
-            continue
-        spaces = [mask_wall(m).subspace() for m in masks]
-        final = subspace_image(spaces[-1], cipher.rounds[ell - 1].layer.matrix)
-        spaces.append(final)
+    for bricks in family.surviving_walls():
+        mask = sum(1 << (i - 1) for i in bricks)
+        spaces = [wall_space(img) for img in _wall_images(supports, mask)]
+        spaces.append(subspace_image(spaces[-1], last))
         chains.append(PartitionChain(tuple(spaces)))
     return chains
 
@@ -527,7 +515,7 @@ class AuditVerdict:
         return self.clause1_round is not None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BRICK_CONDITION_CACHE)
 def _brick_conditions(box: SBox, use_1prime: bool,
                       budget: int) -> BrickConditionReport:
     m = box.m
@@ -589,7 +577,9 @@ def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
     layout = cipher.layout
     ell = cipher.ell
     notes: list[str] = []
-    sp = tuple(is_strongly_proper(r.layer)[0] for r in cipher.rounds)
+    strong = {layer: is_strongly_proper(layer)[0]
+              for layer in set(cipher.layers())}
+    sp = tuple(strong[layer] for layer in cipher.layers())
     rounds = []
     for h, rnd in enumerate(cipher.rounds):
         bricks = tuple(
@@ -606,6 +596,11 @@ def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
             break
     family = family_strongly_proper(LayerFamily(cipher.layers()))
     clause2 = family.strongly_proper and all(rep.ok for rep in rounds_t)
+    verdict = partial(
+        AuditVerdict, clause1_round=None, clause2_ok=False,
+        strongly_proper_layers=sp, family=family, rounds=rounds_t, chain=None,
+        chain_count=0, exhaustive_ran=False, exhaustive_empty=None,
+        condition_1prime=use_condition1prime)
     if clause1_round is not None:
         notes.append(
             f"round {clause1_round} is strongly proper and rounds "
@@ -614,13 +609,9 @@ def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
         notes.append("layer family is strongly proper and every round "
                      "satisfies the brick conditions")
     if clause1_round is not None or clause2:
-        return AuditVerdict(
-            status="secure", clause1_round=clause1_round, clause2_ok=clause2,
-            strongly_proper_layers=sp, family=family, rounds=rounds_t,
-            chain=None, chain_count=0, exhaustive_ran=False,
-            exhaustive_empty=None, condition_1prime=use_condition1prime,
-            notes=tuple(notes))
-    chains = [ch for ch in find_trapdoor_chains(cipher, "walls")
+        return verdict(status="secure", clause1_round=clause1_round,
+                       clause2_ok=clause2, notes=tuple(notes))
+    chains = [ch for ch in _walls_mode_chains(cipher, family)
               if verify_chain(cipher, ch)]
     if not family.strongly_proper:
         notes.append(
@@ -633,36 +624,21 @@ def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
                     f"round {rep.round_index} brick {brick.brick_index}: "
                     f"{brick.detail}")
     if chains:
-        return AuditVerdict(
-            status="vulnerable", clause1_round=None, clause2_ok=False,
-            strongly_proper_layers=sp, family=family, rounds=rounds_t,
-            chain=chains[0], chain_count=len(chains), exhaustive_ran=False,
-            exhaustive_empty=None, condition_1prime=use_condition1prime,
-            notes=tuple(notes))
-    exhaustive_ran = False
-    exhaustive_empty: bool | None = None
-    if exhaustive_fallback_cap >= layout.d:
-        exhaustive_ran = True
-        deep = find_trapdoor_chains(cipher, "exhaustive",
-                                    cap=exhaustive_fallback_cap,
-                                    threads=threads)
-        exhaustive_empty = not deep
-        if deep:
-            notes.append("chain found by the exhaustive search")
-            return AuditVerdict(
-                status="vulnerable", clause1_round=None, clause2_ok=False,
-                strongly_proper_layers=sp, family=family, rounds=rounds_t,
-                chain=deep[0], chain_count=len(deep), exhaustive_ran=True,
-                exhaustive_empty=False, condition_1prime=use_condition1prime,
-                notes=tuple(notes))
-        notes.append("exhaustive chain search found nothing; absence of a "
-                     "chain is not a security certificate")
-    return AuditVerdict(
-        status="inconclusive", clause1_round=None, clause2_ok=False,
-        strongly_proper_layers=sp, family=family, rounds=rounds_t,
-        chain=None, chain_count=0, exhaustive_ran=exhaustive_ran,
-        exhaustive_empty=exhaustive_empty,
-        condition_1prime=use_condition1prime, notes=tuple(notes))
+        return verdict(status="vulnerable", chain=chains[0],
+                       chain_count=len(chains), notes=tuple(notes))
+    if exhaustive_fallback_cap < layout.d:
+        return verdict(status="inconclusive", notes=tuple(notes))
+    deep = find_trapdoor_chains(cipher, "exhaustive",
+                                cap=exhaustive_fallback_cap, threads=threads)
+    if deep:
+        notes.append("chain found by the exhaustive search")
+        return verdict(status="vulnerable", chain=deep[0],
+                       chain_count=len(deep), exhaustive_ran=True,
+                       exhaustive_empty=False, notes=tuple(notes))
+    notes.append("exhaustive chain search found nothing; absence of a "
+                 "chain is not a security certificate")
+    return verdict(status="inconclusive", exhaustive_ran=True,
+                   exhaustive_empty=True, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------

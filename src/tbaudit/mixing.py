@@ -11,13 +11,15 @@ Because a mixing layer is invertible, the image of a wall with brick set I
 has dimension m*|I| and sits inside the direct sum of the bricks J it
 touches; it therefore *is* a wall iff |J| = |I|.  That reduces every check
 here to OR-ing precomputed per-brick support masks, which is what makes the
-b=16 case (65534 proper walls) cheap.
+b=16 case (65534 proper walls) cheap.  One walker, ``_wall_images``, follows
+a wall's mask through the layers while it stays a wall: the layer and family
+checks here and the cipher's walls-mode chain search are built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import SingularMatrixError
 from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, as_wall, subspace_image
@@ -114,22 +116,34 @@ def enumerate_proper_walls(layout: BrickLayout) -> Iterator[Wall]:
         yield Wall(layout, frozenset(bricks))
 
 
-def _image_mask(supports: tuple[int, ...], mask: int) -> int:
-    acc = 0
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        acc |= supports[i]
-        m &= m - 1
-    return acc
+def _wall_images(supports: Sequence[tuple[int, ...]], mask: int) -> list[int]:
+    """Brick masks of a wall and of its images under the successive layers
+    whose brick supports are given, up to the last image that is a wall."""
+    masks = [mask]
+    for sup in supports:
+        img = 0
+        rest = masks[-1]
+        while rest:
+            img |= sup[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+        if img.bit_count() != mask.bit_count():
+            break
+        masks.append(img)
+    return masks
+
+
+def _mask_wall(layout: BrickLayout, mask: int) -> Wall:
+    """The wall whose bricks are the set bits of a b-bit brick mask."""
+    return Wall(layout, frozenset(j + 1 for j in range(layout.b)
+                                  if (mask >> j) & 1))
 
 
 def is_proper(layer: MixingLayer) -> tuple[bool, Wall | None]:
     """No proper wall is mapped to itself.  Returns the first invariant wall
     as witness otherwise."""
-    supports = layer.brick_supports()
+    supports = (layer.brick_supports(),)
     for bricks, mask in _lex_proper_masks(layer.layout.b):
-        if _image_mask(supports, mask) | mask == mask:
+        if _wall_images(supports, mask)[1:] == [mask]:
             return (False, Wall(layer.layout, frozenset(bricks)))
     return (True, None)
 
@@ -137,14 +151,12 @@ def is_proper(layer: MixingLayer) -> tuple[bool, Wall | None]:
 def is_strongly_proper(layer: MixingLayer) -> tuple[bool, tuple[Wall, Wall] | None]:
     """The image of every proper wall is not a wall.  Returns the first
     (wall, image wall) pair as witness otherwise."""
-    supports = layer.brick_supports()
-    b = layer.layout.b
-    for bricks, mask in _lex_proper_masks(b):
-        img = _image_mask(supports, mask)
-        if img.bit_count() == mask.bit_count():
-            image_bricks = frozenset(j + 1 for j in range(b) if (img >> j) & 1)
+    supports = (layer.brick_supports(),)
+    for bricks, mask in _lex_proper_masks(layer.layout.b):
+        images = _wall_images(supports, mask)
+        if len(images) == 2:
             return (False, (Wall(layer.layout, frozenset(bricks)),
-                            Wall(layer.layout, image_bricks)))
+                            _mask_wall(layer.layout, images[1])))
     return (True, None)
 
 
@@ -180,24 +192,18 @@ def family_strongly_proper(family: LayerFamily, *,
     extends the prefix range to j = l for sensitivity analysis; it is off by
     default because the final product is not covered by the definition.
     """
-    supports = [layer.brick_supports() for layer in family.layers]
-    b = family.layout.b
     max_prefix = family.ell if include_full_product else family.ell - 1
+    supports = [layer.brick_supports() for layer in family.layers[:max_prefix]]
     note = ""
     if max_prefix == 0:
         note = ("single-layer family: no prefix j < 1 exists, so every wall "
                 "survives vacuously")
     escape = []
-    for bricks, mask in _lex_proper_masks(b):
-        step = None
-        cur = mask
-        for j in range(max_prefix):
-            img = _image_mask(supports[j], cur)
-            if img.bit_count() != cur.bit_count():
-                step = j + 1
-                break
-            cur = img
-        escape.append((bricks, step))
+    for bricks, mask in _lex_proper_masks(family.layout.b):
+        # The walk stops at the first step j whose image is not a wall, so
+        # it holds j masks then, and max_prefix + 1 when the wall survives.
+        steps = len(_wall_images(supports, mask))
+        escape.append((bricks, steps if steps <= max_prefix else None))
     return FamilyReport(ell=family.ell, max_prefix=max_prefix,
                         escape=tuple(escape), note=note)
 

@@ -6,25 +6,32 @@ report alone: ``verify_report`` rebuilds the subject, regenerates the
 analysis with the recorded flags, compares everything except the timestamp,
 and re-derives the embedded witnesses directly.  Identical inputs and flags
 produce byte-identical JSON apart from the ``generated_at`` field.
+
+A report whose recorded caps would let the verifier run an exhaustive chain
+search above DEFAULT_CHAIN_CAP bits, or an anti-invariance scan above
+ANTI_INVARIANCE_BUDGET subspaces, is refused with ``CapExceeded``; like the
+scans themselves, the check is made up front on the whole cost.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from datetime import datetime, timezone
 from typing import Any
 
 from . import cipher as cipher_mod
 from . import sbox as sbox_mod
-from .cipher import (SEMANTICS, AuditVerdict, PartitionChain, TbCipher, audit,
-                     chain_holds_under_key, find_trapdoor_chains, verify_chain)
-from .errors import SpecError
+from .cipher import (DEFAULT_CHAIN_CAP, SEMANTICS, AuditVerdict,
+                     PartitionChain, TbCipher, audit, chain_holds_under_key,
+                     find_trapdoor_chains, verify_chain)
+from .errors import CapExceeded, SpecError
 from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, rref
 from .mixing import (FamilyReport, LayerFamily, MixingLayer,
                      family_strongly_proper, is_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, analyze_sbox,
-                   meets_min_image_bound)
+                   anti_invariance_scan_cost, meets_min_image_bound)
 from .specfile import cipher_to_spec, parse_cipher
 
 __all__ = [
@@ -136,20 +143,16 @@ def _brick_condition_json(box: SBox, requested_r: int | None,
 
 
 def _family_json(fam: FamilyReport) -> dict:
-    histogram: dict[str, int] = {}
-    surviving = []
-    for bricks, step in fam.escape:
-        key = "none" if step is None else str(step)
-        histogram[key] = histogram.get(key, 0) + 1
-        if step is None and len(surviving) < _EMBED_WALL_CAP:
-            surviving.append(list(bricks))
+    histogram = Counter("none" if step is None else str(step)
+                        for _, step in fam.escape)
     return {
         "ell": fam.ell,
         "max_prefix": fam.max_prefix,
         "strongly_proper": fam.strongly_proper,
         "wall_count": len(fam.escape),
-        "escape_histogram": histogram,
-        "surviving_walls": surviving,
+        "escape_histogram": dict(histogram),
+        "surviving_walls": [list(bricks) for bricks
+                            in fam.surviving_walls()[:_EMBED_WALL_CAP]],
         "note": fam.note,
     }
 
@@ -284,13 +287,33 @@ def _diff_paths(a: Any, b: Any, path: str, out: list[str]) -> None:
         out.append(f"{path}: report has {b!r}, regeneration gives {a!r}")
 
 
+def _wide_search_refusal(field: str, cap, d: int) -> CapExceeded:
+    return CapExceeded(
+        f"report records {field}={cap!r}: an exhaustive chain search at "
+        f"d={d} is above the verifier's ceiling of {DEFAULT_CHAIN_CAP} bits")
+
+
+def _check_budget(field: str, budget, m: int) -> None:
+    """Refuse a recorded budget under which an anti-invariance scan of an
+    m-bit box could cost more than the verifier's ceiling."""
+    cost = anti_invariance_scan_cost(m, m - 1)
+    if budget > ANTI_INVARIANCE_BUDGET and cost > ANTI_INVARIANCE_BUDGET:
+        raise CapExceeded(
+            f"report records {field}={budget!r}: an anti-invariance scan at "
+            f"m={m} is above the verifier's ceiling of "
+            f"{ANTI_INVARIANCE_BUDGET} subspaces", estimate=cost,
+            limit=ANTI_INVARIANCE_BUDGET)
+
+
 def _verify_sbox(report: dict, problems: list[str]) -> None:
     table = tuple(int(v, 16) for v in report["table"].split())
     box = SBox(table)
     flags = report.get("flags", {})
+    budget = report["anti_invariance"]["budget"]
+    _check_budget("budget", budget, box.m)
     fresh = sbox_report(box, requested_r=flags.get("r"),
                         use_condition1prime=bool(flags.get("condition1prime")),
-                        budget=report["anti_invariance"]["budget"])
+                        budget=budget)
     _diff_paths(_strip_timestamp(fresh), _strip_timestamp(report), "$", problems)
     violation = report["anti_invariance"]["violation"]
     if violation is not None:
@@ -339,15 +362,21 @@ def _verify_mixing(report: dict, problems: list[str]) -> None:
 def _verify_audit(report: dict, problems: list[str]) -> None:
     cphr = parse_cipher(report["cipher"])
     flags = report.get("flags", {})
+    exhaustive_cap = flags.get("exhaustive_cap", 0)
+    anti_budget = flags.get("anti_budget", ANTI_INVARIANCE_BUDGET)
+    d = cphr.layout.d
+    _check_budget("anti_budget", anti_budget, cphr.layout.m)
+    # The fallback runs only on an inconclusive verdict, so auditing without
+    # it gives the same verdict or shows that the search would run.
+    too_wide = exhaustive_cap >= d > DEFAULT_CHAIN_CAP
     verdict = audit(cphr,
                     use_condition1prime=bool(flags.get("condition1prime")),
-                    anti_budget=flags.get("anti_budget",
-                                          ANTI_INVARIANCE_BUDGET),
-                    exhaustive_fallback_cap=flags.get("exhaustive_cap", 0))
-    fresh = audit_report(cphr, verdict,
-                         exhaustive_cap=flags.get("exhaustive_cap", 0),
-                         anti_budget=flags.get("anti_budget",
-                                               ANTI_INVARIANCE_BUDGET))
+                    anti_budget=anti_budget,
+                    exhaustive_fallback_cap=0 if too_wide else exhaustive_cap)
+    if too_wide and verdict.status == "inconclusive":
+        raise _wide_search_refusal("exhaustive_cap", exhaustive_cap, d)
+    fresh = audit_report(cphr, verdict, exhaustive_cap=exhaustive_cap,
+                         anti_budget=anti_budget)
     _diff_paths(_strip_timestamp(fresh), _strip_timestamp(report), "$", problems)
     if report["chain"] is not None:
         chain = _chain_from_json(report["chain"])
@@ -369,6 +398,10 @@ def _verify_chains(report: dict, problems: list[str]) -> None:
     cphr = parse_cipher(report["cipher"])
     cap = report.get("flags", {}).get("cap")
     kwargs = {} if cap is None else {"cap": cap}
+    d = cphr.layout.d
+    if (report["mode"] == "exhaustive" and cap is not None
+            and cap >= d > DEFAULT_CHAIN_CAP):
+        raise _wide_search_refusal("cap", cap, d)
     chains = find_trapdoor_chains(cphr, report["mode"], **kwargs)
     fresh = chains_report(cphr, report["mode"], chains, cap=cap)
     _diff_paths(_strip_timestamp(fresh), _strip_timestamp(report), "$", problems)

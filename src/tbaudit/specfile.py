@@ -152,6 +152,16 @@ def _parse_layer(entry, layout: BrickLayout, path: str) -> MixingLayer:
         _fail(path, str(exc))
 
 
+def _parse_once(seen: dict, parse, entry, *args):
+    """``parse(entry, *args)``, kept in ``seen`` for a string entry: SBox and
+    MixingLayer are frozen, and a failing entry raises at its first use."""
+    if isinstance(entry, str):
+        if (parse, entry) not in seen:
+            seen[parse, entry] = parse(entry, *args)
+        return seen[parse, entry]
+    return parse(entry, *args)
+
+
 def parse_cipher(obj) -> TbCipher:
     """Build a cipher from a parsed JSON object."""
     top = _as_dict(obj, "$", {"layout", "rounds"})
@@ -170,6 +180,7 @@ def parse_cipher(obj) -> TbCipher:
     if not isinstance(rounds_obj, list) or not rounds_obj:
         _fail("$.rounds", "expected a nonempty list of rounds")
     rounds = []
+    seen: dict = {}
     for h, robj in enumerate(rounds_obj):
         rpath = f"$.rounds[{h}]"
         rdict = _as_dict(robj, rpath, {"bricks", "layer"})
@@ -188,9 +199,10 @@ def parse_cipher(obj) -> TbCipher:
             _fail(bpath, f"round has {len(entries)} bricks, layout needs "
                          f"{layout.b}")
         bricks = tuple(
-            _parse_brick(e, layout.m, f"{bpath}[{i}]")
+            _parse_once(seen, _parse_brick, e, layout.m, f"{bpath}[{i}]")
             for i, e in enumerate(entries))
-        layer = _parse_layer(rdict["layer"], layout, f"{rpath}.layer")
+        layer = _parse_once(seen, _parse_layer, rdict["layer"], layout,
+                            f"{rpath}.layer")
         rounds.append(Round(bricks, layer))
     return TbCipher(tuple(rounds))
 

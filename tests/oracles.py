@@ -193,6 +193,37 @@ def wall_elements(m, b, bricks):
     return out
 
 
+def walls_mode_masks(supports, b):
+    """The walls-mode chain search, restated on brick masks.
+
+    ``supports[h][i]`` is the b-bit mask of bricks that layer h sends brick
+    i (0-based) into.  Every proper nonempty brick set, taken in
+    lexicographic order of its sorted 1-based tuple, is pushed through the
+    first l-1 layers; it is kept while each image touches as many bricks as
+    the set itself.  Returns the mask sequence (U_1 .. U_l) of every kept
+    set.
+    """
+    subsets = sorted(
+        tuple(i + 1 for i in range(b) if (mask >> i) & 1)
+        for mask in range(1, (1 << b) - 1))
+    out = []
+    for bricks in subsets:
+        cur = sum(1 << (i - 1) for i in bricks)
+        seq = [cur]
+        for layer in supports[:-1]:
+            img = 0
+            for i in range(b):
+                if (cur >> i) & 1:
+                    img |= layer[i]
+            if bin(img).count("1") != len(bricks):
+                break
+            cur = img
+            seq.append(cur)
+        else:
+            out.append(seq)
+    return out
+
+
 def cosets_of(subspace_elements, d):
     """The coset partition of a subspace, as a frozenset of frozensets."""
     seen = set()

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tbaudit.cipher import (DEFAULT_CHAIN_CAP, MAX_TABLE_D, SEMANTICS,
-                            LinearPartition, PartitionChain,
+import tbaudit.mixing as mixing_mod
+from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
+                            SEMANTICS, LinearPartition, PartitionChain,
                             Round, TbCipher, _brick_conditions, audit,
                             build_linear_toy_cipher, build_present_toy_cipher,
                             build_rotation_cipher, build_secure_toy_cipher,
@@ -16,15 +17,15 @@ from tbaudit.cipher import (DEFAULT_CHAIN_CAP, MAX_TABLE_D, SEMANTICS,
                             find_trapdoor_chains, partition_image,
                             round_table, substitution_table, verify_chain)
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import (BrickLayout, Wall, count_proper_subspaces,
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, count_proper_subspaces,
                          random_invertible, rref)
 from tbaudit.mixing import MixingLayer
 from tbaudit.presets import (identity_sbox, inversion_sbox, identity_layer,
-                             present_sbox)
+                             present_sbox, rotation_layer)
 from tbaudit.sbox import SBox
 
 from oracles import (brute_derivative_containment, brute_partition_image,
-                     matrix_apply_by_columns)
+                     matrix_apply_by_columns, span_rank, walls_mode_masks)
 
 SPLIT_ROUTE_TABLE = (3, 14, 7, 9, 13, 11, 4, 5, 12, 8, 1, 0, 15, 6, 2, 10)
 
@@ -142,6 +143,23 @@ def test_substitution_table_fixes_wall_partitions():
         assert img.subspace == w
 
 
+def test_table_caches_are_bounded():
+    rng = random.Random(16)
+    layout = BrickLayout(2, 2)
+    rounds = set()
+    while len(rounds) < _ROUND_TABLE_CACHE + 8:
+        bricks = tuple(SBox(tuple(rng.sample(range(4), 4))) for _ in range(2))
+        rounds.add(Round(bricks, MixingLayer(random_invertible(rng, 4),
+                                             layout)))
+    round_table.cache_clear()
+    for rnd in rounds:
+        round_table(rnd)
+    info = round_table.cache_info()
+    assert info.maxsize == _ROUND_TABLE_CACHE
+    assert info.currsize <= _ROUND_TABLE_CACHE
+    assert _brick_conditions.cache_info().maxsize is not None
+
+
 def test_full_codebook_width_cap():
     layout = BrickLayout(3, 7)  # 21 bits, one beyond the table cap
     rnd = Round((identity_sbox(3),) * 7, identity_layer(layout))
@@ -247,6 +265,76 @@ def test_walls_mode_on_the_rotation_cipher():
     for ch in chains:
         assert verify_chain(cipher, ch)
         assert verify_chain(cipher, ch, elementwise=True)
+
+
+def _walls_test_layer(kind, rng, layout):
+    if kind == "rotation":
+        return rotation_layer(layout)
+    if kind == "random":
+        return MixingLayer(random_invertible(rng, layout.d), layout)
+    # brick-permuting: brick i goes to brick perm[i] through an invertible
+    # m x m block; a "leaky" layer also sends one bit of brick i into the
+    # image of brick j, so a wall holding brick i but not brick j escapes
+    m, b = layout.m, layout.b
+    perm = rng.sample(range(b), b)
+    rows = []
+    for i in range(b):
+        rows += [r << (perm[i] * m) for r in random_invertible(rng, m).rows]
+    if kind == "leaky":
+        i, j = rng.sample(range(b), 2)
+        rows[i * m] ^= 1 << (perm[j] * m + rng.randrange(m))
+    return MixingLayer(BitMatrix(tuple(rows), layout.d), layout)
+
+
+def _oracle_supports(layer):
+    m, b, d = layer.layout.m, layer.layout.b, layer.layout.d
+    out = []
+    for i in range(b):
+        acc = 0
+        for t in range(m):
+            acc |= matrix_apply_by_columns(layer.matrix.rows, d,
+                                           1 << (i * m + t))
+        out.append(sum(1 << j for j in range(b)
+                       if (acc >> (j * m)) & ((1 << m) - 1)))
+    return out
+
+
+def _wall_rows(m, mask):
+    return [1 << (i * m + t) for i in range(mask.bit_length())
+            if (mask >> i) & 1 for t in range(m)]
+
+
+def test_walls_mode_matches_the_mask_oracle():
+    rng = random.Random(2017)
+    m = 2
+    tally = {"none": 0, "some": 0, "all": 0}
+    for n in range(240):
+        ell, b = 1 + n % 4, 2 + (n // 4) % 5
+        layout = BrickLayout(m, b)
+        box = identity_sbox(m)
+        kinds = ("random", "rotation", "permuting", "leaky")
+        cipher = TbCipher(tuple(
+            Round((box,) * b,
+                  _walls_test_layer(rng.choice(kinds), rng, layout))
+            for _ in range(ell)))
+        expected = walls_mode_masks(
+            [_oracle_supports(rnd.layer) for rnd in cipher.rounds], b)
+        chains = find_trapdoor_chains(cipher, "walls")
+        assert len(chains) == len(expected)
+        for chain, masks in zip(chains, expected):
+            for space, mask in zip(chain.spaces, masks):
+                assert sorted(space.basis) == _wall_rows(m, mask)
+            last = cipher.rounds[-1].layer.matrix.rows
+            images = [matrix_apply_by_columns(last, layout.d, v)
+                      for v in _wall_rows(m, masks[-1])]
+            final = list(chain.spaces[-1].basis)
+            assert len(final) == len(images) == span_rank(final + images)
+        if ell == 1:
+            assert len(chains) == (1 << b) - 2
+        key = ("none" if not chains else
+               "all" if len(chains) == (1 << b) - 2 else "some")
+        tally[key] += 1
+    assert min(tally.values()) > 0, tally
 
 
 def test_unknown_mode_rejected():
@@ -429,6 +517,26 @@ def test_audit_condition1prime_rescues_the_split_route_bricks():
     assert prime.status == "secure"
     assert prime.condition_1prime
     assert prime.rounds[0].bricks[0].route == "min-image"
+
+
+def test_audit_walks_the_walls_once_per_distinct_layer(monkeypatch):
+    walks = []
+    lex_proper_masks = mixing_mod._lex_proper_masks
+
+    def counted(b):
+        walks.append(b)
+        return lex_proper_masks(b)
+
+    monkeypatch.setattr(mixing_mod, "_lex_proper_masks", counted)
+    layout = BrickLayout(3, 3)
+    box = identity_sbox(3)
+    rot = Round((box,) * 3, rotation_layer(layout))
+    ident = Round((box,) * 3, identity_layer(layout))
+    for rounds, distinct in (((rot,) * 4, 1), ((rot, ident, rot), 2)):
+        walks.clear()
+        verdict = audit(TbCipher(rounds))
+        assert verdict.status == "vulnerable"
+        assert len(walks) == distinct + 1
 
 
 def test_semantics_resolutions_are_recorded():

@@ -3,12 +3,16 @@
 import json
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
 
+from tbaudit.cipher import audit
 from tbaudit.cli import main
-from tbaudit.report import verify_report
+from tbaudit.report import (audit_report, chains_report, dumps_report,
+                            verify_report)
+from tbaudit.specfile import parse_cipher
 
 SPEC_DIR = Path(__file__).parent.parent / "specs"
 WEAK_L3 = str(SPEC_DIR / "weak_rotation_m3b3_l3.json")
@@ -322,6 +326,30 @@ def test_verify_report_bad_file(capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify-report", str(bad), *extra)
         assert code == 1
         assert "malformed report" in err
+
+
+def test_verify_report_refuses_recorded_caps_above_its_ceiling(capsys,
+                                                               tmp_path):
+    # d=10, identity bricks, strongly proper layers: the audit is
+    # inconclusive, so an exhaustive cap of 10 would start a scan of all
+    # 229,755,603 proper subspaces of F_2^10.
+    cipher = parse_cipher({
+        "layout": {"m": 5, "b": 2},
+        "rounds": [{"bricks": "identity", "layer": {
+            "name": "random_strongly_proper", "seed": 0}}] * 2})
+    chains = chains_report(cipher, "exhaustive", [], cap=10)
+    verdict = audit(cipher)
+    assert verdict.status == "inconclusive"
+    audited = audit_report(cipher, verdict)
+    audited["flags"]["exhaustive_cap"] = 10
+    for rep, recorded in ((chains, "cap=10"), (audited, "exhaustive_cap=10")):
+        rep_path = tmp_path / "wide.json"
+        rep_path.write_text(dumps_report(rep))
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, "verify-report", str(rep_path))
+        assert time.monotonic() - start < 1.0
+        assert code == 66
+        assert recorded in err and "ceiling of 9 bits" in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import tbaudit.report as report_mod
 from tbaudit.cipher import (audit, build_linear_toy_cipher,
                             build_present_toy_cipher, build_rotation_cipher,
                             find_trapdoor_chains)
-from tbaudit.errors import SpecError
+from tbaudit.errors import CapExceeded, SpecError
 from tbaudit.gf2 import BrickLayout, rref
 from tbaudit.presets import (identity_layer, identity_sbox, inversion_sbox,
                              present_sbox, rotation_layer,
@@ -130,6 +131,36 @@ def test_chains_reports_verify():
     assert rep["completeness"] == "search-complete"
     assert rep["truncated"] is False
     assert_verifies(rep)
+
+
+# ---------------------------------------------------------------------------
+# Recorded caps do not set the verifier's work.
+
+
+def test_large_recorded_caps_that_ask_for_no_more_work_verify():
+    affine = build_rotation_cipher(2, 3, 2)
+    chains = find_trapdoor_chains(affine, "exhaustive", cap=12)
+    assert_verifies(chains_report(affine, "exhaustive", chains, cap=12))
+    wide = build_rotation_cipher(5, 2, 2)  # d=10, vulnerable by walls
+    verdict = audit(wide, exhaustive_fallback_cap=12)
+    assert verdict.status == "vulnerable" and not verdict.exhaustive_ran
+    assert_verifies(audit_report(wide, verdict, exhaustive_cap=12))
+    toy = build_present_toy_cipher(3)
+    assert_verifies(audit_report(toy, audit(toy, anti_budget=10**12),
+                                 anti_budget=10**12))
+    assert_verifies(sbox_report(present_sbox(), budget=10**12))
+
+
+def test_recorded_budgets_that_allow_scans_above_the_ceiling_refuse(
+        monkeypatch):
+    # A full scan of a 4-bit box visits 15 subspaces: above a ceiling of 10.
+    monkeypatch.setattr(report_mod, "ANTI_INVARIANCE_BUDGET", 10)
+    with pytest.raises(CapExceeded, match="budget=1000000.*10 subspaces"):
+        verify_report(sbox_report(present_sbox(), budget=10**6))
+    toy = build_present_toy_cipher(3)
+    rep = audit_report(toy, audit(toy, anti_budget=10**6), anti_budget=10**6)
+    with pytest.raises(CapExceeded, match="anti_budget=1000000.*10 subspaces"):
+        verify_report(rep)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,17 @@ def test_single_brick_name_is_replicated():
     assert cipher.rounds[0].bricks[1].table == inversion_sbox(3).table
 
 
+def test_repeated_string_entries_are_parsed_once_per_spec():
+    obj = minimal_spec()
+    obj["rounds"] *= 3
+    cipher = parse_cipher(obj)
+    bricks = [box for rnd in cipher.rounds for box in rnd.bricks]
+    assert all(box is bricks[0] for box in bricks)
+    assert all(rnd.layer is cipher.rounds[0].layer for rnd in cipher.rounds)
+    # a separate parse builds its own objects
+    assert parse_cipher(obj).rounds[0].layer is not cipher.rounds[0].layer
+
+
 def test_per_brick_lists():
     obj = minimal_spec()
     obj["rounds"][0]["bricks"] = ["identity", "0 1 2 3 4 5 7 6"]
