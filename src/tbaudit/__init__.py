@@ -22,9 +22,10 @@ from .cipher import (AuditVerdict, LinearPartition, PartitionChain, Round,
                      TbCipher, audit, build_linear_toy_cipher,
                      build_present_toy_cipher, build_rotation_cipher,
                      build_secure_toy_cipher, chain_holds_under_key,
-                     check_lemma_containment, decrypt, encrypt,
-                     encryption_table, find_trapdoor_chains, partition_image,
-                     round_table, substitution_table, verify_chain)
+                     check_lemma_containment, decrypt, derivative_span,
+                     encrypt, encryption_table, find_trapdoor_chains,
+                     partition_image, round_table, substitution_table,
+                     verify_chain)
 from .groups import (BlockSystem, GeneratorSet, Perm,
                      invariant_linear_partition_search, is_primitive,
                      minimal_block, minimal_invariant_partitions,
@@ -48,7 +49,8 @@ __all__ = [
     "AuditVerdict", "LinearPartition", "PartitionChain", "Round", "TbCipher",
     "audit", "build_linear_toy_cipher", "build_present_toy_cipher",
     "build_rotation_cipher", "build_secure_toy_cipher",
-    "chain_holds_under_key", "check_lemma_containment", "decrypt", "encrypt",
+    "chain_holds_under_key", "check_lemma_containment", "decrypt",
+    "derivative_span", "encrypt",
     "encryption_table", "find_trapdoor_chains", "partition_image",
     "round_table", "substitution_table", "verify_chain",
     "BlockSystem", "GeneratorSet", "Perm", "invariant_linear_partition_search",

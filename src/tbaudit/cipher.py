@@ -11,9 +11,16 @@ Two search modes are provided.  The walls mode takes the walls that survive
 the layer family (``mixing.family_strongly_proper``) and follows each through
 the mixing layers with ``mixing``'s single wall walker (complete for the
 family-not-strongly-proper case, where chains through walls always exist).
-The exhaustive mode scans every nontrivial subspace of (F_2)^d for the first
-round and pushes survivors forward; it is complete but capped at small d.
+The exhaustive mode is complete and capped at ``cap`` bits.  It closes every
+nonzero seed under the rounds' forward and backward derivative spans and
+joins the distinct proper closures; where the chain lattice is so dense that
+the join would cost more than visiting every subspace, it scans every
+nontrivial subspace of (F_2)^d for the first round instead and pushes the
+survivors forward.
 
+Derivative spans come from ``derivative_span``, brick by brick and without a
+table; its per-(brick, u_i) pieces and each round's inverse (``decrypt``
+uses it too) sit in caches bounded at ``_ROUND_TABLE_CACHE`` rounds.
 Full-codebook tables are built per keyless round by ``round_table``, the one
 table cache, which holds at most ``_ROUND_TABLE_CACHE`` tables; the
 substitution and mixing tables it is made from are not kept.
@@ -28,12 +35,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
-from .gf2 import (BrickLayout, Subspace, _iter_rref_bases,
+from .gf2 import (BitMatrix, BrickLayout, Subspace, _iter_rref_bases,
                   _maps_cosets, _reduced_rows, _span_elements, as_wall,
                   bounded_image_span, count_proper_subspaces, subspace_image)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _mask_wall,
@@ -59,6 +66,7 @@ __all__ = [
     "substitution_table",
     "round_table",
     "encryption_table",
+    "derivative_span",
     "partition_image",
     "check_lemma_containment",
     "find_trapdoor_chains",
@@ -165,13 +173,21 @@ def decrypt(cipher: TbCipher, keys: Sequence[int], y: int) -> int:
     m = layout.m
     mask = (1 << m) - 1
     for rnd, k in zip(reversed(cipher.rounds), reversed(list(keys))):
-        y = rnd.layer.matrix.inverse().apply(y ^ k)
+        lin_inv, inv_tables = _round_inverse(rnd)
+        y = lin_inv.apply(y ^ k)
         x = 0
-        for i, box in enumerate(rnd.bricks):
-            inv = box.inverse_table()
+        for i, inv in enumerate(inv_tables):
             x |= inv[(y >> (i * m)) & mask] << (i * m)
         y = x
     return y
+
+
+@lru_cache(maxsize=_ROUND_TABLE_CACHE)
+def _round_inverse(rnd: Round
+                   ) -> tuple[BitMatrix, tuple[tuple[int, ...], ...]]:
+    """L^-1 and the inverse brick tables of a round."""
+    return (rnd.layer.matrix.inverse(),
+            tuple(box.inverse_table() for box in rnd.bricks))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +240,80 @@ def encryption_table(cipher: TbCipher, keys: Sequence[int]) -> np.ndarray:
     for rnd, k in zip(cipher.rounds, keys):
         state = round_table(rnd, normalized=False)[state] ^ k
     return state
+
+
+# ---------------------------------------------------------------------------
+# Derivative spans, brick by brick (no table).
+
+
+@lru_cache(maxsize=_ROUND_TABLE_CACHE)
+def _span_kernel(rnd: Round, inverse: bool) -> Callable[[int], list[int]]:
+    """u -> vectors spanning span(Im D_u f) (f^-1 with ``inverse``), from
+    per-(brick, u_i) pieces built on first use; see ``derivative_span``."""
+    m = rnd.layout.m
+    mask = (1 << m) - 1
+    if inverse:
+        pre, tables = _round_inverse(rnd)
+        post = None
+    else:
+        pre, post = None, rnd.layer.matrix
+        tables = tuple(box.table for box in rnd.bricks)
+    pieces: dict[tuple[int, int], tuple[list[int], int]] = {}
+
+    def piece(i: int, part: int) -> tuple[list[int], int]:
+        t = tables[i]
+        a = t[0] ^ t[part]
+        rows = [r << (i * m) for r in
+                _reduced_rows(t[x] ^ t[x ^ part] ^ a for x in range(1 << m))]
+        a <<= i * m
+        if post is not None:
+            rows, a = [post.apply(r) for r in rows], post.apply(a)
+        return rows, a
+
+    def spanning(u: int) -> list[int]:
+        if pre is not None:
+            u = pre.apply(u)
+        out: list[int] = []
+        corner = 0
+        i = 0
+        while u:
+            part = u & mask
+            if part:
+                got = pieces.get((i, part))
+                if got is None:
+                    got = pieces[(i, part)] = piece(i, part)
+                out += got[0]
+                corner ^= got[1]
+            u >>= m
+            i += 1
+        out.append(corner)
+        return out
+
+    return spanning
+
+
+def derivative_span(rnd: Round, rows: Iterable[int],
+                    inverse: bool = False) -> tuple[int, ...]:
+    """Reduced basis of the span of Im D_u f over the rows u, where f is the
+    keyless round f(x) = L(S(x)) (f^-1(y) = S^-1(L^-1(y)) with ``inverse``);
+    no table is built.
+
+    Proof.  Let S have bricks S_i and u brick parts u_i.  D_u S(x) has brick
+    parts D_{u_i}S_i(x_i), and the x_i vary independently, so
+    Im D_u S = A_1 x ... x A_b with A_i = {S_i(x) + S_i(x + u_i)} ({0} when
+    u_i = 0).  Fix a_i in A_i.  For a set A holding a, each x in A is
+    (x + a) + a, so span(A) = span(A + a) + <a>.  Apply this to the product
+    with a = (a_1, ..., a_b): each A_i + a_i holds 0, so their product spans
+    the direct sum of their spans, and
+    span(Im D_u S) = (+)_i span(A_i + a_i) + <(a_1, ..., a_b)>.  L is
+    linear, so span(Im D_u f) is L of that.  Backward,
+    D_w f^-1(z) = D_{L^-1 w} S^-1(L^-1 z) and L^-1 is onto, so the same
+    formula on the inverse bricks at u = L^-1 w gives span(Im D_w f^-1),
+    with no L after.  Constants added to a brick (normalization) cancel in
+    every derivative.  The pieces depend only on (brick, u_i).
+    """
+    spanning = _span_kernel(rnd, inverse)
+    return _reduced_rows(v for u in rows for v in spanning(u))
 
 
 # ---------------------------------------------------------------------------
@@ -327,107 +417,145 @@ def _walls_mode_chains(cipher: TbCipher, family: FamilyReport | None = None
     return chains
 
 
-def _scan_linear_targets(py_table: list[int], np_table: np.ndarray, d: int,
-                         k: int, start: int, stop: int
-                         ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Scan a range of k-dim subspaces; return (U basis, W basis) for every U
-    whose image partition under the table is linear."""
-    found = []
-    for rows in _iter_rref_bases(d, k, start, stop):
-        w_rows = bounded_image_span(py_table, rows, k)
-        if w_rows is not None and _maps_cosets(np_table, rows, w_rows):
-            found.append((tuple(rows), _reduced_rows(w_rows)))
-    return found
-
-
-_SCAN_STATE: dict = {}
-
-
-def _init_scan_worker(py_table: list[int], d: int) -> None:
-    _SCAN_STATE["py"] = py_table
-    _SCAN_STATE["np"] = np.array(py_table, dtype=np.int64)
-    _SCAN_STATE["d"] = d
-
-
-def _scan_worker(task: tuple[int, int, int]):
-    k, start, stop = task
-    return _scan_linear_targets(_SCAN_STATE["py"], _SCAN_STATE["np"],
-                                _SCAN_STATE["d"], k, start, stop)
-
-
-def _first_round_targets(rnd: Round, threads: int = 1) -> dict[tuple[int, ...], Subspace]:
-    from .gf2 import gaussian_binomial
-
-    d = rnd.layout.d
-    tab = round_table(rnd, normalized=True)
+def _scan_chains(cipher: TbCipher) -> list[PartitionChain]:
+    """The dense fallback: scan every proper subspace U for round one,
+    pruning on the image-span dimension before the full coset test, and push
+    each U whose image partition is linear through the remaining rounds."""
+    d = cipher.layout.d
+    tab = round_table(cipher.rounds[0], normalized=True)
     py = tab.tolist()
-    found: dict[tuple[int, ...], Subspace] = {}
-    if threads <= 1:
-        for k in range(1, d):
-            for ub, wb in _scan_linear_targets(py, tab, d, k, 0,
-                                               gaussian_binomial(d, k)):
-                found[ub] = Subspace(wb, d)
-        return found
-    import multiprocessing as mp
-
-    tasks = []
+    later_tables = [round_table(r, normalized=True) for r in cipher.rounds[1:]]
+    chains = []
     for k in range(1, d):
-        total = gaussian_binomial(d, k)
-        pieces = min(total, threads * 4)
-        bounds = [total * i // pieces for i in range(pieces + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo < hi:
-                tasks.append((k, lo, hi))
-    ctx = mp.get_context("fork")
-    with ctx.Pool(threads, initializer=_init_scan_worker, initargs=(py, d)) as pool:
-        for part in pool.imap(_scan_worker, tasks):
-            for ub, wb in part:
-                found[ub] = Subspace(wb, d)
-    return found
+        for rows in _iter_rref_bases(d, k):
+            w_rows = bounded_image_span(py, rows, k)
+            if w_rows is None or not _maps_cosets(tab, rows, w_rows):
+                continue
+            spaces = [Subspace(tuple(rows), d),
+                      Subspace(_reduced_rows(w_rows), d)]
+            for tab_h in later_tables:
+                nxt = partition_image(tab_h, LinearPartition(spaces[-1]))
+                if nxt is None:
+                    break
+                spaces.append(nxt.subspace)
+            else:
+                chains.append(PartitionChain(tuple(spaces)))
+    return chains
+
+
+def _seed_atoms(cipher: TbCipher
+                ) -> dict[tuple[int, ...], list[dict[int, int]]]:
+    """The distinct proper seed closures, keyed by their U_1 basis.
+
+    The closure of a seed v is the least family of spaces V_1, ..., V_{l+1}
+    with v in V_1, span(D_u f_h) in V_{h+1} for u in V_h and span(D_w f_h^-1)
+    in V_h for w in V_{h+1}.  At the fixpoint each pair (V_h, V_{h+1}) has
+    f_h(x + V_h) in f_h(x) + V_{h+1} and f_h^-1(y + V_{h+1}) in
+    f_h^-1(y) + V_h, so |V_h| = |V_{h+1}|: it is the least chain through v,
+    or the whole space once any position reaches rank d.  Each new echelon
+    row is pushed both ways once; D_{u+u'}f(x) = D_u f(x+u') + D_u' f(x), so
+    the rows' derivative spans carry the whole space's.
+    """
+    d = cipher.layout.d
+    ell = cipher.ell
+    fwd = [_span_kernel(rnd, False) for rnd in cipher.rounds]
+    bwd = [_span_kernel(rnd, True) for rnd in cipher.rounds]
+    atoms: dict[tuple[int, ...], list[dict[int, int]]] = {}
+    for seed in range(1, 1 << d):
+        spaces: list[dict[int, int]] = [{} for _ in range(ell + 1)]
+        todo = [(0, seed)]
+        while todo:
+            h, v = todo.pop()
+            rows = spaces[h]
+            while v:
+                p = v & -v
+                q = rows.get(p)
+                if q is None:
+                    break
+                v ^= q
+            if not v:
+                continue
+            rows[p] = v
+            if len(rows) == d:
+                break
+            if h < ell:
+                todo += [(h + 1, w) for w in fwd[h](v)]
+            if h:
+                todo += [(h - 1, w) for w in bwd[h - 1](v)]
+        else:
+            atoms.setdefault(_reduced_rows(spaces[0].values()), spaces)
+    return atoms
+
+
+def _join_atoms(atoms: dict[tuple[int, ...], list[dict[int, int]]], d: int
+                ) -> list[PartitionChain]:
+    """Every proper sum of the atoms, as chains.
+
+    Componentwise sums of chains are chains (the pair conditions are closed
+    under sums), U_1 fixes the rest of a chain, and a chain is the sum of the
+    closures of its U_1's vectors, each an atom.  So the chains are exactly
+    the proper sums of the atoms, and positions of a chain all have the same
+    dimension.  The join therefore runs on U_1 alone; each sum found records
+    one parent and one atom, from which its other positions are summed at
+    the end.
+    """
+    keys = list(atoms)
+    found: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {
+        key: None for key in keys}
+    frontier = keys
+    while frontier:
+        grown = []
+        for key in frontier:
+            for j, atom in enumerate(keys):
+                joined = _reduced_rows(key + atom)
+                if len(joined) < d and joined not in found:
+                    found[joined] = (key, j)
+                    grown.append(joined)
+        frontier = grown
+    positions: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for key, parent in found.items():
+        if parent is None:
+            positions[key] = [_reduced_rows(rows.values())
+                              for rows in atoms[key]]
+        else:
+            positions[key] = [
+                _reduced_rows(a + b) for a, b in
+                zip(positions[parent[0]], positions[keys[parent[1]]])]
+    return [PartitionChain(tuple(Subspace(rows, d) for rows in spaces))
+            for spaces in positions.values()]
 
 
 def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
-                         cap: int = DEFAULT_CHAIN_CAP,
-                         threads: int = 1) -> list[PartitionChain]:
+                         cap: int = DEFAULT_CHAIN_CAP) -> list[PartitionChain]:
     """Chains of nontrivial subspaces transported by the keyless rounds.
 
     walls mode: starts from every proper wall and requires each intermediate
     image (before the last round) to stay a wall; complete for the chains
     that exist whenever the layer family is not strongly proper.
 
-    exhaustive mode: scans all nontrivial subspaces for round one (pruning on
-    the image-span dimension before the full coset test) and pushes the
-    survivors through the remaining rounds; complete, but refused above
-    ``cap`` ambient bits.
+    exhaustive mode: complete, but refused above ``cap`` ambient bits.  It
+    closes every nonzero seed (``_seed_atoms``) and joins the A distinct
+    proper closures (``_join_atoms``).  The join costs about
+    min(2^A - 1, N) * A span reductions against the N proper subspaces a
+    scan visits, so when that estimate exceeds N (dense chain lattices, such
+    as affine bricks) the scan of every subspace (``_scan_chains``) runs
+    instead.  Both routes give the same chains, sorted by (dim U_1, basis).
     """
     if mode == "walls":
         return _walls_mode_chains(cipher)
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     d = cipher.layout.d
+    n = count_proper_subspaces(d)
     if d > cap:
         raise CapExceeded(
             f"exhaustive chain search at d={d} refused",
-            estimate=count_proper_subspaces(d), limit=cap)
-    first = _first_round_targets(cipher.rounds[0], threads)
-    later_tables = [round_table(r, normalized=True) for r in cipher.rounds[1:]]
-    chains = []
-    for u_basis, w in first.items():
-        spaces = [Subspace(u_basis, d), w]
-        cur = w
-        ok = True
-        for tab in later_tables:
-            if cur.is_trivial():
-                ok = False
-                break
-            nxt = partition_image(tab, LinearPartition(cur))
-            if nxt is None:
-                ok = False
-                break
-            cur = nxt.subspace
-            spaces.append(cur)
-        if ok:
-            chains.append(PartitionChain(tuple(spaces)))
+            estimate=n, limit=cap)
+    atoms = _seed_atoms(cipher)
+    if min((1 << len(atoms)) - 1, n) * len(atoms) > n:
+        chains = _scan_chains(cipher)
+    else:
+        chains = _join_atoms(atoms, d)
     chains.sort(key=lambda ch: (ch.spaces[0].dim, ch.spaces[0].basis))
     return chains
 
@@ -556,8 +684,7 @@ def _brick_conditions(box: SBox, use_1prime: bool,
 
 def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
           anti_budget: int = ANTI_INVARIANCE_BUDGET,
-          exhaustive_fallback_cap: int = 0,
-          threads: int = 1) -> AuditVerdict:
+          exhaustive_fallback_cap: int = 0) -> AuditVerdict:
     """Certificate-based audit for the partition trapdoor.
 
     Secure requires one of two sufficient clauses: (1) some round h < l has
@@ -629,7 +756,7 @@ def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
     if exhaustive_fallback_cap < layout.d:
         return verdict(status="inconclusive", notes=tuple(notes))
     deep = find_trapdoor_chains(cipher, "exhaustive",
-                                cap=exhaustive_fallback_cap, threads=threads)
+                                cap=exhaustive_fallback_cap)
     if deep:
         notes.append("chain found by the exhaustive search")
         return verdict(status="vulnerable", chain=deep[0],

@@ -205,8 +205,7 @@ def _cmd_audit(args) -> int:
     cipher = load_cipher(args.spec)
     verdict = audit(cipher, use_condition1prime=args.condition1prime,
                     anti_budget=args.budget,
-                    exhaustive_fallback_cap=args.exhaustive_cap,
-                    threads=args.threads)
+                    exhaustive_fallback_cap=args.exhaustive_cap)
     rep = audit_report(cipher, verdict, exhaustive_cap=args.exhaustive_cap,
                        anti_budget=args.budget)
     if args.json:
@@ -233,8 +232,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_find_trapdoor(args) -> int:
     cipher = load_cipher(args.spec)
-    chains = find_trapdoor_chains(cipher, args.mode, cap=args.exhaustive_cap,
-                                  threads=args.threads)
+    chains = find_trapdoor_chains(cipher, args.mode, cap=args.exhaustive_cap)
     marker = ("search-complete" if args.mode == "exhaustive"
               else "walls-only")
     if args.json:
@@ -450,7 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run the exhaustive search as a fallback when the "
                         "cipher has at most D bits (default: off)")
     p.add_argument("--budget", type=int, default=ANTI_INVARIANCE_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_audit)
 
@@ -460,7 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="walls")
     p.add_argument("--exhaustive-cap", type=int, default=DEFAULT_CHAIN_CAP,
                    metavar="D", help="refuse exhaustive search above D bits")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_find_trapdoor)
 

@@ -272,8 +272,7 @@ def test_criterion_7_verdicts_against_exhaustive_search(capsys):
         d = cipher.layout.d
         verdict = audit(cipher)
         statuses[verdict.status] += 1
-        threads = 2 if d >= 9 else 1
-        full = find_trapdoor_chains(cipher, "exhaustive", threads=threads)
+        full = find_trapdoor_chains(cipher, "exhaustive")
         full_keys = {ch.spaces for ch in full}
         walls = find_trapdoor_chains(cipher, "walls")
         assert {ch.spaces for ch in walls} <= full_keys

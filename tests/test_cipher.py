@@ -1,6 +1,7 @@
 """Cipher model, partition transport, chain search, and the audit verdict."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -9,23 +10,27 @@ from hypothesis import strategies as st
 import tbaudit.mixing as mixing_mod
 from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             SEMANTICS, LinearPartition, PartitionChain,
-                            Round, TbCipher, _brick_conditions, audit,
+                            Round, TbCipher, _brick_conditions, _join_atoms,
+                            _round_inverse, _scan_chains, _seed_atoms,
+                            _span_kernel, audit,
                             build_linear_toy_cipher, build_present_toy_cipher,
                             build_rotation_cipher, build_secure_toy_cipher,
                             chain_holds_under_key, check_lemma_containment,
-                            decrypt, encrypt, encryption_table,
+                            decrypt, derivative_span, encrypt,
+                            encryption_table,
                             find_trapdoor_chains, partition_image,
                             round_table, substitution_table, verify_chain)
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, count_proper_subspaces,
-                         random_invertible, rref)
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _reduced_rows,
+                         count_proper_subspaces, random_invertible, rref)
 from tbaudit.mixing import MixingLayer
 from tbaudit.presets import (identity_sbox, inversion_sbox, identity_layer,
                              present_sbox, rotation_layer)
 from tbaudit.sbox import SBox
 
 from oracles import (brute_derivative_containment, brute_partition_image,
-                     matrix_apply_by_columns, span_rank, walls_mode_masks)
+                     matrix_apply_by_columns, span_rank, walls_mode_masks,
+                     xor_span)
 
 SPLIT_ROUTE_TABLE = (3, 14, 7, 9, 13, 11, 4, 5, 12, 8, 1, 0, 15, 6, 2, 10)
 
@@ -100,6 +105,25 @@ def test_decrypt_inverts_encrypt(seed, data):
     assert decrypt(cipher, keys, encrypt(cipher, keys, x)) == x
 
 
+def test_decrypt_inverts_each_distinct_round_once(monkeypatch):
+    inverse = BitMatrix.inverse
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return inverse(matrix)
+
+    monkeypatch.setattr(BitMatrix, "inverse", counted)
+    for cipher, distinct in ((random_cipher(64, 3, 2, 3), 3),
+                             (build_rotation_cipher(3, 2, 4), 1)):
+        _round_inverse.cache_clear()
+        calls.clear()
+        keys = tuple(range(1, cipher.ell + 1))
+        for x in range(64):
+            assert decrypt(cipher, keys, encrypt(cipher, keys, x)) == x
+        assert len(calls) == distinct
+
+
 def test_key_tuple_validation():
     cipher = build_rotation_cipher(2, 2, 2)
     with pytest.raises(ValueError, match="round keys"):
@@ -157,7 +181,8 @@ def test_table_caches_are_bounded():
     info = round_table.cache_info()
     assert info.maxsize == _ROUND_TABLE_CACHE
     assert info.currsize <= _ROUND_TABLE_CACHE
-    assert _brick_conditions.cache_info().maxsize is not None
+    for cached in (_brick_conditions, _round_inverse, _span_kernel):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_full_codebook_width_cap():
@@ -366,11 +391,127 @@ def test_exhaustive_on_an_affine_cipher_finds_every_subspace():
     assert {ch.spaces for ch in walls} <= {ch.spaces for ch in chains}
 
 
-def test_threaded_exhaustive_matches_single_threaded():
-    cipher = random_cipher(404, 2, 3, 2)
-    lone = find_trapdoor_chains(cipher, "exhaustive", cap=6)
-    pooled = find_trapdoor_chains(cipher, "exhaustive", cap=6, threads=2)
-    assert [ch.spaces for ch in lone] == [ch.spaces for ch in pooled]
+def _oracle_test_brick(kind, rng, m):
+    if kind == "identity":
+        return identity_sbox(m)
+    if kind == "affine":
+        lin, shift = random_invertible(rng, m), rng.getrandbits(m)
+        return SBox(tuple(lin.apply(x) ^ shift for x in range(1 << m)))
+    return SBox(tuple(rng.sample(range(1 << m), 1 << m)))
+
+
+def _chain_order(chains):
+    return sorted(chains, key=lambda ch: (ch.spaces[0].dim,
+                                          ch.spaces[0].basis))
+
+
+def test_closure_search_matches_the_subspace_scan():
+    # every brick kind at d = 4; random and mixed bricks at d = 6, whose
+    # affine rounds make every subspace a chain, as every 2-bit brick does;
+    # random bricks at d = 8, where a dense lattice has 417,197 chains
+    rng = random.Random(1999)
+    tally = {"none": 0, "some": 0, "dense": 0, "d8": 0}
+    full_joins = 0
+    for n in range(216):
+        m, b = (4, 2) if n % 54 == 53 else (2, 3) if n % 36 == 17 else (
+            (2, 2), (3, 2))[n % 2]
+        layout = BrickLayout(m, b)
+        d = layout.d
+        kind = rng.choice(("random", "random", "mixed") if d == 6 else
+                          ("random",) if d == 8 else
+                          ("random", "mixed", "affine", "identity"))
+        rounds = []
+        for _ in range(1 + n % 3):
+            kinds = [rng.choice(("random", "affine", "identity"))
+                     if kind == "mixed" else kind for _ in range(b)]
+            layer = _walls_test_layer(
+                rng.choice(("random", "rotation", "permuting")), rng, layout)
+            rounds.append(Round(
+                tuple(_oracle_test_brick(k, rng, m) for k in kinds), layer))
+        cipher = TbCipher(tuple(rounds))
+        atoms = _seed_atoms(cipher)
+        expected = [ch.spaces for ch in _chain_order(_scan_chains(cipher))]
+        n_sub = count_proper_subspaces(d)
+        dense = min((1 << len(atoms)) - 1, n_sub) * len(atoms) > n_sub
+        # the join, forced where the search picks the scan; only once on
+        # the slowest case, every d = 6 subspace a chain
+        slowest = d > 4 and len(expected) == n_sub
+        if not slowest or not full_joins:
+            full_joins += slowest
+            got = _chain_order(_join_atoms(atoms, d))
+            assert [ch.spaces for ch in got] == expected
+        if not dense or d <= 4:
+            found = find_trapdoor_chains(cipher, "exhaustive")
+            assert [ch.spaces for ch in found] == expected
+        tally["d8" if d == 8 else "dense" if dense else
+              "some" if expected else "none"] += 1
+    assert min(tally.values()) >= 4 and full_joins, tally
+
+
+def test_exhaustive_search_takes_the_scan_on_a_dense_lattice(monkeypatch):
+    # identity bricks make every subspace head a chain (255 atoms); the join
+    # would form all 417,197 sums, so the search must fall back to the scan
+    import tbaudit.cipher as cipher_mod
+    scans = []
+    scan = cipher_mod._scan_chains
+
+    def timed(cipher):
+        start = time.perf_counter()
+        out = scan(cipher)
+        scans.append(time.perf_counter() - start)
+        return out
+
+    monkeypatch.setattr(cipher_mod, "_scan_chains", timed)
+    layout = BrickLayout(4, 2)
+    rnd = Round((identity_sbox(4),) * 2,
+                MixingLayer(random_invertible(random.Random(8), 8), layout))
+    start = time.perf_counter()
+    chains = find_trapdoor_chains(TbCipher((rnd,)), "exhaustive")
+    elapsed = time.perf_counter() - start
+    assert len(chains) == count_proper_subspaces(8)
+    assert len(scans) == 1 and elapsed <= 3 * scans[0]
+
+
+@pytest.mark.parametrize("m, b, count", [(4, 3, 6), (3, 4, 14)])
+def test_exhaustive_search_above_nine_bits_finds_the_wall_chains(m, b, count):
+    cipher = build_rotation_cipher(m, b, 3)
+    chains = find_trapdoor_chains(cipher, "exhaustive", cap=12)
+    assert len(chains) == count
+    assert {ch.spaces for ch in chains} == {
+        ch.spaces for ch in find_trapdoor_chains(cipher, "walls")}
+
+
+def _table_span(table, rows):
+    n = len(table)
+    return _reduced_rows(table[x ^ u] ^ table[x] for u in rows
+                         for x in range(n))
+
+
+@given(st.integers(0, 2**32), st.sampled_from([(2, 2), (2, 3), (3, 2),
+                                               (4, 2), (2, 4)]))
+def test_derivative_span_matches_the_full_table(seed, shape):
+    rng = random.Random(seed)
+    m, b = shape
+    layout = BrickLayout(m, b)
+    bricks = tuple(_oracle_test_brick(rng.choice(("random", "affine",
+                                                  "identity")), rng, m)
+                   for _ in range(b))
+    rnd = Round(bricks, _walls_test_layer(
+        rng.choice(("random", "rotation", "permuting")), rng, layout))
+    forward = round_table(rnd, normalized=False).tolist()
+    backward = [0] * len(forward)
+    for x, y in enumerate(forward):
+        backward[y] = x
+    d = layout.d
+    for table, inverse in ((forward, False), (backward, True)):
+        u = rref([rng.getrandbits(d) for _ in range(rng.randint(0, 3))], d)
+        w_rows = derivative_span(rnd, u.basis, inverse)
+        assert w_rows == _table_span(table, u.basis)
+        u_els = u.elements()
+        assert brute_derivative_containment(table, u_els, xor_span(w_rows))
+        if w_rows:  # nothing smaller holds every derivative
+            assert not brute_derivative_containment(table, u_els,
+                                                    xor_span(w_rows[1:]))
 
 
 def test_verify_chain_rejects_tampering():

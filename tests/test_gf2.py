@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from tbaudit.errors import CapExceeded
 from tbaudit.gf2 import (BitMatrix, BrickLayout, Subspace, Wall, _maps_cosets,
-                         as_wall, bounded_image_span, count_proper_subspaces,
-                         enumerate_subspaces, gaussian_binomial,
-                         identity_matrix, random_invertible, rref,
-                         subspace_image, subspace_sum)
+                         _reduced_rows, as_wall, bounded_image_span,
+                         count_proper_subspaces, enumerate_subspaces,
+                         gaussian_binomial, identity_matrix,
+                         random_invertible, rref, subspace_image,
+                         subspace_sum)
 
 from oracles import (all_subspaces, brute_derivative_containment,
                      gaussian_recurrence,
@@ -67,9 +68,26 @@ def test_subspace_rejects_non_canonical_basis():
     with pytest.raises(ValueError):
         Subspace((2, 1), 2)  # pivots out of order
     with pytest.raises(ValueError):
+        Subspace((3, 2), 2)  # pivot 2 also in the first row
+    with pytest.raises(ValueError):
+        Subspace((0,), 2)
+    with pytest.raises(ValueError):
         Subspace((4,), 2)  # bit beyond ambient
     with pytest.raises(ValueError):
         Subspace((1,), 200)
+
+
+@given(vectors_strategy, st.booleans())
+def test_subspace_accepts_exactly_the_canonical_bases(dv, reduce_first):
+    d, vecs = dv
+    rows = tuple(vecs[:d])
+    if reduce_first:
+        rows = _reduced_rows(rows)
+    if rows == _reduced_rows(rows):
+        assert Subspace(rows, d).basis == rows
+    else:
+        with pytest.raises(ValueError, match="canonical"):
+            Subspace(rows, d)
 
 
 @given(vectors_strategy, st.integers(0, 255))

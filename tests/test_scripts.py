@@ -12,7 +12,7 @@ ROOT = Path(__file__).parent.parent
 
 
 @pytest.mark.parametrize("argv", [
-    ["scripts/consistency_sweep.py", "--count", "4", "--max-d", "6"],
+    ["scripts/consistency_sweep.py", "--count", "12", "--max-d", "9"],
     ["scripts/rotation_sweep.py", "--m", "2", "--max-b", "3", "--max-ell", "3"],
 ])
 def test_sweep_script_runs_clean(argv):
