@@ -15,8 +15,8 @@ The exhaustive mode is complete and capped at ``cap`` bits.  It closes every
 nonzero seed under the rounds' forward and backward derivative spans and
 joins the distinct proper closures; where the chain lattice is so dense that
 the join would cost more than visiting every subspace, it scans every
-nontrivial subspace of (F_2)^d for the first round instead and pushes the
-survivors forward.
+nontrivial subspace of (F_2)^d instead and pushes each through the rounds
+by the same spans.  Neither route builds a full-codebook table.
 
 Derivative spans come from ``derivative_span``, brick by brick and without a
 table; its per-(brick, u_i) pieces and each round's inverse (``decrypt``
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import CapExceeded
 from .gf2 import (BitMatrix, BrickLayout, Subspace, _iter_rref_bases,
                   _maps_cosets, _reduced_rows, _span_elements, as_wall,
-                  bounded_image_span, count_proper_subspaces, subspace_image)
+                  count_proper_subspaces, subspace_image)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _mask_wall,
                      _wall_images, family_strongly_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, ddt,
@@ -82,8 +82,8 @@ __all__ = [
 MAX_TABLE_D = 20
 DEFAULT_CHAIN_CAP = 9
 
-# Memo cache bounds: 16 round tables (8 MiB each at d = MAX_TABLE_D) cover
-# every round, in both normalizations, that one audit or search touches.
+# Memo cache bounds: 16 round tables, one per round (8 MiB each at
+# d = MAX_TABLE_D), cover every round that one audit touches.
 _ROUND_TABLE_CACHE = 16
 _BRICK_CONDITION_CACHE = 256
 
@@ -223,10 +223,9 @@ def substitution_table(bricks: tuple[SBox, ...], layout: BrickLayout,
 
 
 @lru_cache(maxsize=_ROUND_TABLE_CACHE)
-def round_table(rnd: Round, normalized: bool = True) -> np.ndarray:
-    """Lookup table of the keyless round map; ``normalized`` folds each
-    brick's f(0) away so the table fixes 0."""
-    sub = substitution_table(rnd.bricks, rnd.layout, normalized)
+def round_table(rnd: Round) -> np.ndarray:
+    """Lookup table of the keyless round map f(x) = L(S(x))."""
+    sub = substitution_table(rnd.bricks, rnd.layout, normalized=False)
     out = _span_elements(rnd.layer.matrix.rows)[sub]
     out.setflags(write=False)
     return out
@@ -238,7 +237,7 @@ def encryption_table(cipher: TbCipher, keys: Sequence[int]) -> np.ndarray:
     _require_table_width(cipher.layout.d)
     state = np.arange(1 << cipher.layout.d, dtype=np.int64)
     for rnd, k in zip(cipher.rounds, keys):
-        state = round_table(rnd, normalized=False)[state] ^ k
+        state = round_table(rnd)[state] ^ k
     return state
 
 
@@ -418,28 +417,25 @@ def _walls_mode_chains(cipher: TbCipher, family: FamilyReport | None = None
 
 
 def _scan_chains(cipher: TbCipher) -> list[PartitionChain]:
-    """The dense fallback: scan every proper subspace U for round one,
-    pruning on the image-span dimension before the full coset test, and push
-    each U whose image partition is linear through the remaining rounds."""
+    """The dense fallback: push every proper subspace U through the rounds
+    by derivative spans, dropping U once a span W outranks it.  f is a
+    bijection, so |W| >= |f(x + U)| = |U|, with equality exactly when
+    (U, W) is a link (``derivative_span``)."""
     d = cipher.layout.d
-    tab = round_table(cipher.rounds[0], normalized=True)
-    py = tab.tolist()
-    later_tables = [round_table(r, normalized=True) for r in cipher.rounds[1:]]
+    kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
     chains = []
     for k in range(1, d):
         for rows in _iter_rref_bases(d, k):
-            w_rows = bounded_image_span(py, rows, k)
-            if w_rows is None or not _maps_cosets(tab, rows, w_rows):
-                continue
-            spaces = [Subspace(tuple(rows), d),
-                      Subspace(_reduced_rows(w_rows), d)]
-            for tab_h in later_tables:
-                nxt = partition_image(tab_h, LinearPartition(spaces[-1]))
-                if nxt is None:
+            spaces = [tuple(rows)]
+            for spanning in kernels:
+                w_rows = _reduced_rows(
+                    (v for u in spaces[-1] for v in spanning(u)), limit=k)
+                if w_rows is None:
                     break
-                spaces.append(nxt.subspace)
+                spaces.append(w_rows)
             else:
-                chains.append(PartitionChain(tuple(spaces)))
+                chains.append(PartitionChain(
+                    tuple(Subspace(s, d) for s in spaces)))
     return chains
 
 
@@ -539,7 +535,8 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
     min(2^A - 1, N) * A span reductions against the N proper subspaces a
     scan visits, so when that estimate exceeds N (dense chain lattices, such
     as affine bricks) the scan of every subspace (``_scan_chains``) runs
-    instead.  Both routes give the same chains, sorted by (dim U_1, basis).
+    instead.  Neither route builds a table; both give the same chains,
+    sorted by (dim U_1, basis).
     """
     if mode == "walls":
         return _walls_mode_chains(cipher)
@@ -582,8 +579,7 @@ def verify_chain(cipher: TbCipher, chain: PartitionChain, *,
             if subspace_image(cur, rnd.layer.matrix) != nxt:
                 return False
         else:
-            img = partition_image(round_table(rnd, normalized=True),
-                                  LinearPartition(cur))
+            img = partition_image(round_table(rnd), LinearPartition(cur))
             if img is None or img.subspace != nxt:
                 return False
     return True

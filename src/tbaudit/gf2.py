@@ -17,13 +17,13 @@ The rest of the package shares one kernel from here: ``_reduced_rows`` is the
 echelon routine (spans, ranks, inverses and bounded spans alike),
 ``_span_elements`` lists every element of a span as a numpy array, and
 ``_maps_cosets`` tests whether a lookup table sends each coset of U into a
-coset of W, checking the basis rows of U only.  ``bounded_image_span`` keeps
-its own fused echelon loop: it runs once per subspace of a subspace scan (the
-anti-invariance scan, and the exhaustive chain search's fallback for dense
-chain lattices), where it is most of the time, and feeding ``_reduced_rows``
-from a generator instead made a d=8 scan 27% slower (median of 7,
-0.57 s -> 0.72 s on a 2-CPU AMD EPYC, Python 3.11.7).  ``Subspace`` checks
-that a basis is canonical in O(k), without re-reducing it.
+coset of W, checking the basis rows of U only.  ``bounded_image_span`` serves
+the S-box anti-invariance scan alone (the exhaustive chain search pushes
+subspaces by derivative spans, with no table) and keeps its own fused echelon
+loop: it runs once per subspace of that scan, where it is most of the time,
+and feeding ``_reduced_rows`` from a generator instead made a d=8 scan 27%
+slower (median of 7, 0.57 s -> 0.72 s on a 2-CPU AMD EPYC, Python 3.11.7).
+``Subspace`` checks that a basis is canonical in O(k), without re-reducing it.
 """
 
 from __future__ import annotations

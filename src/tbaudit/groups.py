@@ -301,7 +301,7 @@ def sample_round_generators(cipher: TbCipher) -> GeneratorSet:
     perms = []
     labels = []
     for h, rnd in enumerate(cipher.rounds):
-        perms.append(Perm(round_table(rnd, normalized=False)))
+        perms.append(Perm(round_table(rnd)))
         labels.append(f"round{h + 1}[keyless]")
     for j in range(d):
         perms.append(Perm.translation(d, 1 << j))

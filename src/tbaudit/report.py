@@ -115,19 +115,19 @@ def _brick_condition_json(box: SBox, requested_r: int | None,
         m = box.m
         if not 1 <= requested_r < m:
             raise SpecError(f"r must be in [1, {m - 1}], got {requested_r}")
-        if use_1prime:
-            bound_ok = meets_min_image_bound(box, requested_r)
-        else:
-            bound_ok = sbox_mod.differential_uniformity(box) <= (1 << requested_r)
+        table = sbox_mod.ddt(box)
+        delta = sbox_mod.differential_uniformity(box, table)
+        mini = sbox_mod.min_derivative_image(box, table)
+        bound_ok = (meets_min_image_bound(box, requested_r, table)
+                    if use_1prime else delta <= (1 << requested_r))
         if requested_r == 1:
             anti_ok = True
         else:
             anti_ok, _ = sbox_mod.is_strongly_anti_invariant(
                 box, requested_r - 1, budget=budget)
         rep = cipher_mod.BrickConditionReport(
-            brick_index=0, delta=sbox_mod.differential_uniformity(box),
-            min_image_size=sbox_mod.min_derivative_image(box).size,
-            min_image_u=sbox_mod.min_derivative_image(box).u,
+            brick_index=0, delta=delta,
+            min_image_size=mini.size, min_image_u=mini.u,
             route="min-image" if use_1prime else "uniformity",
             r=requested_r if bound_ok else None,
             anti_ok=anti_ok if bound_ok else None,

@@ -1,9 +1,11 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Nothing in here imports tbaudit.  Everything is written the slow, obvious
-way: sets of ints for subspaces, dict counting for difference tables,
-frozensets of frozensets for partitions.  Tests compare package output
-against these.
+Nothing in here imports tbaudit at module level.  Everything is written the
+slow, obvious way: sets of ints for subspaces, dict counting for difference
+tables, frozensets of frozensets for partitions.  Tests compare package
+output against these.  The one exception is the last section: a retired
+search route, built on the package's full-codebook tables, kept as a second
+route for the search that replaced it.
 """
 
 from itertools import combinations
@@ -398,3 +400,40 @@ def carryless_mul_mod(a, b, modulus, m):
         if a >> m:
             a ^= modulus
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Retired search routes, kept as second routes.
+
+
+def table_scan_chains(cipher):
+    """Every chain of a cipher by the full-codebook table scan that the
+    derivative-span scan replaced: each proper subspace U of the first
+    round's table is pruned on its image-span rank, coset-tested, and pushed
+    through the later rounds' tables by ``partition_image``.  The chains come
+    in scan order (dim U, then the enumeration order of U)."""
+    from tbaudit.cipher import (LinearPartition, PartitionChain,
+                                partition_image, round_table)
+    from tbaudit.gf2 import (Subspace, _iter_rref_bases, _maps_cosets,
+                             _reduced_rows, bounded_image_span)
+    d = cipher.layout.d
+    tab = round_table(cipher.rounds[0])
+    tab = tab ^ tab[0]  # the bricks' constants folded out: f(0) = 0
+    py = tab.tolist()
+    later_tables = [round_table(r) for r in cipher.rounds[1:]]
+    chains = []
+    for k in range(1, d):
+        for rows in _iter_rref_bases(d, k):
+            w_rows = bounded_image_span(py, rows, k)
+            if w_rows is None or not _maps_cosets(tab, rows, w_rows):
+                continue
+            spaces = [Subspace(tuple(rows), d),
+                      Subspace(_reduced_rows(w_rows), d)]
+            for tab_h in later_tables:
+                nxt = partition_image(tab_h, LinearPartition(spaces[-1]))
+                if nxt is None:
+                    break
+                spaces.append(nxt.subspace)
+            else:
+                chains.append(PartitionChain(tuple(spaces)))
+    return chains

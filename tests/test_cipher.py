@@ -29,8 +29,8 @@ from tbaudit.presets import (identity_sbox, inversion_sbox, identity_layer,
 from tbaudit.sbox import SBox
 
 from oracles import (brute_derivative_containment, brute_partition_image,
-                     matrix_apply_by_columns, span_rank, walls_mode_masks,
-                     xor_span)
+                     matrix_apply_by_columns, span_rank, table_scan_chains,
+                     walls_mode_masks, xor_span)
 
 SPLIT_ROUTE_TABLE = (3, 14, 7, 9, 13, 11, 4, 5, 12, 8, 1, 0, 15, 6, 2, 10)
 
@@ -144,16 +144,18 @@ def test_encryption_table_is_the_pointwise_map():
 def test_round_table_normalization():
     cipher = random_cipher(78, 2, 2, 1)
     rnd = cipher.rounds[0]
-    norm = round_table(rnd, normalized=True)
-    raw = round_table(rnd, normalized=False)
+    layout = rnd.layout
+    norm = substitution_table(rnd.bricks, layout, normalized=True)
+    raw = substitution_table(rnd.bricks, layout, normalized=False)
     assert norm[0] == 0
     # both are the same map up to the constant folded out of the bricks
-    layout = rnd.layout
     shift = 0
     for i, box in enumerate(rnd.bricks):
         shift |= box.shift << (i * layout.m)
-    offset = rnd.layer.matrix.apply(shift)
-    assert (raw == (norm ^ offset)).all()
+    assert shift and (raw == (norm ^ shift)).all()
+    # the round table is the raw map L(S(x))
+    lin = rnd.layer.matrix
+    assert round_table(rnd).tolist() == [lin.apply(y) for y in raw.tolist()]
 
 
 def test_substitution_table_fixes_wall_partitions():
@@ -406,7 +408,8 @@ def _chain_order(chains):
 
 
 def test_closure_search_matches_the_subspace_scan():
-    # every brick kind at d = 4; random and mixed bricks at d = 6, whose
+    # both exhaustive routes against the retired table scan, on every brick
+    # kind at d = 4; random and mixed bricks at d = 6, whose
     # affine rounds make every subspace a chain, as every 2-bit brick does;
     # random bricks at d = 8, where a dense lattice has 417,197 chains
     rng = random.Random(1999)
@@ -430,7 +433,11 @@ def test_closure_search_matches_the_subspace_scan():
                 tuple(_oracle_test_brick(k, rng, m) for k in kinds), layer))
         cipher = TbCipher(tuple(rounds))
         atoms = _seed_atoms(cipher)
-        expected = [ch.spaces for ch in _chain_order(_scan_chains(cipher))]
+        oracle = table_scan_chains(cipher)
+        # the derivative-span scan visits the subspaces in the same order
+        assert ([ch.spaces for ch in _scan_chains(cipher)]
+                == [ch.spaces for ch in oracle])
+        expected = [ch.spaces for ch in _chain_order(oracle)]
         n_sub = count_proper_subspaces(d)
         dense = min((1 << len(atoms)) - 1, n_sub) * len(atoms) > n_sub
         # the join, forced where the search picks the scan; only once on
@@ -472,6 +479,29 @@ def test_exhaustive_search_takes_the_scan_on_a_dense_lattice(monkeypatch):
     assert len(scans) == 1 and elapsed <= 3 * scans[0]
 
 
+def test_exhaustive_search_builds_no_table(monkeypatch):
+    # affine bricks make every d = 6 subspace head a chain, so the search
+    # takes the scan; neither it nor the seed closures may build a table
+    import tbaudit.cipher as cipher_mod
+    scans = []
+    scan = cipher_mod._scan_chains
+    monkeypatch.setattr(cipher_mod, "_scan_chains",
+                        lambda cipher: scans.append(cipher) or scan(cipher))
+    rng = random.Random(6)
+    layout = BrickLayout(3, 2)
+    cipher = TbCipher(tuple(
+        Round(tuple(_oracle_test_brick("affine", rng, 3) for _ in range(2)),
+              _walls_test_layer("random", rng, layout)) for _ in range(2)))
+    round_table.cache_clear()
+    chains = find_trapdoor_chains(cipher, "exhaustive")
+    assert round_table.cache_info().misses == 0
+    assert scans == [cipher] and len(chains) == count_proper_subspaces(6)
+    # the raw round tables re-verify them, though these bricks move 0
+    assert any(box.shift for rnd in cipher.rounds for box in rnd.bricks)
+    assert all(verify_chain(cipher, ch, elementwise=True)
+               for ch in chains[::97])
+
+
 @pytest.mark.parametrize("m, b, count", [(4, 3, 6), (3, 4, 14)])
 def test_exhaustive_search_above_nine_bits_finds_the_wall_chains(m, b, count):
     cipher = build_rotation_cipher(m, b, 3)
@@ -498,7 +528,7 @@ def test_derivative_span_matches_the_full_table(seed, shape):
                    for _ in range(b))
     rnd = Round(bricks, _walls_test_layer(
         rng.choice(("random", "rotation", "permuting")), rng, layout))
-    forward = round_table(rnd, normalized=False).tolist()
+    forward = round_table(rnd).tolist()
     backward = [0] * len(forward)
     for x, y in enumerate(forward):
         backward[y] = x

@@ -72,6 +72,19 @@ def test_sbox_report_requested_r():
     assert_verifies(rep)
 
 
+@pytest.mark.parametrize("use_1prime", [False, True])
+def test_requested_r_condition_builds_the_ddt_once(monkeypatch, use_1prime):
+    sbox_mod = report_mod.sbox_mod
+    built = []
+    ddt = sbox_mod.ddt
+    monkeypatch.setattr(sbox_mod, "ddt",
+                        lambda box: built.append(box) or ddt(box))
+    box = inversion_sbox(4)
+    cond = report_mod._brick_condition_json(
+        box, 2, use_1prime, report_mod.ANTI_INVARIANCE_BUDGET)
+    assert built == [box] and cond["r"] == 2
+
+
 def test_sbox_report_rejects_out_of_range_r():
     with pytest.raises(SpecError, match=r"r must be in \[1, 3\]"):
         sbox_report(inversion_sbox(4), requested_r=4)
