@@ -15,6 +15,15 @@ invariant under G is invariant under H, and H primitive forces G primitive,
 but an invariant partition of H need not extend to G.  Both sampled sets
 include all translations x -> x + c, which is what restricts the search for
 invariant partitions to linear ones.
+
+Primitivity is Atkinson's block test (Math. Comp. 29, 1975) with one cut:
+an element h fixing 0 maps every block system onto itself, so the minimal
+system through {0, beta} equals the one through {0, h(beta)}.  Testing the
+least point of each orbit of any subgroup H of the stabilizer of 0, in
+increasing order, therefore finds the same first nontrivial system as
+testing every point.  H comes from Schreier generators of one breadth-first
+tree; on round groups it leaves one to three orbits out of 255 or 511
+points.
 """
 
 from __future__ import annotations
@@ -43,6 +52,10 @@ __all__ = [
 ]
 
 MAX_DEGREE = 1 << 16
+
+# How many points of the breadth-first tree give is_primitive the Schreier
+# generators of its stabilizer subgroup: on round groups, 8 leave 1-3 orbits.
+_SCHREIER_POINTS = 8
 
 
 class Perm:
@@ -188,27 +201,6 @@ class BlockSystem:
         return True
 
 
-def _check_transitive(gens: GeneratorSet) -> None:
-    n = gens.degree
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier and count < n:
-        nxt = []
-        for p in gens.perms:
-            imgs = p.images[frontier]
-            fresh = imgs[~seen[imgs]]
-            if len(fresh):
-                seen[fresh] = True
-                nxt.extend(fresh.tolist())
-                count = int(seen.sum())
-        frontier = nxt
-    if count < n:
-        raise IntransitiveError(
-            f"group is not transitive (orbit of 0 has size {count} of {n})")
-
-
 def minimal_block(gens: GeneratorSet,
                   pairs: Sequence[tuple[int, int]]) -> BlockSystem:
     """The finest block system in which each given pair shares a block.
@@ -217,7 +209,7 @@ def minimal_block(gens: GeneratorSet,
     every generator to merge too, so merged pairs are queued and chased
     until stable.  Requires a transitive group.
     """
-    _check_transitive(gens)
+    _schreier_tree(gens)
     n = gens.degree
     parent = list(range(n))
 
@@ -250,14 +242,122 @@ def minimal_block(gens: GeneratorSet,
     return BlockSystem([find(x) for x in range(n)])
 
 
+def _schreier_tree(gens: GeneratorSet
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first search from 0 over the generators, as a Schreier vector.
+
+    Returns (pred, via, order): point y was first reached as
+    gens.perms[via[y]](pred[y]), and ``order`` lists the points in the order
+    the search reached them (0 first; via[0] is -1).  Raises
+    IntransitiveError when the search misses a point.
+    """
+    n = gens.degree
+    images = [p.images for p in gens.perms]
+    pred = np.full(n, -1, dtype=np.int64)
+    via = np.full(n, -1, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    levels = [np.zeros(1, dtype=np.int64)]
+    frontier = levels[0]
+    while len(frontier):
+        reached = []
+        for k, img in enumerate(images):
+            imgs = img[frontier]
+            fresh_mask = ~seen[imgs]
+            if not fresh_mask.any():
+                continue
+            fresh, first = np.unique(imgs[fresh_mask], return_index=True)
+            seen[fresh] = True
+            pred[fresh] = frontier[fresh_mask][first]
+            via[fresh] = k
+            reached.append(fresh)
+        frontier = (np.concatenate(reached) if reached
+                    else np.zeros(0, dtype=np.int64))
+        levels.append(frontier)
+    order = np.concatenate(levels)
+    if len(order) < n:
+        raise IntransitiveError(
+            f"group is not transitive (orbit of 0 has size {len(order)} "
+            f"of {n})")
+    return pred, via, order
+
+
+def _transversal(images: list[np.ndarray], pred: np.ndarray,
+                 via: np.ndarray, y: int) -> np.ndarray:
+    """The tree element u_y (u_y(0) = y) as an image array, built by walking
+    the Schreier vector from y back to the root."""
+    path = []
+    while y:
+        path.append(int(via[y]))
+        y = int(pred[y])
+    u = np.arange(len(pred), dtype=np.int64)
+    for k in reversed(path):
+        u = images[k][u]
+    return u
+
+
+def _join_orbits(roots: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Orbit labels after adding the permutation s to the group, from
+    ``roots``, which labels each point with the least point of its orbit.
+
+    On the labels, each edge x -- s(x) joins roots[x] and roots[s(x)]; both
+    ends drop to the smaller label of the two, then every label jumps to its
+    own label, until nothing changes.  The labels are then constant on each
+    joined orbit and name its least root, which is its least point.
+    """
+    ends = (roots, roots[s])
+    label = np.arange(len(roots), dtype=np.int64)
+    while True:
+        low = np.minimum(label[ends[0]], label[ends[1]])
+        nxt = label.copy()
+        for end in ends:
+            np.minimum.at(nxt, end, low)
+        while not np.array_equal(nxt[nxt], nxt):
+            nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            return label[roots]
+        label = nxt
+
+
 def is_primitive(gens: GeneratorSet) -> tuple[bool, BlockSystem | None]:
     """Whether the generated (transitive) group is primitive.
 
-    Scans the minimal block system gluing 0 to each other point; any
-    nontrivial one is returned as a witness.
+    Atkinson's block test: the minimal block system Sigma_beta gluing 0 to
+    beta is nontrivial for some beta exactly when the group is imprimitive,
+    and the least such beta's system is returned as the witness.
+
+    Only one beta per orbit of a subgroup H of the point stabilizer G_0 is
+    tested.  Every h in G_0 maps each block system of G onto itself, so
+    Sigma_beta = Sigma_{h(beta)}; the least nontrivial beta is therefore the
+    least point of its H-orbit, and testing the least point of every H-orbit
+    in increasing order gives the verdict and the witness of testing every
+    beta, whatever H is.  H is generated by the Schreier generators
+    u_{g(y)}^-1 g u_y of a few tree points y spread evenly over the
+    breadth-first order (the root's alone are trivial whenever the tree
+    elements at the root are the generators themselves, as for round
+    groups).  Tree elements are built on demand and never all kept.  A
+    trivial H tests every beta.
     """
-    _check_transitive(gens)
-    for beta in range(1, gens.degree):
+    pred, via, order = _schreier_tree(gens)
+    n = gens.degree
+    images = [p.images for p in gens.perms]
+    identity = np.arange(n, dtype=np.int64)
+    roots = identity
+    for y in dict.fromkeys(order[k * n // _SCHREIER_POINTS].item()
+                           for k in range(_SCHREIER_POINTS)):
+        u_y = _transversal(images, pred, via, y)
+        for k, img in enumerate(images):
+            z = int(img[y])
+            if pred[z] == y and via[z] == k:
+                continue  # a tree edge: u_z = g u_y, so s is the identity
+            inv_u_z = np.empty(n, dtype=np.int64)
+            inv_u_z[_transversal(images, pred, via, z)] = identity
+            s = inv_u_z[img[u_y]]
+            if not np.array_equal(s, identity):
+                roots = _join_orbits(roots, s)
+        if (roots[1:] == 1).all():
+            break  # H is transitive on the points other than 0
+    for beta in np.flatnonzero(roots == identity)[1:].tolist():
         system = minimal_block(gens, [(0, beta)])
         if system.nontrivial:
             return False, system
@@ -326,16 +426,17 @@ def partition_block_system(s: Subspace) -> BlockSystem:
     return BlockSystem(block_of)
 
 
-def _phi_closure(images: list[np.ndarray], seed_rows: Iterable[int],
+def _phi_closure(stack: np.ndarray, seed_rows: Iterable[int],
                  d: int) -> tuple[int, ...] | None:
     """Smallest subspace containing the seeds and closed under every map
-    u -> g(u) + g(0); None when the closure is the full space."""
+    u -> g(u) + g(0), for the generators' image arrays stacked as the rows
+    of ``stack``; None when the closure is the full space."""
     rows = _reduced_rows(seed_rows, limit=d - 1)
     while rows is not None:
         els = _span_elements(rows)
         ind = np.zeros(1 << d, dtype=bool)
         ind[els] = True
-        mapped = np.concatenate([img[els] ^ img[0] for img in images])
+        mapped = (stack[:, els] ^ stack[:, :1]).ravel()
         outside = np.unique(mapped[~ind[mapped]])
         if not len(outside):
             return rows
@@ -359,10 +460,10 @@ def invariant_linear_partition_search(gens: GeneratorSet, *,
     d = n.bit_length() - 1
     if n != 1 << d:
         raise ValueError("degree is not a power of two")
-    images = [p.images for p in gens.perms]
+    stack = np.stack([p.images for p in gens.perms])
     closures: dict[tuple[int, ...], None] = {}
     for seed in range(1, n):
-        rows = _phi_closure(images, [seed], d)
+        rows = _phi_closure(stack, [seed], d)
         if rows is not None:
             closures.setdefault(rows, None)
     frontier = list(closures)
@@ -373,13 +474,13 @@ def invariant_linear_partition_search(gens: GeneratorSet, *,
         nxt = []
         for a in frontier:
             for b in list(closures):
-                joined = _phi_closure(images, a + b, d)
+                joined = _phi_closure(stack, a + b, d)
                 if joined is not None and joined not in closures:
                     closures[joined] = None
                     nxt.append(joined)
         frontier = nxt
     out = [Subspace(rows, d) for rows in closures
-           if all(_maps_cosets(img, rows, rows) for img in images)]
+           if all(_maps_cosets(img, rows, rows) for img in stack)]
     out.sort(key=lambda s: (s.dim, s.basis))
     return out
 

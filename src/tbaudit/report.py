@@ -30,8 +30,8 @@ from .errors import CapExceeded, SpecError
 from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, rref
 from .mixing import (FamilyReport, LayerFamily, MixingLayer,
                      family_strongly_proper, is_proper, is_strongly_proper)
-from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, analyze_sbox,
-                   anti_invariance_scan_cost, meets_min_image_bound)
+from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, SBoxReport, analyze_sbox,
+                   anti_invariance_scan_cost)
 from .specfile import cipher_to_spec, parse_cipher
 
 __all__ = [
@@ -80,8 +80,8 @@ def sbox_report(box: SBox, *, requested_r: int | None = None,
                 use_condition1prime: bool = False,
                 budget: int = ANTI_INVARIANCE_BUDGET) -> dict:
     rep = analyze_sbox(box, budget=budget)
-    condition = _brick_condition_json(box, requested_r, use_condition1prime,
-                                      budget)
+    condition = _brick_condition_json(box, rep, requested_r,
+                                      use_condition1prime, budget)
     violation = None
     if rep.violation is not None:
         u, w = rep.violation
@@ -109,17 +109,16 @@ def sbox_report(box: SBox, *, requested_r: int | None = None,
     }
 
 
-def _brick_condition_json(box: SBox, requested_r: int | None,
-                          use_1prime: bool, budget: int) -> dict:
+def _brick_condition_json(box: SBox, measured: SBoxReport,
+                          requested_r: int | None, use_1prime: bool,
+                          budget: int) -> dict:
     if requested_r is not None:
         m = box.m
         if not 1 <= requested_r < m:
             raise SpecError(f"r must be in [1, {m - 1}], got {requested_r}")
-        table = sbox_mod.ddt(box)
-        delta = sbox_mod.differential_uniformity(box, table)
-        mini = sbox_mod.min_derivative_image(box, table)
-        bound_ok = (meets_min_image_bound(box, requested_r, table)
-                    if use_1prime else delta <= (1 << requested_r))
+        delta, mini = measured.delta, measured.min_image
+        bound_ok = (mini.size > (1 << (m - requested_r)) if use_1prime
+                    else delta <= (1 << requested_r))
         if requested_r == 1:
             anti_ok = True
         else:

@@ -437,3 +437,15 @@ def table_scan_chains(cipher):
             else:
                 chains.append(PartitionChain(tuple(spaces)))
     return chains
+
+
+def all_points_is_primitive(gens):
+    """Primitivity by the loop that orbit-representative testing replaced:
+    Atkinson's minimal block system gluing 0 to every other point in turn,
+    the first nontrivial one returned as the witness."""
+    from tbaudit.groups import minimal_block
+    for beta in range(1, gens.degree):
+        system = minimal_block(gens, [(0, beta)])
+        if system.nontrivial:
+            return False, system
+    return True, None

@@ -275,6 +275,9 @@ def test_demo_group_check(capsys):
     assert code == 0
     assert "invariant partitions found: wall{1}, wall{2}, wall{3}" in out
     assert "64 blocks of size 8 (imprimitive)" in out
+    # the paper's second claim: a primitive round group hides the trapdoor
+    assert "sampled round-map generators (12 perms): primitive\n" in out
+    assert "the trapdoor is invisible to the round-group test" in out
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,26 @@
 """Permutation-group checks: blocks, primitivity, and invariant partitions."""
 
+import random
+
 import numpy as np
 import pytest
 
+from tbaudit import groups
 from tbaudit.cipher import TbCipher, Round, build_rotation_cipher
 from tbaudit.errors import CapExceeded, IntransitiveError
-from tbaudit.gf2 import BrickLayout, Wall, enumerate_subspaces, rref
+from tbaudit.gf2 import (BrickLayout, Wall, enumerate_subspaces,
+                         random_invertible, rref)
 from tbaudit.groups import (BlockSystem, GeneratorSet, Perm, is_primitive,
                             invariant_linear_partition_search, minimal_block,
                             minimal_invariant_partitions,
                             partition_block_system, sample_ind_generators,
                             sample_round_generators)
+from tbaudit.mixing import MixingLayer
 from tbaudit.presets import identity_sbox, rotation_layer
 
-from oracles import (brute_block_systems_transitive, cosets_of,
-                     finest_containing_pair, partition_invariant)
+from oracles import (all_points_is_primitive, brute_block_systems_transitive,
+                     cosets_of, finest_containing_pair, partition_invariant)
+from test_cipher import _oracle_test_brick
 
 
 def cycle(n):
@@ -34,6 +40,15 @@ def s8_gens():
 def translation_group_gens(d):
     perms = tuple(Perm.translation(d, 1 << j) for j in range(d))
     return GeneratorSet(perms, tuple(f"t{j}" for j in range(d)))
+
+
+def wreath_gens():
+    # S2 wr S4 on 8 points with blocks {i, i + 4}: a swap inside the block
+    # of 0, a swap of two blocks, and a cycle of all four blocks
+    inside = [4, 1, 2, 3, 0, 5, 6, 7]
+    across = [1, 0, 2, 3, 5, 4, 6, 7]
+    return GeneratorSet((Perm(np.array(inside)), Perm(np.array(across)),
+                         cycle(8)), ("inside", "across", "rot"))
 
 
 def as_partition(system):
@@ -193,6 +208,58 @@ def test_is_primitive_verdicts():
     ok, wit = is_primitive(translation_group_gens(3))
     assert not ok
     assert wit.block_size() == 2  # blocks are cosets of a 1-dim subspace
+    ok, wit = is_primitive(wreath_gens())
+    assert not ok and wit.blocks() == [[0, 4], [1, 5], [2, 6], [3, 7]]
+
+
+@pytest.mark.parametrize("gens", [
+    c8_gens(), s8_gens(), GeneratorSet((cycle(5),), ("rot",)),
+    # every Schreier generator is trivial: each beta is tested
+    translation_group_gens(3),
+    # 0's stabilizer joins 1, 2, 3, 5, 6, 7 in one orbit, so beta = 4,
+    # the first nontrivial one, is reached without testing 2 or 3
+    wreath_gens(),
+], ids=["c8", "s8", "c5", "translations", "s2-wr-s4"])
+def test_is_primitive_matches_the_all_points_loop(gens):
+    assert is_primitive(gens) == all_points_is_primitive(gens)
+
+
+def test_is_primitive_matches_the_all_points_loop_on_ciphers():
+    # round and encryption groups of seeded ciphers at d <= 8 on random,
+    # affine and identity bricks with rotation or random layers
+    rng = random.Random(0x9E)
+    verdicts = {True: 0, False: 0}
+    for n in range(48):
+        m, b = (4, 2) if n % 8 == 7 else ((2, 2), (3, 2), (2, 3))[n % 3]
+        layout = BrickLayout(m, b)
+        kinds = rng.choice((("random",), ("affine",), ("identity",),
+                            ("random", "affine", "identity")))
+        rounds = []
+        for _ in range(rng.randint(1, 3)):
+            layer = (rotation_layer(layout) if rng.random() < 0.5 else
+                     MixingLayer(random_invertible(rng, layout.d), layout))
+            rounds.append(Round(tuple(
+                _oracle_test_brick(rng.choice(kinds), rng, m)
+                for _ in range(b)), layer))
+        cipher = TbCipher(tuple(rounds))
+        for gens in (sample_round_generators(cipher),
+                     sample_ind_generators(cipher)):
+            got = is_primitive(gens)
+            assert got == all_points_is_primitive(gens)
+            verdicts[got[0]] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+
+
+def test_is_primitive_tests_one_point_per_stabilizer_orbit(monkeypatch):
+    # the all-points loop glued 0 to each of the 511 other points
+    calls = []
+    minimal = groups.minimal_block
+    monkeypatch.setattr(groups, "minimal_block",
+                        lambda gens, pairs: calls.append(pairs)
+                        or minimal(gens, pairs))
+    gens = sample_round_generators(build_rotation_cipher(3, 3, 3))
+    assert is_primitive(gens) == (True, None)
+    assert len(calls) <= 8
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,9 @@ def test_requested_r_condition_builds_the_ddt_once(monkeypatch, use_1prime):
     ddt = sbox_mod.ddt
     monkeypatch.setattr(sbox_mod, "ddt",
                         lambda box: built.append(box) or ddt(box))
-    box = inversion_sbox(4)
-    cond = report_mod._brick_condition_json(
-        box, 2, use_1prime, report_mod.ANTI_INVARIANCE_BUDGET)
-    assert built == [box] and cond["r"] == 2
+    box = inversion_sbox(5)
+    rep = sbox_report(box, requested_r=2, use_condition1prime=use_1prime)
+    assert built == [box] and rep["condition"]["r"] == 2
 
 
 def test_sbox_report_rejects_out_of_range_r():
