@@ -45,7 +45,7 @@ from .gf2 import (BitMatrix, BrickLayout, Subspace, _iter_rref_bases,
                   count_proper_subspaces, subspace_image)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _mask_wall,
                      _wall_images, family_strongly_proper, is_strongly_proper)
-from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, ddt,
+from .sbox import (ANTI_INVARIANCE_BUDGET, DerivativeImage, SBox, ddt,
                    differential_uniformity, is_strongly_anti_invariant,
                    min_derivative_image)
 from . import presets
@@ -642,10 +642,17 @@ class AuditVerdict:
 @lru_cache(maxsize=_BRICK_CONDITION_CACHE)
 def _brick_conditions(box: SBox, use_1prime: bool,
                       budget: int) -> BrickConditionReport:
-    m = box.m
     table = ddt(box)
-    delta = differential_uniformity(box, table)
-    mini = min_derivative_image(box, table)
+    return _brick_condition(box, differential_uniformity(box, table),
+                            min_derivative_image(box, table), use_1prime,
+                            budget)
+
+
+def _brick_condition(box: SBox, delta: int, mini: DerivativeImage,
+                     use_1prime: bool, budget: int) -> BrickConditionReport:
+    """The brick condition of ``audit`` from the box's measured delta and
+    minimum derivative image."""
+    m = box.m
     r: int | None
     if use_1prime:
         route = "min-image"

@@ -112,11 +112,11 @@ def sbox_report(box: SBox, *, requested_r: int | None = None,
 def _brick_condition_json(box: SBox, measured: SBoxReport,
                           requested_r: int | None, use_1prime: bool,
                           budget: int) -> dict:
+    delta, mini = measured.delta, measured.min_image
     if requested_r is not None:
         m = box.m
         if not 1 <= requested_r < m:
             raise SpecError(f"r must be in [1, {m - 1}], got {requested_r}")
-        delta, mini = measured.delta, measured.min_image
         bound_ok = (mini.size > (1 << (m - requested_r)) if use_1prime
                     else delta <= (1 << requested_r))
         if requested_r == 1:
@@ -134,7 +134,8 @@ def _brick_condition_json(box: SBox, measured: SBoxReport,
             detail=f"requested r={requested_r}: bound "
                    f"{'holds' if bound_ok else 'fails'}")
     else:
-        rep = cipher_mod._brick_conditions(box, use_1prime, budget)
+        rep = cipher_mod._brick_condition(box, delta, mini, use_1prime,
+                                          budget)
     return {
         "route": rep.route, "r": rep.r, "anti_invariant_ok": rep.anti_ok,
         "ok": rep.ok, "detail": rep.detail,

@@ -4,18 +4,21 @@ All measurements are taken on the normalized box f(x) ^ f(0), so f(0) = 0
 holds whenever it matters; derivatives are unchanged by the shift and the
 shift itself is recorded on the SBox.  The subspace scans refuse work above
 a configurable budget (counted in subspaces visited) instead of silently
-running for hours on wide boxes.
+running for hours on wide boxes.  The budget counts every subspace of a
+dimension, although numpy rejects almost all of them before any scalar work
+(``_violation_scan``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
-from .gf2 import (Subspace, _iter_rref_bases, bounded_image_span,
+from .gf2 import (Subspace, _iter_rref_blocks, bounded_image_span,
                   gaussian_binomial, rref)
 
 __all__ = [
@@ -206,7 +209,11 @@ def is_strongly_anti_invariant(box: SBox, r: int, *,
     Returns (True, None) or (False, (U, W)) with the first violating pair in
     scan order (dimensions descending, canonical subspace order within each).
     Since f is injective and normalized, f(U) is a subspace iff span(f(U))
-    has the same dimension as U, which is what the scan tests.
+    has the same dimension as U, which is what the scan tests, but only on
+    the subspaces that pass a cheaper necessary condition first: if f(U) = W
+    is a subspace, then for basis rows a, b of U the sum f(a) + f(b) lies in
+    W = f(U), so f^-1(f(a) + f(b)) lies in U.  Subspaces failing it for some
+    pair cannot violate, and numpy discards them a block at a time.
     """
     m = box.m
     if not 1 <= r <= m - 1:
@@ -230,7 +237,21 @@ def _violation_scan(table: Sequence[int], m: int, k_lo: int, budget: int,
     Returns (k*, pair, k_done): the first violating dimension and witness
     pair (or None, None), plus the lowest dimension the scan completed.
     When the budget runs out first, either raises CapExceeded (refuse=True)
-    or returns early with k_done reflecting the progress made."""
+    or returns early with k_done reflecting the progress made.
+
+    Each dimension's subspaces come in canonical order, a block of RREF
+    bases at a time, and numpy discards almost all of them before any scalar
+    work by a necessary condition.  If f(U) = W is a subspace and a, b are
+    basis rows of U, then f(a) + f(b) lies in W = f(U), so, f being
+    injective, f^-1(f(a) + f(b)) lies in U.  A basis whose pairs all pass is
+    handed, still in canonical order, to ``bounded_image_span``, which
+    decides it; so the first violation found is the one a scan of every
+    subspace would find.  At k = 2 the condition is exact (the preimage can
+    only be a + b); at k = 1 there are no pairs and every subspace is a
+    violation."""
+    f = np.asarray(table, dtype=np.int64)
+    f_inv = np.empty_like(f)
+    f_inv[f] = np.arange(len(f), dtype=np.int64)
     spent = 0
     k_done = m
     for k in range(m - 1, k_lo - 1, -1):
@@ -241,10 +262,23 @@ def _violation_scan(table: Sequence[int], m: int, k_lo: int, budget: int,
                     f"anti-invariance scan at m={m} refused at dimension {k}",
                     estimate=spent, limit=budget)
             return None, None, k_done
-        for rows in _iter_rref_bases(m, k):
-            w = bounded_image_span(table, rows, k)
-            if w is not None:
-                return k, (Subspace(tuple(rows), m), rref(w, m)), k_done
+        pairs = list(combinations(range(k), 2))
+        for bases in _iter_rref_blocks(m, k):
+            pivots = (bases[0] & -bases[0]).tolist()
+            for a, b in pairs:
+                y = f_inv[f[bases[:, a]] ^ f[bases[:, b]]]
+                # In RREF, y lies in U iff it is the sum of the rows whose
+                # pivot bit it has.
+                member = np.zeros_like(y)
+                for i, p in enumerate(pivots):
+                    member ^= np.where(y & p, bases[:, i], 0)
+                bases = bases[member == y]
+                if not len(bases):
+                    break
+            for rows in bases.tolist():
+                w = bounded_image_span(table, rows, k)
+                if w is not None:
+                    return k, (Subspace(tuple(rows), m), rref(w, m)), k_done
         k_done = k
     return None, None, k_done
 

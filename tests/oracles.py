@@ -3,9 +3,9 @@
 Nothing in here imports tbaudit at module level.  Everything is written the
 slow, obvious way: sets of ints for subspaces, dict counting for difference
 tables, frozensets of frozensets for partitions.  Tests compare package
-output against these.  The one exception is the last section: a retired
-search route, built on the package's full-codebook tables, kept as a second
-route for the search that replaced it.
+output against these.  The one exception is the last section: retired
+routes, built on the package's own kernels (imported inside each function),
+kept as second routes for the code that replaced them.
 """
 
 from itertools import combinations
@@ -437,6 +437,31 @@ def table_scan_chains(cipher):
             else:
                 chains.append(PartitionChain(tuple(spaces)))
     return chains
+
+
+def scalar_violation_scan(table, m, k_lo, budget, refuse=True):
+    """The anti-invariance scan that the pre-filtered block scan replaced:
+    ``bounded_image_span`` on every subspace, dims m-1 down to k_lo, with the
+    same budget accounting, refusals and (k*, pair, k_done) result."""
+    from tbaudit.errors import CapExceeded
+    from tbaudit.gf2 import (Subspace, _iter_rref_bases, bounded_image_span,
+                             gaussian_binomial, rref)
+    spent = 0
+    k_done = m
+    for k in range(m - 1, k_lo - 1, -1):
+        spent += gaussian_binomial(m, k)
+        if spent > budget:
+            if refuse:
+                raise CapExceeded(
+                    f"anti-invariance scan at m={m} refused at dimension {k}",
+                    estimate=spent, limit=budget)
+            return None, None, k_done
+        for rows in _iter_rref_bases(m, k):
+            w = bounded_image_span(table, rows, k)
+            if w is not None:
+                return k, (Subspace(tuple(rows), m), rref(w, m)), k_done
+        k_done = k
+    return None, None, k_done
 
 
 def all_points_is_primitive(gens):

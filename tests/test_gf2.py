@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Subspace, Wall, _maps_cosets,
+from tbaudit.gf2 import (_BLOCK_CHUNK, BitMatrix, BrickLayout, Subspace, Wall,
+                         _iter_rref_bases, _iter_rref_blocks, _maps_cosets,
                          _reduced_rows, as_wall, bounded_image_span,
                          count_proper_subspaces, enumerate_subspaces,
                          gaussian_binomial, identity_matrix,
@@ -202,6 +203,16 @@ def test_enumeration_rejects_bad_k():
         list(enumerate_subspaces(3, 4))
     with pytest.raises(ValueError):
         list(enumerate_subspaces(3, 1, start=5, stop=2))
+
+
+def test_rref_blocks_flatten_to_the_canonical_order():
+    # d=8, k=4 has a block of 2^16 bases, so the chunking is crossed too.
+    for d, k in [(d, k) for d in range(8) for k in range(d + 1)] + [(8, 4)]:
+        blocks = list(_iter_rref_blocks(d, k))
+        assert all(b.dtype == np.int64 and b.shape[1] == k
+                   and 0 < len(b) <= _BLOCK_CHUNK for b in blocks)
+        flat = [row for b in blocks for row in b.tolist()]
+        assert flat == [list(rows) for rows in _iter_rref_bases(d, k)]
 
 
 # ---------------------------------------------------------------------------

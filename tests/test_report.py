@@ -74,14 +74,25 @@ def test_sbox_report_requested_r():
 
 @pytest.mark.parametrize("use_1prime", [False, True])
 def test_requested_r_condition_builds_the_ddt_once(monkeypatch, use_1prime):
-    sbox_mod = report_mod.sbox_mod
+    # With r requested or not, the condition reads delta and the minimum
+    # image from analyze_sbox's DDT and builds none of its own.
+    sbox_mod, cipher_mod = report_mod.sbox_mod, report_mod.cipher_mod
     built = []
     ddt = sbox_mod.ddt
-    monkeypatch.setattr(sbox_mod, "ddt",
-                        lambda box: built.append(box) or ddt(box))
+
+    def counted(box):
+        built.append(box)
+        return ddt(box)
+
+    monkeypatch.setattr(sbox_mod, "ddt", counted)
+    monkeypatch.setattr(cipher_mod, "ddt", counted)
     box = inversion_sbox(5)
     rep = sbox_report(box, requested_r=2, use_condition1prime=use_1prime)
     assert built == [box] and rep["condition"]["r"] == 2
+    built.clear()
+    cipher_mod._brick_conditions.cache_clear()
+    rep = sbox_report(box, use_condition1prime=use_1prime)
+    assert built == [box] and rep["condition"]["ok"]
 
 
 def test_sbox_report_rejects_out_of_range_r():

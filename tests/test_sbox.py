@@ -1,15 +1,19 @@
 """S-box measurements against dict-and-set brute force."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tbaudit.sbox as sbox_mod
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import Subspace, gaussian_binomial
+from tbaudit.gf2 import (Subspace, bounded_image_span, enumerate_subspaces,
+                         gaussian_binomial)
 from tbaudit.presets import identity_sbox, inversion_sbox, present_sbox
-from tbaudit.sbox import (SBox, analyze_sbox,
+from tbaudit.sbox import (ANTI_INVARIANCE_BUDGET, SBox, _violation_scan,
+                          analyze_sbox,
                           anti_invariance_order, anti_invariance_scan_cost,
                           ddt, differential_uniformity, has_linear_component,
                           is_strongly_anti_invariant, meets_min_image_bound,
@@ -19,7 +23,7 @@ from tbaudit.sbox import (SBox, analyze_sbox,
 from oracles import (brute_anti_invariance_order,
                      brute_anti_invariance_violations, brute_linear_components,
                      brute_min_derivative_image, brute_nonlinearity,
-                     brute_uniformity)
+                     brute_uniformity, scalar_violation_scan)
 
 INV4 = inversion_sbox(4)
 INV5 = inversion_sbox(5)
@@ -246,6 +250,98 @@ def test_order_is_capped_by_max_r():
     # inv5 is strongly 3-anti-invariant; a shallow scan certifies less
     assert anti_invariance_order(INV5, max_r=2) == 2
     assert anti_invariance_order(INV5, max_r=1) == 1
+
+
+def half_identity_box(seed, m):
+    """Identity on the low m//2 bits, a seeded permutation on the rest."""
+    h = m // 2
+    g = list(range(1 << (m - h)))
+    random.Random(seed).shuffle(g)
+    low = (1 << h) - 1
+    return SBox(tuple((x & low) | g[x >> h] << h for x in range(1 << m)))
+
+
+def _scan_or_refusal(scan, box, k_lo, budget, refuse):
+    try:
+        return scan(box.normalized(), box.m, k_lo, budget, refuse)
+    except CapExceeded as exc:
+        return ("refused", str(exc), exc.estimate, exc.limit)
+
+
+def _budget_cases(box):
+    # Budgets that run out exactly at a dimension boundary or one short of
+    # it, so the scan stops partway: analyze_sbox's lower-bound path when
+    # refuse is False.
+    m, spent = box.m, 0
+    for k in range(m - 1, 1, -1):
+        spent += gaussian_binomial(m, k)
+        for budget in (spent - 1, spent):
+            for refuse in (True, False):
+                yield 1, budget, refuse
+
+
+def _oracle_scan_cases():
+    boxes = [present_sbox()]
+    for m in range(3, 8):
+        boxes += [random_box(40 + m, m), identity_sbox(m),
+                  half_identity_box(m, m)]
+        if m <= 6:
+            boxes += [random_box(50 + m, m), inversion_sbox(m)]
+    for box in boxes:
+        for k_lo in range(1, box.m):
+            yield box, k_lo, ANTI_INVARIANCE_BUDGET, True
+        if box.m <= 6:
+            for case in _budget_cases(box):
+                yield (box, *case)
+    # A handful at m = 8, where the oracle takes about half a second a scan.
+    yield random_box(1, 8), 5, ANTI_INVARIANCE_BUDGET, True
+    yield inversion_sbox(8), 1, ANTI_INVARIANCE_BUDGET, True
+    yield half_identity_box(8, 8), 1, ANTI_INVARIANCE_BUDGET, True
+    # clean through dims 7..5, then out of budget at dim 4
+    yield random_box(2, 8), 1, anti_invariance_scan_cost(8, 3), False
+
+
+def test_violation_scan_matches_the_scalar_oracle():
+    # The retired scan called bounded_image_span on every subspace; the new
+    # one must give the same (k*, pair, k_done), refusals included.
+    found = 0
+    for box, k_lo, budget, refuse in _oracle_scan_cases():
+        got = _scan_or_refusal(_violation_scan, box, k_lo, budget, refuse)
+        want = _scan_or_refusal(scalar_violation_scan, box, k_lo, budget,
+                                refuse)
+        assert got == want, (box.table, k_lo, budget, refuse)
+        found += got[0] not in (None, "refused")
+    assert found > 100
+
+
+@given(st.integers(3, 5).flatmap(
+    lambda m: st.permutations(list(range(1 << m)))))
+def test_pair_filter_passes_every_violation(perm):
+    # If f(U) is a subspace, f^-1(f(a) + f(b)) lies in U for every pair of
+    # basis rows a, b: the necessary condition the scan filters on.
+    box = SBox(tuple(perm))
+    f = box.normalized()
+    f_inv = {y: x for x, y in enumerate(f)}
+    for k in range(2, box.m):
+        for u in enumerate_subspaces(box.m, k):
+            if bounded_image_span(f, list(u.basis), k) is None:
+                continue
+            assert all(f_inv[f[a] ^ f[b]] in u
+                       for a, b in combinations(u.basis, 2))
+
+
+def test_anti_invariance_scan_decides_few_subspaces_by_span(monkeypatch):
+    # A random 8-bit brick has delta 10-12, so audit asks for strong
+    # 3-anti-invariance: 108,205 subspaces, of which the pair filter leaves
+    # 1 for bounded_image_span on this box.
+    calls = []
+    span = sbox_mod.bounded_image_span
+    monkeypatch.setattr(sbox_mod, "bounded_image_span",
+                        lambda *args: calls.append(1) or span(*args))
+    box = random_box(1, 8)
+    assert anti_invariance_scan_cost(8, 3) == 108_205
+    assert is_strongly_anti_invariant(box, 3) == (True, None)
+    assert len(calls) <= 8, f"{len(calls)} bounded_image_span calls per brick"
 
 
 # ---------------------------------------------------------------------------
