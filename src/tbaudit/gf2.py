@@ -103,6 +103,8 @@ def _maps_cosets(table: np.ndarray, u_rows: Iterable[int],
                  w_rows: Iterable[int]) -> bool:
     """Whether the lookup table maps every coset of span(u_rows) into a coset
     of span(w_rows), i.e. table[x ^ u] ^ table[x] lies in W for all x and u.
+    A table with a row of images per point, one column per map, tests every
+    map at once.
 
     Only the rows u of U are tested: D_{u+u'}f(x) = D_u f(x+u') + D_{u'}f(x)
     and W is closed under addition, so the rows' derivatives carry the rest.

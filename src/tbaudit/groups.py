@@ -23,7 +23,18 @@ least point of each orbit of any subgroup H of the stabilizer of 0, in
 increasing order, therefore finds the same first nontrivial system as
 testing every point.  H comes from Schreier generators of one breadth-first
 tree; on round groups it leaves one to three orbits out of 255 or 511
-points.
+points.  The tree is built once per ``is_primitive``: the block tests it
+runs skip ``minimal_block``'s own transitivity check.
+
+The invariant-partition search closes seeds under the maps
+phi_g(u) = g(u) + g(0).  A generator g + c has the same phi and the same
+derivatives as g, so it adds nothing and one generator per such class is
+kept.  Three facts make the seed pass exact without one scalar closure per
+seed.  The first step of the closure C(v) is U1(v), the span of v and every
+phi_g(v), and one numpy echelon reduction takes it for every seed at once.
+C(w) lies in C(v) for every w in C(v), so a seed whose U1 holds a point with
+a full closure has a full closure too.  And C(v) = C(U1(v)), so one scalar
+closure per distinct U1 settles the seeds left.
 """
 
 from __future__ import annotations
@@ -56,6 +67,12 @@ MAX_DEGREE = 1 << 16
 # How many points of the breadth-first tree give is_primitive the Schreier
 # generators of its stabilizer subgroup: on round groups, 8 leave 1-3 orbits.
 _SCHREIER_POINTS = 8
+
+# Elements in one batched array of the partition search's seed pass: seeds
+# by vectors in the first step, spans by span elements in the second.  2^15
+# is also the size of the largest proper span at MAX_DEGREE, so every span
+# fits in one chunk.
+_SEED_CHUNK = 1 << 15
 
 
 class Perm:
@@ -210,6 +227,13 @@ def minimal_block(gens: GeneratorSet,
     until stable.  Requires a transitive group.
     """
     _schreier_tree(gens)
+    return _minimal_block(gens, pairs)
+
+
+def _minimal_block(gens: GeneratorSet,
+                   pairs: Sequence[tuple[int, int]]) -> BlockSystem:
+    """``minimal_block`` without its transitivity check, for callers that
+    have already built the Schreier tree."""
     n = gens.degree
     parent = list(range(n))
 
@@ -358,7 +382,7 @@ def is_primitive(gens: GeneratorSet) -> tuple[bool, BlockSystem | None]:
         if (roots[1:] == 1).all():
             break  # H is transitive on the points other than 0
     for beta in np.flatnonzero(roots == identity)[1:].tolist():
-        system = minimal_block(gens, [(0, beta)])
+        system = _minimal_block(gens, [(0, beta)])
         if system.nontrivial:
             return False, system
     return True, None
@@ -426,22 +450,92 @@ def partition_block_system(s: Subspace) -> BlockSystem:
     return BlockSystem(block_of)
 
 
-def _phi_closure(stack: np.ndarray, seed_rows: Iterable[int],
-                 d: int) -> tuple[int, ...] | None:
+def _phi_closure(phi: np.ndarray, seed_rows: Iterable[int], d: int,
+                 full: np.ndarray) -> tuple[int, ...] | None:
     """Smallest subspace containing the seeds and closed under every map
-    u -> g(u) + g(0), for the generators' image arrays stacked as the rows
-    of ``stack``; None when the closure is the full space."""
+    u -> phi_g(u), for the table ``phi`` whose row u lists every phi_g(u);
+    None when the closure is the full space.  That is known as soon as a
+    step's span reaches rank d or holds a point that ``full`` marks: a point
+    whose own closure is the full space, which the closure then contains."""
     rows = _reduced_rows(seed_rows, limit=d - 1)
     while rows is not None:
         els = _span_elements(rows)
+        if full[els].any():
+            return None
         ind = np.zeros(1 << d, dtype=bool)
         ind[els] = True
-        mapped = (stack[:, els] ^ stack[:, :1]).ravel()
+        mapped = phi[els].ravel()
         outside = np.unique(mapped[~ind[mapped]])
         if not len(outside):
             return rows
         rows = _reduced_rows(rows + tuple(outside.tolist()), limit=d - 1)
     return None
+
+
+def _first_spans(phi: np.ndarray, d: int) -> np.ndarray:
+    """U1(v), the span of v and every phi_g(v), for each seed v in 1..2^d - 1.
+
+    Row v - 1 of the (2^d - 1, d) result holds, in column p, the row of
+    U1(v)'s reduced echelon basis whose pivot (lowest set bit) is p, or 0
+    when p is no pivot; its nonzero entries are ``_reduced_rows`` of the
+    span, and it has no zero exactly when U1(v) is the full space.  Every
+    chunk of seeds is reduced at once, pivot bits ascending: a vector whose
+    lowest set bit is p becomes the pivot of p, and is added to every other
+    vector with bit p set.
+    """
+    n = 1 << d
+    out = np.zeros((n - 1, d), dtype=phi.dtype)
+    step = max(1, _SEED_CHUNK // (phi.shape[1] + 1))
+    for s0 in range(1, n, step):
+        seeds = np.arange(s0, min(s0 + step, n), dtype=phi.dtype)
+        vecs = np.concatenate([seeds[:, None], phi[seeds]], axis=1)
+        at = np.arange(len(seeds))
+        cols = np.zeros((len(seeds), d), dtype=np.int64)
+        found = np.zeros((len(seeds), d), dtype=bool)
+        for p in range(d):
+            lowest = (vecs & ((2 << p) - 1)) == 1 << p
+            found[:, p] = lowest.any(axis=1)
+            cols[:, p] = lowest.argmax(axis=1)
+            pivot = vecs[at, cols[:, p]] * found[:, p]
+            clear = (vecs >> p) & 1 == 1
+            clear[at, cols[:, p]] = False
+            vecs ^= clear * pivot[:, None]
+        out[s0 - 1:s0 - 1 + len(seeds)] = (
+            np.take_along_axis(vecs, cols, axis=1) * found)
+    return out
+
+
+def _span_elements_chunks(spans: np.ndarray, ids: np.ndarray):
+    """(chunk, elements) pairs covering the spans ``spans[ids]``, rows laid
+    out as by ``_first_spans``: the spans of one chunk share a rank r, and
+    row i of ``elements`` lists span(spans[chunk[i]]), 2^r elements built
+    by doubling, with at most ``_SEED_CHUNK`` elements in all."""
+    rank = np.count_nonzero(spans[ids], axis=1)
+    for r in np.unique(rank).tolist():
+        same = ids[rank == r]
+        step = max(1, _SEED_CHUNK >> r)
+        for i0 in range(0, len(same), step):
+            chunk = same[i0:i0 + step]
+            rows = spans[chunk]
+            rows = rows[rows != 0].reshape(len(chunk), r)
+            els = np.zeros((len(chunk), 1), dtype=spans.dtype)
+            for j in range(r):
+                els = np.concatenate([els, els ^ rows[:, j:j + 1]], axis=1)
+            yield chunk, els
+
+
+def _spread_full(spans: np.ndarray, full: np.ndarray) -> None:
+    """Mark in place, as ``full``, every seed v whose U1(v) = spans[v - 1]
+    holds a point that ``full`` marks, until nothing changes: C(w) lies in
+    C(v) for w in U1(v), so C(v) is then the full space too."""
+    pending = np.flatnonzero(~full[1:])
+    while True:
+        for ids, els in _span_elements_chunks(spans, pending):
+            full[1 + ids[full[els].any(axis=1)]] = True
+        settled = full[1 + pending]
+        if not settled.any():
+            return
+        pending = pending[~settled]
 
 
 def invariant_linear_partition_search(gens: GeneratorSet, *,
@@ -450,22 +544,50 @@ def invariant_linear_partition_search(gens: GeneratorSet, *,
     """All proper nonzero subspaces U with L(U) invariant under every
     generator, exactly.
 
-    Any invariant subspace is closed under every u -> g(u) + g(0), and is a
-    join of the minimal such closures of its own elements.  The search takes
-    the closure of every nonzero seed, joins closures pairwise to a fixed
-    point, then keeps the candidates that pass the full derivative test
-    (which the closure step, anchored at x = 0 only, does not imply).
+    Any invariant subspace is closed under every phi_g: u -> g(u) + g(0),
+    and is a join of the minimal such closures C(v) of its own elements.
+    The search takes the closure of every nonzero seed, joins closures
+    pairwise to a fixed point, then keeps the candidates that pass the full
+    derivative test (which the closure step, anchored at x = 0 only, does
+    not imply).  Generators that differ by a translation share phi and the
+    derivatives, so one of each is kept for both steps.
+
+    The seed pass rests on three exact facts, so it finds the closures, in
+    the order of their least seeds, that a closure of each seed would:
+    - the first step of C(v) is U1(v), the span of v and every phi_g(v),
+      taken for every seed in one batched reduction; rank d means a full
+      closure;
+    - C(w) lies in C(v) for w in C(v), so a seed is full once its U1 holds a
+      full point; this is repeated over the spans until nothing changes,
+      and the closures themselves stop early on a full point;
+    - C(v) = C(U1(v)), so one scalar closure per distinct U1 of the seeds
+      left is enough.
     """
     n = gens.degree
     d = n.bit_length() - 1
     if n != 1 << d:
         raise ValueError("degree is not a power of two")
-    stack = np.stack([p.images for p in gens.perms])
+    # points fit in 16 bits, as the degree is at most MAX_DEGREE = 2^16
+    stack = np.stack([p.images for p in gens.perms]).astype(np.uint16)
+    phi = np.stack(list({row.tobytes(): row
+                         for row in stack ^ stack[:, :1]}.values()), axis=1)
+    spans = _first_spans(phi, d)
+    full = np.zeros(n, dtype=bool)
+    full[1:] = np.count_nonzero(spans, axis=1) == d
+    _spread_full(spans, full)
     closures: dict[tuple[int, ...], None] = {}
-    for seed in range(1, n):
-        rows = _phi_closure(stack, [seed], d)
-        if rows is not None:
-            closures.setdefault(rows, None)
+    memo: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+    for seed in (np.flatnonzero(~full[1:]) + 1).tolist():
+        if full[seed]:
+            continue
+        u1 = tuple(row for row in spans[seed - 1].tolist() if row)
+        if u1 not in memo:
+            memo[u1] = _phi_closure(phi, u1, d, full)
+        if memo[u1] is None:
+            full[seed] = True
+            _spread_full(spans, full)
+        else:
+            closures.setdefault(memo[u1], None)
     frontier = list(closures)
     while frontier:
         if len(closures) > max_results:
@@ -474,13 +596,13 @@ def invariant_linear_partition_search(gens: GeneratorSet, *,
         nxt = []
         for a in frontier:
             for b in list(closures):
-                joined = _phi_closure(stack, a + b, d)
+                joined = _phi_closure(phi, a + b, d, full)
                 if joined is not None and joined not in closures:
                     closures[joined] = None
                     nxt.append(joined)
         frontier = nxt
     out = [Subspace(rows, d) for rows in closures
-           if all(_maps_cosets(img, rows, rows) for img in stack)]
+           if _maps_cosets(phi, rows, rows)]
     out.sort(key=lambda s: (s.dim, s.basis))
     return out
 

@@ -474,3 +474,59 @@ def all_points_is_primitive(gens):
         if system.nontrivial:
             return False, system
     return True, None
+
+
+def _retired_phi_closure(stack, seed_rows, d):
+    """The scalar closure of the seeds under every u -> g(u) + g(0), for the
+    image arrays stacked as the rows of ``stack``; None when it is the full
+    space."""
+    import numpy as np
+    from tbaudit.gf2 import _reduced_rows, _span_elements
+    rows = _reduced_rows(seed_rows, limit=d - 1)
+    while rows is not None:
+        els = _span_elements(rows)
+        ind = np.zeros(1 << d, dtype=bool)
+        ind[els] = True
+        mapped = (stack[:, els] ^ stack[:, :1]).ravel()
+        outside = np.unique(mapped[~ind[mapped]])
+        if not len(outside):
+            return rows
+        rows = _reduced_rows(rows + tuple(outside.tolist()), limit=d - 1)
+    return None
+
+
+def phi_closure_partition_search(gens, max_results=512):
+    """Invariant linear partitions by the search that the batched seed pass
+    replaced: the scalar closure under every u -> g(u) + g(0) of each of the
+    2^d - 1 seeds in turn, pairwise joins to a fixed point, then the full
+    derivative test, with the same cap, refusal and sorted output."""
+    import numpy as np
+    from tbaudit.errors import CapExceeded
+    from tbaudit.gf2 import Subspace, _maps_cosets
+    n = gens.degree
+    d = n.bit_length() - 1
+    if n != 1 << d:
+        raise ValueError("degree is not a power of two")
+    stack = np.stack([p.images for p in gens.perms])
+    closures = {}
+    for seed in range(1, n):
+        rows = _retired_phi_closure(stack, [seed], d)
+        if rows is not None:
+            closures.setdefault(rows, None)
+    frontier = list(closures)
+    while frontier:
+        if len(closures) > max_results:
+            raise CapExceeded("too many closed subspaces",
+                              estimate=len(closures), limit=max_results)
+        nxt = []
+        for a in frontier:
+            for b in list(closures):
+                joined = _retired_phi_closure(stack, a + b, d)
+                if joined is not None and joined not in closures:
+                    closures[joined] = None
+                    nxt.append(joined)
+        frontier = nxt
+    out = [Subspace(rows, d) for rows in closures
+           if all(_maps_cosets(img, rows, rows) for img in stack)]
+    out.sort(key=lambda s: (s.dim, s.basis))
+    return out

@@ -8,7 +8,7 @@ import pytest
 from tbaudit import groups
 from tbaudit.cipher import TbCipher, Round, build_rotation_cipher
 from tbaudit.errors import CapExceeded, IntransitiveError
-from tbaudit.gf2 import (BrickLayout, Wall, enumerate_subspaces,
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, enumerate_subspaces,
                          random_invertible, rref)
 from tbaudit.groups import (BlockSystem, GeneratorSet, Perm, is_primitive,
                             invariant_linear_partition_search, minimal_block,
@@ -19,7 +19,8 @@ from tbaudit.mixing import MixingLayer
 from tbaudit.presets import identity_sbox, rotation_layer
 
 from oracles import (all_points_is_primitive, brute_block_systems_transitive,
-                     cosets_of, finest_containing_pair, partition_invariant)
+                     cosets_of, finest_containing_pair, partition_invariant,
+                     phi_closure_partition_search)
 from test_cipher import _oracle_test_brick
 
 
@@ -253,13 +254,27 @@ def test_is_primitive_matches_the_all_points_loop_on_ciphers():
 def test_is_primitive_tests_one_point_per_stabilizer_orbit(monkeypatch):
     # the all-points loop glued 0 to each of the 511 other points
     calls = []
-    minimal = groups.minimal_block
-    monkeypatch.setattr(groups, "minimal_block",
+    minimal = groups._minimal_block
+    monkeypatch.setattr(groups, "_minimal_block",
                         lambda gens, pairs: calls.append(pairs)
                         or minimal(gens, pairs))
     gens = sample_round_generators(build_rotation_cipher(3, 3, 3))
     assert is_primitive(gens) == (True, None)
-    assert len(calls) <= 8
+    assert 1 <= len(calls) <= 8
+
+
+def test_is_primitive_builds_one_schreier_tree(monkeypatch):
+    # the block tests skip minimal_block's transitivity check, which would
+    # build the tree again for every tested point
+    calls = []
+    tree = groups._schreier_tree
+    monkeypatch.setattr(groups, "_schreier_tree",
+                        lambda gens: calls.append(gens) or tree(gens))
+    gens = sample_round_generators(build_rotation_cipher(3, 3, 3))
+    assert is_primitive(gens) == (True, None)
+    assert len(calls) == 1
+    minimal_block(gens, [(0, 1)])
+    assert len(calls) == 2  # the public call still checks transitivity
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +384,161 @@ def test_search_rejects_non_power_of_two_degree():
     with pytest.raises(ValueError, match="power of two"):
         invariant_linear_partition_search(
             GeneratorSet((cycle(6),), ("rot",)))
+
+
+# ---------------------------------------------------------------------------
+# The batched seed pass against the retired scalar-closure search.
+
+
+def _same_as_scalar_search(gens, max_results=512):
+    """Assert the search returns the retired search's list, or raises the
+    same refusal; return the list, or None on a refusal."""
+    try:
+        want = phi_closure_partition_search(gens, max_results)
+    except CapExceeded as exc:
+        with pytest.raises(CapExceeded) as got:
+            invariant_linear_partition_search(gens, max_results=max_results)
+        assert str(got.value) == str(exc)
+        assert (got.value.estimate, got.value.limit) == (exc.estimate,
+                                                          exc.limit)
+        return None
+    assert invariant_linear_partition_search(
+        gens, max_results=max_results) == want
+    return want
+
+
+def _affine_images(rng, d):
+    if rng.random() < 0.5:
+        lin = random_invertible(rng, d)
+    else:  # a bit permutation: many invariant subspaces
+        order = rng.sample(range(d), d)
+        lin = BitMatrix(tuple(1 << j for j in order), d)
+    shift = rng.getrandbits(d)
+    return [lin.apply(x) ^ shift for x in range(1 << d)]
+
+
+def _seeded_generator_set(rng, d):
+    perms = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("affine", "random", "near-affine"))
+        if kind == "random":
+            images = rng.sample(range(1 << d), 1 << d)
+        else:
+            images = _affine_images(rng, d)
+            if kind == "near-affine":
+                for _ in range(rng.randint(1, 2)):
+                    i, j = rng.randrange(1 << d), rng.randrange(1 << d)
+                    images[i], images[j] = images[j], images[i]
+        perms.append(Perm(np.array(images)))
+    return GeneratorSet(tuple(perms),
+                        tuple(f"g{i}" for i in range(len(perms))))
+
+
+def test_invariant_search_matches_the_scalar_search_on_generator_sets():
+    # affine, random and near-affine permutations of degree 2^1 to 2^7,
+    # one to four of them, under caps of 5, 20 and 512
+    rng = random.Random(0x5EED)
+    tally = {"refused": 0, "empty": 0, "found": 0}
+    for n in range(320):
+        gens = _seeded_generator_set(rng, 1 + n % 7)
+        found = _same_as_scalar_search(gens, (5, 20, 512)[n % 3])
+        tally["refused" if found is None else
+              "found" if found else "empty"] += 1
+    assert min(tally.values()) >= 3, tally
+
+
+def _workload_shaped_cipher(rng, m, b, rotation, ell=None):
+    layout = BrickLayout(m, b)
+    rounds = []
+    for _ in range(ell or (b if rotation else 2)):
+        layer = (rotation_layer(layout) if rotation else
+                 MixingLayer(random_invertible(rng, layout.d), layout))
+        rounds.append(Round(tuple(_oracle_test_brick("random", rng, m)
+                                  for _ in range(b)), layer))
+    return TbCipher(tuple(rounds))
+
+
+@pytest.mark.parametrize("m,b", [(3, 2), (2, 3), (4, 2), (3, 3)],
+                         ids=["d6-m3b2", "d6-m2b3", "d8-m4b2", "d9-m3b3"])
+def test_invariant_search_matches_the_scalar_search_on_ciphers(m, b):
+    # rotation ciphers of b rounds and two-round random-layer ciphers, on
+    # random bricks, as in the groups benchmark workload
+    rng = random.Random(f"groups-{m}-{b}")
+    for rotation in (True, False):
+        for _ in range(2):
+            cipher = _workload_shaped_cipher(rng, m, b, rotation)
+            for gens in (sample_ind_generators(cipher),
+                         sample_round_generators(cipher)):
+                found = _same_as_scalar_search(gens)
+                if rotation and gens.labels[0].startswith("enc"):
+                    assert found
+
+
+def test_invariant_search_matches_the_scalar_search_on_identity_bricks():
+    layout = BrickLayout(2, 2)
+    rnd = Round((identity_sbox(2),) * 2, rotation_layer(layout))
+    gens = sample_ind_generators(TbCipher((rnd, rnd)))
+    assert len(_same_as_scalar_search(gens)) == 65
+    assert _same_as_scalar_search(gens, 10) is None
+
+
+def test_invariant_search_over_several_chunks_at_d10(monkeypatch):
+    # five random-layer rounds at d = 10 take more seeds by vectors than one
+    # chunk holds (41 distinct maps phi_g, so 1,023 x 42 elements); a
+    # two-round rotation cipher leaves spans of rank up to 9 to enumerate
+    chunks = []
+    enumerate_spans = groups._span_elements_chunks
+
+    def counted(spans, ids):
+        for chunk, els in enumerate_spans(spans, ids):
+            chunks.append(len(chunk))
+            yield chunk, els
+
+    monkeypatch.setattr(groups, "_span_elements_chunks", counted)
+    rng = random.Random(10)
+    gens = sample_ind_generators(
+        _workload_shaped_cipher(rng, 5, 2, rotation=False, ell=5))
+    stack = np.stack([p.images for p in gens.perms])
+    phi_rows = len(np.unique(stack ^ stack[:, :1], axis=0))
+    assert 1023 * (phi_rows + 1) > groups._SEED_CHUNK
+    _same_as_scalar_search(gens)
+    gens = sample_ind_generators(
+        _workload_shaped_cipher(rng, 5, 2, rotation=True))
+    assert len(_same_as_scalar_search(gens)) == 2
+    assert len(chunks) > 1
+
+
+def test_invariant_search_with_tiny_chunks(monkeypatch):
+    # chunks of 128 elements split both batched steps many times over
+    monkeypatch.setattr(groups, "_SEED_CHUNK", 128)
+    rng = random.Random(128)
+    for m, b in ((3, 2), (2, 3), (4, 2)):
+        for rotation in (True, False):
+            cipher = _workload_shaped_cipher(rng, m, b, rotation)
+            _same_as_scalar_search(sample_ind_generators(cipher))
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_invariant_search_on_degenerate_degrees(d):
+    # degree 1 has no seed; at degree 2 the one seed has full rank, so no
+    # seed is left for a scalar closure
+    rng = random.Random(d)
+    for _ in range(8):
+        gens = _seeded_generator_set(rng, d) if d else GeneratorSet(
+            (Perm.identity(1),), ("id",))
+        assert _same_as_scalar_search(gens) == []
+        assert _same_as_scalar_search(gens, 0) == []
+
+
+def test_invariant_search_runs_few_scalar_closures(monkeypatch):
+    # a seeded m3b3 two-round random-layer cipher: the retired search ran
+    # the scalar closure on all 511 seeds, the batched seed pass runs one
+    calls = []
+    closure = groups._phi_closure
+    monkeypatch.setattr(groups, "_phi_closure",
+                        lambda *args: calls.append(args) or closure(*args))
+    cipher = _workload_shaped_cipher(random.Random(9), 3, 3, rotation=False)
+    gens = sample_ind_generators(cipher)
+    assert invariant_linear_partition_search(gens) == \
+        phi_closure_partition_search(gens)
+    assert len(calls) <= 4
