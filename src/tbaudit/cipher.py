@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded
-from .gf2 import (BitMatrix, BrickLayout, Subspace, _iter_rref_bases,
+from .gf2 import (BitMatrix, BrickLayout, Subspace, _iter_rref_blocks,
                   _maps_cosets, _reduced_rows, _span_elements, as_wall,
                   count_proper_subspaces, subspace_image)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _mask_wall,
@@ -425,17 +425,18 @@ def _scan_chains(cipher: TbCipher) -> list[PartitionChain]:
     kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
     chains = []
     for k in range(1, d):
-        for rows in _iter_rref_bases(d, k):
-            spaces = [tuple(rows)]
-            for spanning in kernels:
-                w_rows = _reduced_rows(
-                    (v for u in spaces[-1] for v in spanning(u)), limit=k)
-                if w_rows is None:
-                    break
-                spaces.append(w_rows)
-            else:
-                chains.append(PartitionChain(
-                    tuple(Subspace(s, d) for s in spaces)))
+        for bases in _iter_rref_blocks(d, k):
+            for rows in bases.tolist():
+                spaces = [tuple(rows)]
+                for spanning in kernels:
+                    w_rows = _reduced_rows(
+                        (v for u in spaces[-1] for v in spanning(u)), limit=k)
+                    if w_rows is None:
+                        break
+                    spaces.append(w_rows)
+                else:
+                    chains.append(PartitionChain(
+                        tuple(Subspace(s, d) for s in spaces)))
     return chains
 
 

@@ -10,22 +10,18 @@ tuple equality of their bases.
 The exhaustive subspace enumerator generates reduced echelon bases directly
 (choose pivot columns, then fill the free entries) instead of filtering
 spans, so every subspace is produced exactly once.  Enumeration order is
-canonical and resumable: pivot-column sets in lexicographic order, free
-entries in a reflected Gray sequence within each pivot set.  ``_pivot_blocks``
-states that order once; ``_iter_rref_bases`` yields it basis by basis and
-``_iter_rref_blocks`` as numpy arrays, a pivot set's block at a time.
+canonical: pivot-column sets in lexicographic order, free entries in a
+reflected Gray sequence within each pivot set.  ``_iter_rref_blocks`` states
+that order once and walks it as numpy arrays, a chunk of a pivot set's block
+at a time; every scan of subspaces (``enumerate_subspaces``, the S-box
+anti-invariance scan, the chain search's dense fallback) iterates its blocks.
 
 The rest of the package shares one kernel from here: ``_reduced_rows`` is the
-echelon routine (spans, ranks, inverses and bounded spans alike),
-``_span_elements`` lists every element of a span as a numpy array, and
-``_maps_cosets`` tests whether a lookup table sends each coset of U into a
-coset of W, checking the basis rows of U only.  ``bounded_image_span`` serves
-the S-box anti-invariance scan alone (the exhaustive chain search pushes
-subspaces by derivative spans, with no table) and keeps its own fused echelon
-loop, which stops at rank k + 1.  That scan rejects almost every subspace in
-numpy first, a block at a time, so ``bounded_image_span`` decides only the
-survivors: 0 or 1 of the 108,205 subspaces of a random 8-bit brick's strong
-3-anti-invariance check.
+echelon routine (spans, ranks, inverses and rank-bounded spans alike),
+``_span_elements`` lists every element of a span as a numpy array (and
+``Subspace.elements`` as a list), and ``_maps_cosets`` tests whether a lookup
+table sends each coset of U into a coset of W, checking the basis rows of U
+only.
 ``Subspace`` checks that a basis is canonical in O(k), without re-reducing it.
 """
 
@@ -163,10 +159,9 @@ class Subspace:
         return self.coset_rep(v) == 0
 
     def elements(self) -> list[int]:
-        elems = [0]
-        for row in self.basis:
-            elems += [e ^ row for e in elems]
-        return elems
+        """Every element, in the order of ``_span_elements``, which builds
+        them as int64: rows must lie below bit 63."""
+        return _span_elements(self.basis).tolist()
 
     def is_trivial(self) -> bool:
         return self.dim == 0 or self.dim == self.ambient
@@ -282,68 +277,23 @@ def count_proper_subspaces(d: int) -> int:
 _BLOCK_CHUNK = 1 << 14
 
 
-def _pivot_blocks(d: int, k: int) -> Iterator[tuple[tuple[int, ...],
-                                                     list[tuple[int, int]]]]:
-    """The canonical order's blocks: each pivot-column set, in lexicographic
-    order, with its free slots (row index, column), a column right of the
-    row's pivot that is not itself a pivot column.  Bit s of a block's Gray
-    code g = t ^ (t >> 1) sets slot s of the t-th basis in the block."""
-    for pivots in combinations(range(d), k):
-        pivot_mask = 0
-        for p in pivots:
-            pivot_mask |= 1 << p
-        yield pivots, [(i, c)
-                       for i in range(k)
-                       for c in range(pivots[i] + 1, d)
-                       if not (pivot_mask >> c) & 1]
-
-
-def _iter_rref_bases(d: int, k: int, start: int = 0,
-                     stop: int | None = None) -> Iterator[list[int]]:
-    """Yield raw RREF bases as a reused mutable list of k rows.
-
-    Callers must copy the list if they keep it.  Order: pivot-column sets
-    lexicographically; within a pivot set, free entries follow a reflected
-    Gray sequence (one bit flipped per step), which makes ranges cheap to
-    resume: the basis at index t inside a block is recovered from t ^ (t >> 1).
-    """
-    total = gaussian_binomial(d, k)
-    if stop is None or stop > total:
-        stop = total
-    if start < 0 or start > stop:
-        raise ValueError("bad enumeration range")
-    pos = 0
-    for pivots, slots in _pivot_blocks(d, k):
-        block = 1 << len(slots)
-        if pos + block <= start:
-            pos += block
-            continue
-        if pos >= stop:
-            return
-        t0 = max(start - pos, 0)
-        t1 = min(stop - pos, block)
-        if t0 < t1:
-            rows = [1 << p for p in pivots]
-            g = t0 ^ (t0 >> 1)
-            for s, (i, c) in enumerate(slots):
-                if (g >> s) & 1:
-                    rows[i] ^= 1 << c
-            yield rows
-            for t in range(t0 + 1, t1):
-                s = (t & -t).bit_length() - 1
-                i, c = slots[s]
-                rows[i] ^= 1 << c
-                yield rows
-        pos += block
-        if pos >= stop:
-            return
-
-
 def _iter_rref_blocks(d: int, k: int) -> Iterator[np.ndarray]:
-    """The bases of ``_iter_rref_bases(d, k)``, in the same order, as int64
-    arrays of shape (n, k) with n <= ``_BLOCK_CHUNK``: each pivot set's block,
-    cut into chunks so that memory stays flat however large the block."""
-    for pivots, slots in _pivot_blocks(d, k):
+    """The RREF bases of every k-dimensional subspace of (F_2)^d, in the
+    canonical order, as int64 arrays of shape (n, k) with n <= ``_BLOCK_CHUNK``.
+
+    The order: pivot-column sets lexicographically, then a block per pivot
+    set.  The block's free slots are (row i, column c) with c right of row
+    i's pivot and not itself a pivot column; bit s of the reflected Gray code
+    g = t ^ (t >> 1) sets slot s of the block's t-th basis, so consecutive
+    bases differ in one entry.  Blocks are cut into chunks so that memory
+    stays flat however large the block.
+    """
+    for pivots in combinations(range(d), k):
+        pivot_mask = sum(1 << p for p in pivots)
+        slots = [(i, c)
+                 for i in range(k)
+                 for c in range(pivots[i] + 1, d)
+                 if not (pivot_mask >> c) & 1]
         block = 1 << len(slots)
         pivot_rows = np.array([1 << p for p in pivots], dtype=np.int64)
         for t0 in range(0, block, _BLOCK_CHUNK):
@@ -355,14 +305,13 @@ def _iter_rref_blocks(d: int, k: int) -> Iterator[np.ndarray]:
             yield rows
 
 
-def enumerate_subspaces(d: int, k: int, *, cap: int = DEFAULT_ENUMERATION_CAP,
-                        start: int = 0, stop: int | None = None) -> Iterator[Subspace]:
+def enumerate_subspaces(d: int, k: int, *,
+                        cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Subspace]:
     """All k-dimensional subspaces of (F_2)^d in canonical order.
 
     Refuses with CapExceeded when d exceeds ``cap`` (full enumeration cost
     grows like 2^(k(d-k))); the error carries the exact count that was
-    requested.  ``start``/``stop`` select a contiguous range of the canonical
-    order so scans can be split across workers and resumed.
+    requested.
     """
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k} d={d}")
@@ -370,38 +319,9 @@ def enumerate_subspaces(d: int, k: int, *, cap: int = DEFAULT_ENUMERATION_CAP,
         raise CapExceeded(
             f"subspace enumeration at d={d} refused",
             estimate=gaussian_binomial(d, k), limit=cap)
-    for rows in _iter_rref_bases(d, k, start, stop):
-        yield Subspace(tuple(rows), d)
-
-
-def bounded_image_span(table, basis_rows, k: int) -> tuple[int, ...] | None:
-    """Echelon basis of span(f(U)) if f(U) is itself a subspace, else None.
-
-    U is spanned by ``basis_rows`` (k independent rows) and f is given as a
-    lookup table with f(0) = 0.  Since |f(U)| = 2^k for injective f, the image
-    is a subspace iff its span has rank exactly k, so the scan aborts as soon
-    as rank k is exceeded; that makes this cheap as a pruning filter over
-    large subspace enumerations.
-    """
-    red: dict[int, int] = {}
-    rank = 0
-    elems = [0]
-    for rvec in basis_rows:
-        new = [e ^ rvec for e in elems]
-        for x in new:
-            y = table[x]
-            while y:
-                p = y & -y
-                q = red.get(p)
-                if q is None:
-                    rank += 1
-                    if rank > k:
-                        return None
-                    red[p] = y
-                    break
-                y ^= q
-        elems += new
-    return tuple(red[p] for p in sorted(red))
+    for bases in _iter_rref_blocks(d, k):
+        for rows in bases.tolist():
+            yield Subspace(tuple(rows), d)
 
 
 @dataclass(frozen=True)

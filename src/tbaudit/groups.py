@@ -547,7 +547,8 @@ def invariant_linear_partition_search(gens: GeneratorSet, *,
     Any invariant subspace is closed under every phi_g: u -> g(u) + g(0),
     and is a join of the minimal such closures C(v) of its own elements.
     The search takes the closure of every nonzero seed, joins closures
-    pairwise to a fixed point, then keeps the candidates that pass the full
+    pairwise to a fixed point (a pair where one holds the other joins to
+    it, so it is skipped), then keeps the candidates that pass the full
     derivative test (which the closure step, anchored at x = 0 only, does
     not imply).  Generators that differ by a translation share phi and the
     derivatives, so one of each is kept for both steps.
@@ -596,6 +597,9 @@ def invariant_linear_partition_search(gens: GeneratorSet, *,
         nxt = []
         for a in frontier:
             for b in list(closures):
+                # one closure holding the other joins to it, already present
+                if len(_reduced_rows(a + b)) == max(len(a), len(b)):
+                    continue
                 joined = _phi_closure(phi, a + b, d, full)
                 if joined is not None and joined not in closures:
                     closures[joined] = None

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import SingularMatrixError
+from .errors import CapExceeded, SingularMatrixError
 from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, as_wall, subspace_image
 
 __all__ = [
+    "WALL_CAP",
     "MixingLayer",
     "LayerFamily",
     "FamilyReport",
@@ -34,6 +35,9 @@ __all__ = [
     "family_strongly_proper",
     "wall_trace",
 ]
+
+# The most proper walls a check walks: every one of the AES layout (b = 16).
+WALL_CAP = (1 << 16) - 2
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,12 @@ class LayerFamily:
 
 def _lex_proper_masks(b: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Proper nonempty brick subsets as (sorted tuple, bitmask), in
-    lexicographic order of the sorted tuples."""
+    lexicographic order of the sorted tuples.  Refuses with CapExceeded, on
+    the call, when the 2^b - 2 of them exceed ``WALL_CAP``."""
+    walls = (1 << b) - 2
+    if walls > WALL_CAP:
+        raise CapExceeded(f"walk of the proper walls at b={b} refused",
+                          estimate=walls, limit=WALL_CAP)
     full = (1 << b) - 1
 
     def rec(prefix: tuple[int, ...], mask: int, nxt: int):
@@ -103,7 +112,7 @@ def _lex_proper_masks(b: int) -> Iterator[tuple[tuple[int, ...], int]]:
                 yield cur, cm
             yield from rec(cur, cm, i + 1)
 
-    yield from rec((), 0, 1)
+    return rec((), 0, 1)
 
 
 def enumerate_proper_walls(layout: BrickLayout) -> Iterator[Wall]:

@@ -9,7 +9,7 @@ import random
 
 from .gf2 import BitMatrix, BrickLayout, random_invertible
 from .mixing import MixingLayer, is_strongly_proper
-from .sbox import SBox
+from .sbox import SBox, _check_width
 
 __all__ = [
     "GF2_MODULI",
@@ -82,6 +82,7 @@ def present_sbox() -> SBox:
 
 
 def identity_sbox(m: int) -> SBox:
+    _check_width(m)
     return SBox(tuple(range(1 << m)))
 
 

@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapExceeded
-from .gf2 import (Subspace, _iter_rref_blocks, bounded_image_span,
-                  gaussian_binomial, rref)
+from .gf2 import (Subspace, _iter_rref_blocks, _reduced_rows, _span_elements,
+                  gaussian_binomial)
 
 __all__ = [
     "MAX_M",
@@ -45,6 +45,12 @@ MAX_M = 12
 ANTI_INVARIANCE_BUDGET = 8_000_000
 
 
+def _check_width(m: int) -> None:
+    """Refuse an S-box width above MAX_M, before any table is built."""
+    if m > MAX_M:
+        raise ValueError(f"m={m} exceeds the supported maximum {MAX_M}")
+
+
 @dataclass(frozen=True)
 class SBox:
     """An invertible lookup table on m-bit values."""
@@ -56,8 +62,7 @@ class SBox:
         m = n.bit_length() - 1
         if n < 4 or n != 1 << m:
             raise ValueError(f"table length {n} is not a power of two >= 4")
-        if m > MAX_M:
-            raise ValueError(f"m={m} exceeds the supported maximum {MAX_M}")
+        _check_width(m)
         if sorted(self.table) != list(range(n)):
             seen: set[int] = set()
             for i, y in enumerate(self.table):
@@ -209,8 +214,9 @@ def is_strongly_anti_invariant(box: SBox, r: int, *,
     Returns (True, None) or (False, (U, W)) with the first violating pair in
     scan order (dimensions descending, canonical subspace order within each).
     Since f is injective and normalized, f(U) is a subspace iff span(f(U))
-    has the same dimension as U, which is what the scan tests, but only on
-    the subspaces that pass a cheaper necessary condition first: if f(U) = W
+    has the same dimension as U.  The scan tests that rank with the shared
+    echelon routine, stopping once it exceeds dim U, but only on the
+    subspaces that pass a cheaper necessary condition first: if f(U) = W
     is a subspace, then for basis rows a, b of U the sum f(a) + f(b) lies in
     W = f(U), so f^-1(f(a) + f(b)) lies in U.  Subspaces failing it for some
     pair cannot violate, and numpy discards them a block at a time.
@@ -244,11 +250,12 @@ def _violation_scan(table: Sequence[int], m: int, k_lo: int, budget: int,
     work by a necessary condition.  If f(U) = W is a subspace and a, b are
     basis rows of U, then f(a) + f(b) lies in W = f(U), so, f being
     injective, f^-1(f(a) + f(b)) lies in U.  A basis whose pairs all pass is
-    handed, still in canonical order, to ``bounded_image_span``, which
-    decides it; so the first violation found is the one a scan of every
-    subspace would find.  At k = 2 the condition is exact (the preimage can
-    only be a + b); at k = 1 there are no pairs and every subspace is a
-    violation."""
+    decided, still in canonical order, by the rank of span(f(U)): f is
+    injective, so |f(U)| = 2^k and f(U) is a subspace exactly when that rank
+    is k, and the echelon routine stops as soon as it exceeds k.  The first
+    violation found is thus the one a scan of every subspace would find.
+    At k = 2 the condition is exact (the preimage can only be a + b); at
+    k = 1 there are no pairs and every subspace is a violation."""
     f = np.asarray(table, dtype=np.int64)
     f_inv = np.empty_like(f)
     f_inv[f] = np.arange(len(f), dtype=np.int64)
@@ -276,9 +283,9 @@ def _violation_scan(table: Sequence[int], m: int, k_lo: int, budget: int,
                 if not len(bases):
                     break
             for rows in bases.tolist():
-                w = bounded_image_span(table, rows, k)
+                w = _reduced_rows(f[_span_elements(rows)].tolist(), limit=k)
                 if w is not None:
-                    return k, (Subspace(tuple(rows), m), rref(w, m)), k_done
+                    return k, (Subspace(tuple(rows), m), Subspace(w, m)), k_done
         k_done = k
     return None, None, k_done
 

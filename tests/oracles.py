@@ -40,6 +40,44 @@ def span_rank(vectors):
     return len(pivots)
 
 
+def canonical_rref_bases(d, k):
+    """Every k-dim subspace of (F_2)^d as its RREF basis tuple, in the
+    package's canonical order, one basis at a time: pivot-column sets
+    lexicographically; within a set, the free entries (row i, column c right
+    of row i's pivot and not a pivot column) follow a reflected Gray
+    sequence, step t flipping the slot of t's lowest set bit."""
+    for pivots in combinations(range(d), k):
+        rows = [1 << p for p in pivots]
+        slots = [(i, c) for i in range(k) for c in range(pivots[i] + 1, d)
+                 if c not in pivots]
+        yield tuple(rows)
+        for t in range(1, 1 << len(slots)):
+            i, c = slots[(t & -t).bit_length() - 1]
+            rows[i] ^= 1 << c
+            yield tuple(rows)
+
+
+def image_span_rows(table, rows, k):
+    """Independent vectors spanning table[U] for U = span(rows), or None as
+    soon as more than k are needed.  For an injective table with
+    table[0] = 0 and k = dim U, table[U] is a subspace exactly when the rank
+    is k."""
+    by_pivot = {}
+    elems = [0]
+    for row in rows:
+        new = [e ^ row for e in elems]
+        for x in new:
+            v = table[x]
+            while v and v & -v in by_pivot:
+                v ^= by_pivot[v & -v]
+            if v:
+                if len(by_pivot) == k:
+                    return None
+                by_pivot[v & -v] = v
+        elems += new
+    return list(by_pivot.values())
+
+
 def all_subspaces(d, dims=None):
     """Every subspace of (F_2)^d as a frozenset of elements.
 
@@ -414,8 +452,7 @@ def table_scan_chains(cipher):
     in scan order (dim U, then the enumeration order of U)."""
     from tbaudit.cipher import (LinearPartition, PartitionChain,
                                 partition_image, round_table)
-    from tbaudit.gf2 import (Subspace, _iter_rref_bases, _maps_cosets,
-                             _reduced_rows, bounded_image_span)
+    from tbaudit.gf2 import Subspace, _maps_cosets, _reduced_rows
     d = cipher.layout.d
     tab = round_table(cipher.rounds[0])
     tab = tab ^ tab[0]  # the bricks' constants folded out: f(0) = 0
@@ -423,12 +460,11 @@ def table_scan_chains(cipher):
     later_tables = [round_table(r) for r in cipher.rounds[1:]]
     chains = []
     for k in range(1, d):
-        for rows in _iter_rref_bases(d, k):
-            w_rows = bounded_image_span(py, rows, k)
+        for rows in canonical_rref_bases(d, k):
+            w_rows = image_span_rows(py, rows, k)
             if w_rows is None or not _maps_cosets(tab, rows, w_rows):
                 continue
-            spaces = [Subspace(tuple(rows), d),
-                      Subspace(_reduced_rows(w_rows), d)]
+            spaces = [Subspace(rows, d), Subspace(_reduced_rows(w_rows), d)]
             for tab_h in later_tables:
                 nxt = partition_image(tab_h, LinearPartition(spaces[-1]))
                 if nxt is None:
@@ -441,11 +477,10 @@ def table_scan_chains(cipher):
 
 def scalar_violation_scan(table, m, k_lo, budget, refuse=True):
     """The anti-invariance scan that the pre-filtered block scan replaced:
-    ``bounded_image_span`` on every subspace, dims m-1 down to k_lo, with the
+    the image-span rank of every subspace, dims m-1 down to k_lo, with the
     same budget accounting, refusals and (k*, pair, k_done) result."""
     from tbaudit.errors import CapExceeded
-    from tbaudit.gf2 import (Subspace, _iter_rref_bases, bounded_image_span,
-                             gaussian_binomial, rref)
+    from tbaudit.gf2 import Subspace, gaussian_binomial, rref
     spent = 0
     k_done = m
     for k in range(m - 1, k_lo - 1, -1):
@@ -456,10 +491,10 @@ def scalar_violation_scan(table, m, k_lo, budget, refuse=True):
                     f"anti-invariance scan at m={m} refused at dimension {k}",
                     estimate=spent, limit=budget)
             return None, None, k_done
-        for rows in _iter_rref_bases(m, k):
-            w = bounded_image_span(table, rows, k)
+        for rows in canonical_rref_bases(m, k):
+            w = image_span_rows(table, rows, k)
             if w is not None:
-                return k, (Subspace(tuple(rows), m), rref(w, m)), k_done
+                return k, (Subspace(rows, m), rref(w, m)), k_done
         k_done = k
     return None, None, k_done
 

@@ -1,13 +1,16 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
 import json
+import resource
 import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import tbaudit
 from tbaudit.cipher import audit
 from tbaudit.cli import main
 from tbaudit.report import (audit_report, chains_report, dumps_report,
@@ -30,6 +33,34 @@ def run_cli(capsys, *argv):
 def json_out(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     return code, json.loads(out), err
+
+
+def run_cli_bounded(*argv):
+    """Exit code, stderr and the seconds main() took, run in a child process
+    held to 1.5 GB of address space and 10 s of CPU: a refusal that
+    regresses into unbounded work fails the test, not the machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
+        resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+    script = ("import sys, time\n"
+              "from tbaudit.cli import main\n"
+              "t = time.perf_counter()\n"
+              "code = main(sys.argv[1:])\n"
+              "print(time.perf_counter() - t)\n"
+              "sys.exit(code)\n")
+    src = str(Path(tbaudit.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit, env={"PYTHONPATH": src})
+    seconds = float(proc.stdout.split()[-1]) if proc.stdout else None
+    return proc.returncode, proc.stderr, seconds
+
+
+def write_spec(path, m, b, bricks, layer, rounds):
+    path.write_text(json.dumps({
+        "layout": {"m": m, "b": b},
+        "rounds": [{"bricks": bricks, "layer": layer}] * rounds}))
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +215,16 @@ def test_analyze_sbox_input_errors(capsys, tmp_path):
     assert code == 64 and "non-hex" in err
 
 
+def test_identity_brick_above_max_m_is_refused_before_its_table(tmp_path):
+    # 2^40 table entries would be built before the SBox width check
+    spec = write_spec(tmp_path / "wide.json", 40, 2, "identity", "identity", 1)
+    for argv in (("audit", spec),
+                 ("analyze-sbox", "--builtin", "identity", "--m", "40")):
+        code, err, _ = run_cli_bounded(*argv)
+        assert code == 64, err
+        assert "m=40 exceeds the supported maximum 12" in err
+
+
 def test_analyze_sbox_out_of_range_r(capsys):
     code, _, err = run_cli(capsys, "analyze-sbox", "--builtin",
                            "inverse_gf2m", "--m", "4", "--r", "4")
@@ -212,6 +253,19 @@ def test_analyze_mixing_aes_family(capsys):
     assert "strongly proper: no (wall{" in out and "maps onto wall{" in out
     assert "family of 10 copies: strongly proper: yes" in out
     assert "escape steps over 65534 proper walls" in out
+
+
+def test_wall_walks_above_the_cap_are_refused(tmp_path):
+    # b = 40 has 2^40 - 2 proper walls, so the walk would never end
+    spec = write_spec(tmp_path / "wide.json", 2, 40, "inverse_gf2m",
+                      "rotation", 2)
+    for argv in (("audit", spec),
+                 ("analyze-mixing", "--builtin", "rotation", "--m", "2",
+                  "--b", "40")):
+        code, err, seconds = run_cli_bounded(*argv)
+        assert code == 66, err
+        assert f"estimated work: {2**40 - 2}, limit: 65534" in err
+        assert seconds < 1
 
 
 def test_analyze_mixing_matrix_file(capsys, tmp_path):

@@ -542,3 +542,18 @@ def test_invariant_search_runs_few_scalar_closures(monkeypatch):
     assert invariant_linear_partition_search(gens) == \
         phi_closure_partition_search(gens)
     assert len(calls) <= 4
+
+
+def test_invariant_search_skips_joins_of_nested_closures(monkeypatch):
+    # the rotation cipher at d = 9 has six invariant partitions; a pair of
+    # closures where one holds the other joins to it, so the join loop
+    # skips it: 118 scalar closures before the skip, 100 with it
+    calls = []
+    closure = groups._phi_closure
+    monkeypatch.setattr(groups, "_phi_closure",
+                        lambda *args: calls.append(args) or closure(*args))
+    gens = sample_ind_generators(build_rotation_cipher(3, 3, 3))
+    found = invariant_linear_partition_search(gens)
+    assert found == phi_closure_partition_search(gens)
+    assert len(found) == 6
+    assert len(calls) <= 100

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import tbaudit.sbox as sbox_mod
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import (Subspace, bounded_image_span, enumerate_subspaces,
-                         gaussian_binomial)
+from tbaudit.gf2 import Subspace, enumerate_subspaces, gaussian_binomial
 from tbaudit.presets import identity_sbox, inversion_sbox, present_sbox
 from tbaudit.sbox import (ANTI_INVARIANCE_BUDGET, SBox, _violation_scan,
                           analyze_sbox,
@@ -23,7 +22,8 @@ from tbaudit.sbox import (ANTI_INVARIANCE_BUDGET, SBox, _violation_scan,
 from oracles import (brute_anti_invariance_order,
                      brute_anti_invariance_violations, brute_linear_components,
                      brute_min_derivative_image, brute_nonlinearity,
-                     brute_uniformity, scalar_violation_scan)
+                     brute_uniformity, image_span_rows,
+                     scalar_violation_scan)
 
 INV4 = inversion_sbox(4)
 INV5 = inversion_sbox(5)
@@ -302,7 +302,7 @@ def _oracle_scan_cases():
 
 
 def test_violation_scan_matches_the_scalar_oracle():
-    # The retired scan called bounded_image_span on every subspace; the new
+    # The retired scan took the image-span rank of every subspace; the new
     # one must give the same (k*, pair, k_done), refusals included.
     found = 0
     for box, k_lo, budget, refuse in _oracle_scan_cases():
@@ -324,7 +324,7 @@ def test_pair_filter_passes_every_violation(perm):
     f_inv = {y: x for x, y in enumerate(f)}
     for k in range(2, box.m):
         for u in enumerate_subspaces(box.m, k):
-            if bounded_image_span(f, list(u.basis), k) is None:
+            if image_span_rows(f, u.basis, k) is None:
                 continue
             assert all(f_inv[f[a] ^ f[b]] in u
                        for a, b in combinations(u.basis, 2))
@@ -333,15 +333,17 @@ def test_pair_filter_passes_every_violation(perm):
 def test_anti_invariance_scan_decides_few_subspaces_by_span(monkeypatch):
     # A random 8-bit brick has delta 10-12, so audit asks for strong
     # 3-anti-invariance: 108,205 subspaces, of which the pair filter leaves
-    # 1 for bounded_image_span on this box.
+    # 1 for an image-span rank on this box.
     calls = []
-    span = sbox_mod.bounded_image_span
-    monkeypatch.setattr(sbox_mod, "bounded_image_span",
-                        lambda *args: calls.append(1) or span(*args))
+    reduced = sbox_mod._reduced_rows
+    monkeypatch.setattr(sbox_mod, "_reduced_rows",
+                        lambda vectors, limit=None: calls.append(limit)
+                        or reduced(vectors, limit=limit))
     box = random_box(1, 8)
     assert anti_invariance_scan_cost(8, 3) == 108_205
     assert is_strongly_anti_invariant(box, 3) == (True, None)
-    assert len(calls) <= 8, f"{len(calls)} bounded_image_span calls per brick"
+    assert len(calls) <= 8, f"{len(calls)} image-span ranks per brick"
+    assert None not in calls, "each rank stops once it exceeds dim U"
 
 
 # ---------------------------------------------------------------------------
