@@ -8,9 +8,10 @@ maps; key addition never disturbs a linear partition, so such a chain works
 for every key tuple at once.
 
 Two search modes are provided.  The walls mode takes the walls that survive
-the layer family (``mixing.family_strongly_proper``) and follows each through
-the mixing layers with ``mixing``'s single wall walker (complete for the
-family-not-strongly-proper case, where chains through walls always exist).
+the layer family (``mixing.family_strongly_proper``) and follows them all
+through the mixing layers' wall tables (``mixing._wall_table``) at once
+(complete for the family-not-strongly-proper case, where chains through
+walls always exist).
 The exhaustive mode is complete and capped at ``cap`` bits.  It closes every
 nonzero seed under the rounds' forward and backward derivative spans and
 joins the distinct proper closures; where the chain lattice is so dense that
@@ -44,10 +45,11 @@ from .gf2 import (BitMatrix, BrickLayout, Subspace, _iter_rref_blocks,
                   _maps_cosets, _reduced_rows, _span_elements, as_wall,
                   count_proper_subspaces, subspace_image)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _mask_wall,
-                     _wall_images, family_strongly_proper, is_strongly_proper)
-from .sbox import (ANTI_INVARIANCE_BUDGET, DerivativeImage, SBox, ddt,
-                   differential_uniformity, is_strongly_anti_invariant,
-                   min_derivative_image)
+                     _popcount, _wall_table, family_strongly_proper,
+                     is_strongly_proper)
+from .sbox import (ANTI_INVARIANCE_BUDGET, DerivativeImage, SBox,
+                   anti_invariance_scan_cost, ddt, differential_uniformity,
+                   is_strongly_anti_invariant, min_derivative_image)
 from . import presets
 
 __all__ = [
@@ -203,20 +205,21 @@ def _require_table_width(d: int) -> None:
 
 def substitution_table(bricks: tuple[SBox, ...], layout: BrickLayout,
                        normalized: bool = True) -> np.ndarray:
-    """Lookup table of the bricklayer alone (no mixing, no key)."""
+    """Lookup table of the bricklayer alone (no mixing, no key), as uint32
+    (d <= MAX_TABLE_D), like every full-codebook table here."""
     d = layout.d
     _require_table_width(d)
     if len(bricks) != layout.b:
         raise ValueError(f"got {len(bricks)} bricks, layout needs {layout.b}")
     n = 1 << d
     m = layout.m
-    idx = np.arange(n, dtype=np.int64)
-    sub = np.zeros(n, dtype=np.int64)
+    idx = np.arange(n, dtype=np.uint32)
+    sub = np.zeros(n, dtype=np.uint32)
     for i, box in enumerate(bricks):
         if box.m != m:
             raise ValueError(f"brick {i + 1} is {box.m}-bit, layout needs {m}-bit")
         t = box.normalized() if normalized else box.table
-        bt = np.array(t, dtype=np.int64)
+        bt = np.array(t, dtype=np.uint32)
         sub |= bt[(idx >> (i * m)) & ((1 << m) - 1)] << (i * m)
     sub.setflags(write=False)
     return sub
@@ -226,16 +229,17 @@ def substitution_table(bricks: tuple[SBox, ...], layout: BrickLayout,
 def round_table(rnd: Round) -> np.ndarray:
     """Lookup table of the keyless round map f(x) = L(S(x))."""
     sub = substitution_table(rnd.bricks, rnd.layout, normalized=False)
-    out = _span_elements(rnd.layer.matrix.rows)[sub]
+    out = _span_elements(rnd.layer.matrix.rows, np.uint32)[sub]
     out.setflags(write=False)
     return out
 
 
 def encryption_table(cipher: TbCipher, keys: Sequence[int]) -> np.ndarray:
-    """Full codebook of the keyed cipher."""
+    """Full codebook of the keyed cipher, uint32 like the round tables it
+    is composed from."""
     _check_key_tuple(cipher, keys)
     _require_table_width(cipher.layout.d)
-    state = np.arange(1 << cipher.layout.d, dtype=np.int64)
+    state = np.arange(1 << cipher.layout.d, dtype=np.uint32)
     for rnd, k in zip(cipher.rounds, keys):
         state = round_table(rnd)[state] ^ k
     return state
@@ -338,7 +342,7 @@ def partition_image(table, part: LinearPartition) -> LinearPartition | None:
     preimage of 0; the scan checks that it is a subspace W (span size equals
     block size) and then that every block lands inside a single W-coset.
     """
-    arr = np.asarray(table, dtype=np.int64)
+    arr = np.asarray(table)
     n = len(arr)
     d = n.bit_length() - 1
     if n != 1 << d:
@@ -362,7 +366,7 @@ def partition_image(table, part: LinearPartition) -> LinearPartition | None:
 def check_lemma_containment(table, u: Subspace, w: Subspace) -> bool:
     """Whether every derivative image Im(x -> f(x+u') + f(x)), u' in U, is
     contained in W.  Requires f(0) = 0 (normalized map)."""
-    arr = np.asarray(table, dtype=np.int64)
+    arr = np.asarray(table)
     n = len(arr)
     d = n.bit_length() - 1
     if n != 1 << d or u.ambient != d or w.ambient != d:
@@ -398,20 +402,29 @@ def _walls_mode_chains(cipher: TbCipher, family: FamilyReport | None = None
                        ) -> list[PartitionChain]:
     """One chain per wall that survives the layer family, in lexicographic
     order of the starting wall.  ``family`` is the family's report over the
-    default prefix range j in [1, l-1]; it is computed when not given."""
+    default prefix range j in [1, l-1]; it is computed when not given.
+
+    The surviving masks go through every layer's wall table at once.  Each
+    image before the last layer is a wall; the last image is one exactly
+    when it touches as many bricks (see ``mixing``), and is otherwise
+    computed from its basis.
+    """
     if family is None:
         family = family_strongly_proper(LayerFamily(cipher.layers()))
     layout = cipher.layout
-    supports = [rnd.layer.brick_supports() for rnd in cipher.rounds[:-1]]
+    walk = [family.surviving_masks()]
+    for rnd in cipher.rounds:
+        walk.append(_wall_table(rnd.layer.brick_supports())[walk[-1]])
+    last_is_wall = (_popcount(walk[-1]) == _popcount(walk[0])).tolist()
     last = cipher.rounds[-1].layer.matrix
     # A wall recurs as the image of other walls: build each subspace once.
     wall_space = lru_cache(maxsize=1 << layout.b)(
         lambda mask: _mask_wall(layout, mask).subspace())
     chains = []
-    for bricks in family.surviving_walls():
-        mask = sum(1 << (i - 1) for i in bricks)
-        spaces = [wall_space(img) for img in _wall_images(supports, mask)]
-        spaces.append(subspace_image(spaces[-1], last))
+    for masks, is_wall in zip(np.stack(walk, axis=1).tolist(), last_is_wall):
+        spaces = [wall_space(mask) for mask in masks[:-1]]
+        spaces.append(wall_space(masks[-1]) if is_wall
+                      else subspace_image(spaces[-1], last))
         chains.append(PartitionChain(tuple(spaces)))
     return chains
 
@@ -562,11 +575,13 @@ def verify_chain(cipher: TbCipher, chain: PartitionChain, *,
                  elementwise: bool | None = None) -> bool:
     """Re-derive every link of a chain against the cipher.
 
-    Wall links are verified structurally (a bricklayer of bijective bricks
-    maps every wall coset to a wall coset, and the layer transports the
-    partition along its matrix); non-wall links need the full-codebook
-    partition image, so they require d <= MAX_TABLE_D.  ``elementwise``
-    forces the table route even for wall links.
+    Wall links are verified structurally: a bricklayer of bijective bricks
+    maps every coset of a wall U onto a coset of U, so the round maps the
+    cosets of U onto those of lambda(U), lambda its mixing layer.  The link
+    holds iff lambda(U) = V; lambda is invertible, so that is lambda(U) in V
+    with dim U = dim V, checked on the basis rows of U.  Non-wall links need
+    the full-codebook partition image, so they require d <= MAX_TABLE_D.
+    ``elementwise`` forces the table route even for wall links.
     """
     layout = cipher.layout
     if len(chain.spaces) != cipher.ell + 1:
@@ -577,7 +592,9 @@ def verify_chain(cipher: TbCipher, chain: PartitionChain, *,
         cur, nxt = chain.spaces[h], chain.spaces[h + 1]
         wall = as_wall(cur, layout)
         if wall is not None and not elementwise:
-            if subspace_image(cur, rnd.layer.matrix) != nxt:
+            apply = rnd.layer.matrix.apply
+            if (cur.dim != nxt.dim
+                    or not all(apply(r) in nxt for r in cur.basis)):
                 return False
         else:
             img = partition_image(round_table(rnd), LinearPartition(cur))
@@ -649,10 +666,22 @@ def _brick_conditions(box: SBox, use_1prime: bool,
                             budget)
 
 
+def _anti_invariant(box: SBox, r: int, budget: int,
+                    order: int | None = None) -> bool:
+    """Strong r-anti-invariance.  ``order``, the box's exact anti-invariance
+    order when known, decides it without a scan (the property holds exactly
+    for r up to the order), unless the scan would be refused."""
+    if order is not None and anti_invariance_scan_cost(box.m, r) <= budget:
+        return r <= order
+    return is_strongly_anti_invariant(box, r, budget=budget)[0]
+
+
 def _brick_condition(box: SBox, delta: int, mini: DerivativeImage,
-                     use_1prime: bool, budget: int) -> BrickConditionReport:
+                     use_1prime: bool, budget: int,
+                     order: int | None = None) -> BrickConditionReport:
     """The brick condition of ``audit`` from the box's measured delta and
-    minimum derivative image."""
+    minimum derivative image, and its exact anti-invariance order when
+    known (see ``_anti_invariant``)."""
     m = box.m
     r: int | None
     if use_1prime:
@@ -674,7 +703,7 @@ def _brick_condition(box: SBox, delta: int, mini: DerivativeImage,
             anti_ok = True
             anti_text = "strong 0-anti-invariance holds vacuously"
         else:
-            anti_ok, _ = is_strongly_anti_invariant(box, r - 1, budget=budget)
+            anti_ok = _anti_invariant(box, r - 1, budget, order)
             anti_text = (f"strongly {r - 1}-anti-invariant: "
                          f"{'yes' if anti_ok else 'no'}")
     else:
@@ -746,7 +775,7 @@ def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
               if verify_chain(cipher, ch)]
     if not family.strongly_proper:
         notes.append(
-            f"{len(family.surviving_walls())} proper wall(s) survive every "
+            f"{len(family.surviving_masks())} proper wall(s) survive every "
             f"prefix of the layer family")
     for rep in rounds_t:
         for brick in rep.bricks:

@@ -86,10 +86,11 @@ def _reduced_rows(vectors: Iterable[int],
     return tuple(reduced[p] for p in sorted(reduced))
 
 
-def _span_elements(rows: Iterable[int]) -> np.ndarray:
-    """All elements of span(rows) as an int64 array; element i XORs the rows
-    selected by the bits of i (the order of Subspace.elements)."""
-    els = np.zeros(1, dtype=np.int64)
+def _span_elements(rows: Iterable[int], dtype=np.int64) -> np.ndarray:
+    """All elements of span(rows) as an array of ``dtype``, int64 unless
+    given; element i XORs the rows selected by the bits of i (the order of
+    Subspace.elements)."""
+    els = np.zeros(1, dtype=dtype)
     for row in rows:
         els = np.concatenate([els, els ^ row])
     return els
@@ -100,7 +101,7 @@ def _maps_cosets(table: np.ndarray, u_rows: Iterable[int],
     """Whether the lookup table maps every coset of span(u_rows) into a coset
     of span(w_rows), i.e. table[x ^ u] ^ table[x] lies in W for all x and u.
     A table with a row of images per point, one column per map, tests every
-    map at once.
+    map at once.  The table is indexed in its own dtype, with no copy.
 
     Only the rows u of U are tested: D_{u+u'}f(x) = D_u f(x+u') + D_{u'}f(x)
     and W is closed under addition, so the rows' derivatives carry the rest.
@@ -108,7 +109,7 @@ def _maps_cosets(table: np.ndarray, u_rows: Iterable[int],
     n = len(table)
     in_w = np.zeros(n, dtype=bool)
     in_w[_span_elements(w_rows)] = True
-    idx = np.arange(n, dtype=np.int64)
+    idx = np.arange(n, dtype=table.dtype)
     return all(in_w[table[idx ^ u] ^ table].all() for u in u_rows)
 
 
@@ -132,7 +133,8 @@ class Subspace:
             if row & ~mask:
                 raise ValueError("basis row has bits beyond the ambient dimension")
         # The canonical form, checked in O(k): nonzero rows, pivots (lowest
-        # set bits) strictly increasing, no pivot bit in another row.
+        # set bits) strictly increasing, no pivot bit in another row.  Their
+        # OR is kept for coset_rep.
         pivots = 0
         for row in self.basis:
             p = row & -row
@@ -141,6 +143,7 @@ class Subspace:
             pivots |= p
         else:
             if all(row & pivots == row & -row for row in self.basis):
+                object.__setattr__(self, "_pivots", pivots)
                 return
         raise ValueError("basis is not in canonical reduced echelon form")
 
@@ -149,10 +152,17 @@ class Subspace:
         return len(self.basis)
 
     def coset_rep(self, v: int) -> int:
-        """Canonical representative of v's coset (pivot bits cleared)."""
-        for row in self.basis:
-            if v & (row & -row):
-                v ^= row
+        """Canonical representative of v's coset (pivot bits cleared).  A
+        pivot bit is set in its own row only, so the rows to add are those
+        whose pivots v has: one step per such row, not one per row.  Rows
+        are in pivot order, so the row of pivot p is the count of pivots
+        below p."""
+        pivots = self._pivots
+        rest = v & pivots
+        while rest:
+            p = rest & -rest
+            v ^= self.basis[(pivots & (p - 1)).bit_count()]
+            rest ^= p
         return v
 
     def __contains__(self, v: int) -> bool:
@@ -407,9 +417,10 @@ def as_wall(s: Subspace, layout: BrickLayout) -> Wall | None:
     """
     if s.ambient != layout.d:
         raise ValueError("subspace ambient does not match layout")
-    touched: set[int] = set()
+    support = 0
     for row in s.basis:
-        touched |= layout.bricks_of(row)
+        support |= row
+    touched = layout.bricks_of(support)
     if s.dim != layout.m * len(touched):
         return None
-    return Wall(layout, frozenset(touched))
+    return Wall(layout, touched)

@@ -10,16 +10,25 @@ not a wall.
 Because a mixing layer is invertible, the image of a wall with brick set I
 has dimension m*|I| and sits inside the direct sum of the bricks J it
 touches; it therefore *is* a wall iff |J| = |I|.  That reduces every check
-here to OR-ing precomputed per-brick support masks, which is what makes the
-b=16 case (65534 proper walls) cheap.  One walker, ``_wall_images``, follows
-a wall's mask through the layers while it stays a wall: the layer and family
-checks here and the cipher's walls-mode chain search are built on it.
+here to OR-ing precomputed per-brick support masks.  ``_wall_table`` does
+that for all 2^b brick masks of one layer at once, as one numpy array (b <=
+16, so uint16 masks), and ``_lex_proper_masks`` holds the proper masks in
+the order witnesses are reported; each check is then a few gathers and
+popcount comparisons (by a 2^16-entry table) over every wall together, which
+keeps the b=16 case (65534 proper walls) cheap.  ``_escape_steps`` follows all
+the walls through a sequence of layers for the strong-properness checks, and
+the cipher's walls-mode chain search follows the surviving walls through the
+same tables.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator
+
+import numpy as np
 
 from .errors import CapExceeded, SingularMatrixError
 from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, as_wall, subspace_image
@@ -29,6 +38,7 @@ __all__ = [
     "MixingLayer",
     "LayerFamily",
     "FamilyReport",
+    "WallSteps",
     "enumerate_proper_walls",
     "is_proper",
     "is_strongly_proper",
@@ -37,7 +47,11 @@ __all__ = [
 ]
 
 # The most proper walls a check walks: every one of the AES layout (b = 16).
+# It keeps brick masks within uint16.
 WALL_CAP = (1 << 16) - 2
+
+# Lexicographic mask arrays (one per b) and wall tables (one per layer) kept.
+_WALL_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -94,25 +108,84 @@ class LayerFamily:
         return len(self.layers)
 
 
-def _lex_proper_masks(b: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Proper nonempty brick subsets as (sorted tuple, bitmask), in
-    lexicographic order of the sorted tuples.  Refuses with CapExceeded, on
-    the call, when the 2^b - 2 of them exceed ``WALL_CAP``."""
+@lru_cache(maxsize=_WALL_CACHE)
+def _lex_proper_masks(b: int) -> np.ndarray:
+    """Proper nonempty brick subsets as b-bit masks, in lexicographic order
+    of their sorted 1-based brick tuples.  Refuses with CapExceeded when the
+    2^b - 2 of them exceed ``WALL_CAP``.
+
+    The nonempty subsets of bricks k..b in that order are {k}, then {k}
+    joined with each nonempty subset of bricks k+1..b, then those subsets
+    themselves; the array is built by that rule from brick b down.
+    """
     walls = (1 << b) - 2
     if walls > WALL_CAP:
         raise CapExceeded(f"walk of the proper walls at b={b} refused",
                           estimate=walls, limit=WALL_CAP)
-    full = (1 << b) - 1
+    masks = np.zeros(0, dtype=np.uint16)
+    for k in range(b - 1, -1, -1):
+        bit = np.uint16(1 << k)
+        masks = np.concatenate(([bit], masks | bit, masks))
+    masks = masks[masks != (1 << b) - 1]
+    masks.setflags(write=False)
+    return masks
 
-    def rec(prefix: tuple[int, ...], mask: int, nxt: int):
-        for i in range(nxt, b + 1):
-            cur = prefix + (i,)
-            cm = mask | (1 << (i - 1))
-            if cm != full:
-                yield cur, cm
-            yield from rec(cur, cm, i + 1)
 
-    return rec((), 0, 1)
+@lru_cache(maxsize=_WALL_CACHE)
+def _wall_table(supports: tuple[int, ...]) -> np.ndarray:
+    """Brick mask of the image of every brick mask (index) under the layer
+    whose brick supports are given: the OR of the supports of its bricks,
+    built in b doubling steps."""
+    img = np.zeros(1 << len(supports), dtype=np.uint16)
+    for j, sup in enumerate(supports):
+        img[1 << j:2 << j] = img[:1 << j] | sup
+    img.setflags(write=False)
+    return img
+
+
+def _popcount_table() -> np.ndarray:
+    """Number of set bits of every uint16 value, built in 16 doubling
+    steps (a table, not ``np.bitwise_count``, which needs numpy 2)."""
+    pop = np.zeros(1 << 16, dtype=np.uint8)
+    for j in range(16):
+        pop[1 << j:2 << j] = pop[:1 << j] + 1
+    pop.setflags(write=False)
+    return pop
+
+
+_POPCOUNT = _popcount_table()
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Number of bricks in each uint16 brick mask."""
+    return _POPCOUNT[masks]
+
+
+def _escape_steps(supports: Sequence[tuple[int, ...]], b: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The proper wall masks in lexicographic order and, for each, the least
+    j such that its image under the first j layers (given by their brick
+    supports) is not a wall, or 0 when every image is a wall."""
+    masks = _lex_proper_masks(b)
+    size = _popcount(masks)
+    steps = np.zeros(len(masks), dtype=np.int64)
+    cur = masks
+    for j, sup in enumerate(supports, 1):
+        if steps.all():
+            break
+        cur = _wall_table(sup)[cur]
+        steps[(steps == 0) & (_popcount(cur) != size)] = j
+    return masks, steps
+
+
+def _mask_bricks(mask: int) -> tuple[int, ...]:
+    """The sorted 1-based bricks of a brick mask."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
+
+
+def _mask_wall(layout: BrickLayout, mask: int) -> Wall:
+    """The wall whose bricks are the set bits of a b-bit brick mask."""
+    return Wall(layout, frozenset(_mask_bricks(mask)))
 
 
 def enumerate_proper_walls(layout: BrickLayout) -> Iterator[Wall]:
@@ -121,52 +194,61 @@ def enumerate_proper_walls(layout: BrickLayout) -> Iterator[Wall]:
     Witnesses reported by the checks below are always the first failing wall
     in this order.
     """
-    for bricks, _ in _lex_proper_masks(layout.b):
-        yield Wall(layout, frozenset(bricks))
-
-
-def _wall_images(supports: Sequence[tuple[int, ...]], mask: int) -> list[int]:
-    """Brick masks of a wall and of its images under the successive layers
-    whose brick supports are given, up to the last image that is a wall."""
-    masks = [mask]
-    for sup in supports:
-        img = 0
-        rest = masks[-1]
-        while rest:
-            img |= sup[(rest & -rest).bit_length() - 1]
-            rest &= rest - 1
-        if img.bit_count() != mask.bit_count():
-            break
-        masks.append(img)
-    return masks
-
-
-def _mask_wall(layout: BrickLayout, mask: int) -> Wall:
-    """The wall whose bricks are the set bits of a b-bit brick mask."""
-    return Wall(layout, frozenset(j + 1 for j in range(layout.b)
-                                  if (mask >> j) & 1))
+    for mask in _lex_proper_masks(layout.b).tolist():
+        yield _mask_wall(layout, mask)
 
 
 def is_proper(layer: MixingLayer) -> tuple[bool, Wall | None]:
     """No proper wall is mapped to itself.  Returns the first invariant wall
     as witness otherwise."""
-    supports = (layer.brick_supports(),)
-    for bricks, mask in _lex_proper_masks(layer.layout.b):
-        if _wall_images(supports, mask)[1:] == [mask]:
-            return (False, Wall(layer.layout, frozenset(bricks)))
-    return (True, None)
+    masks = _lex_proper_masks(layer.layout.b)
+    hits = np.flatnonzero(_wall_table(layer.brick_supports())[masks] == masks)
+    if not len(hits):
+        return (True, None)
+    return (False, _mask_wall(layer.layout, int(masks[hits[0]])))
 
 
 def is_strongly_proper(layer: MixingLayer) -> tuple[bool, tuple[Wall, Wall] | None]:
     """The image of every proper wall is not a wall.  Returns the first
     (wall, image wall) pair as witness otherwise."""
-    supports = (layer.brick_supports(),)
-    for bricks, mask in _lex_proper_masks(layer.layout.b):
-        images = _wall_images(supports, mask)
-        if len(images) == 2:
-            return (False, (Wall(layer.layout, frozenset(bricks)),
-                            _mask_wall(layer.layout, images[1])))
-    return (True, None)
+    supports = layer.brick_supports()
+    masks, steps = _escape_steps((supports,), layer.layout.b)
+    hits = np.flatnonzero(steps == 0)
+    if not len(hits):
+        return (True, None)
+    mask = int(masks[hits[0]])
+    return (False, (_mask_wall(layer.layout, mask),
+                    _mask_wall(layer.layout, int(_wall_table(supports)[mask]))))
+
+
+class WallSteps(Sequence):
+    """(sorted brick tuple, escape step or None) per wall, kept as two
+    arrays: the brick masks, and the steps with 0 for None.  A slice is a
+    ``WallSteps`` over the same slice of both arrays."""
+
+    __slots__ = ("masks", "steps")
+
+    def __init__(self, masks: np.ndarray, steps: np.ndarray) -> None:
+        self.masks = masks
+        self.steps = steps
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return WallSteps(self.masks[i], self.steps[i])
+        step = int(self.steps[i])
+        return (_mask_bricks(int(self.masks[i])), step or None)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WallSteps):
+            return NotImplemented
+        return (np.array_equal(self.masks, other.masks)
+                and np.array_equal(self.steps, other.steps))
+
+    def __hash__(self) -> int:
+        return hash((self.masks.tobytes(), self.steps.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -177,19 +259,32 @@ class FamilyReport:
     enumeration order) with the smallest j such that the image under the
     first j layers stops being a wall, or None if the wall survives every
     checked prefix.  The family is strongly proper iff no wall survives.
+    Any sequence of such pairs is accepted and kept as a ``WallSteps``.
     """
 
     ell: int
     max_prefix: int
-    escape: tuple[tuple[tuple[int, ...], int | None], ...]
+    escape: WallSteps
     note: str = ""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.escape, WallSteps):
+            pairs = list(self.escape)
+            masks = np.array([sum(1 << (i - 1) for i in bricks)
+                              for bricks, _ in pairs], dtype=np.uint16)
+            steps = np.array([step or 0 for _, step in pairs], dtype=np.int64)
+            object.__setattr__(self, "escape", WallSteps(masks, steps))
 
     @property
     def strongly_proper(self) -> bool:
-        return all(step is not None for _, step in self.escape)
+        return bool(self.escape.steps.all())
+
+    def surviving_masks(self) -> np.ndarray:
+        """Brick masks of the surviving walls, in enumeration order."""
+        return self.escape.masks[self.escape.steps == 0]
 
     def surviving_walls(self) -> list[tuple[int, ...]]:
-        return [bricks for bricks, step in self.escape if step is None]
+        return [_mask_bricks(mask) for mask in self.surviving_masks().tolist()]
 
 
 def family_strongly_proper(family: LayerFamily, *,
@@ -207,14 +302,9 @@ def family_strongly_proper(family: LayerFamily, *,
     if max_prefix == 0:
         note = ("single-layer family: no prefix j < 1 exists, so every wall "
                 "survives vacuously")
-    escape = []
-    for bricks, mask in _lex_proper_masks(family.layout.b):
-        # The walk stops at the first step j whose image is not a wall, so
-        # it holds j masks then, and max_prefix + 1 when the wall survives.
-        steps = len(_wall_images(supports, mask))
-        escape.append((bricks, steps if steps <= max_prefix else None))
+    masks, steps = _escape_steps(supports, family.layout.b)
     return FamilyReport(ell=family.ell, max_prefix=max_prefix,
-                        escape=tuple(escape), note=note)
+                        escape=WallSteps(masks, steps), note=note)
 
 
 def wall_trace(wall: Wall, family: LayerFamily) -> list[tuple[Subspace, Wall | None]]:

@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from datetime import datetime, timezone
 from typing import Any
 
+import numpy as np
+
 from . import cipher as cipher_mod
-from . import sbox as sbox_mod
 from .cipher import (DEFAULT_CHAIN_CAP, SEMANTICS, AuditVerdict,
                      PartitionChain, TbCipher, audit, chain_holds_under_key,
                      find_trapdoor_chains, verify_chain)
 from .errors import CapExceeded, SpecError
 from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, rref
-from .mixing import (FamilyReport, LayerFamily, MixingLayer,
+from .mixing import (FamilyReport, LayerFamily, MixingLayer, _mask_bricks,
                      family_strongly_proper, is_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, SBoxReport, analyze_sbox,
                    anti_invariance_scan_cost)
@@ -113,6 +113,9 @@ def _brick_condition_json(box: SBox, measured: SBoxReport,
                           requested_r: int | None, use_1prime: bool,
                           budget: int) -> dict:
     delta, mini = measured.delta, measured.min_image
+    # An exact order decides the anti-invariance check without a second scan.
+    order = (measured.anti_invariance_order if measured.order_is_exact
+             else None)
     if requested_r is not None:
         m = box.m
         if not 1 <= requested_r < m:
@@ -122,8 +125,8 @@ def _brick_condition_json(box: SBox, measured: SBoxReport,
         if requested_r == 1:
             anti_ok = True
         else:
-            anti_ok, _ = sbox_mod.is_strongly_anti_invariant(
-                box, requested_r - 1, budget=budget)
+            anti_ok = cipher_mod._anti_invariant(box, requested_r - 1, budget,
+                                                 order)
         rep = cipher_mod.BrickConditionReport(
             brick_index=0, delta=delta,
             min_image_size=mini.size, min_image_u=mini.u,
@@ -135,7 +138,7 @@ def _brick_condition_json(box: SBox, measured: SBoxReport,
                    f"{'holds' if bound_ok else 'fails'}")
     else:
         rep = cipher_mod._brick_condition(box, delta, mini, use_1prime,
-                                          budget)
+                                          budget, order)
     return {
         "route": rep.route, "r": rep.r, "anti_invariant_ok": rep.anti_ok,
         "ok": rep.ok, "detail": rep.detail,
@@ -143,16 +146,18 @@ def _brick_condition_json(box: SBox, measured: SBoxReport,
 
 
 def _family_json(fam: FamilyReport) -> dict:
-    histogram = Counter("none" if step is None else str(step)
-                        for _, step in fam.escape)
+    steps, counts = np.unique(fam.escape.steps, return_counts=True)
+    histogram = {str(step) if step else "none": count
+                 for step, count in zip(steps.tolist(), counts.tolist())}
     return {
         "ell": fam.ell,
         "max_prefix": fam.max_prefix,
         "strongly_proper": fam.strongly_proper,
         "wall_count": len(fam.escape),
-        "escape_histogram": dict(histogram),
-        "surviving_walls": [list(bricks) for bricks
-                            in fam.surviving_walls()[:_EMBED_WALL_CAP]],
+        "escape_histogram": histogram,
+        "surviving_walls": [
+            list(_mask_bricks(mask))
+            for mask in fam.surviving_masks()[:_EMBED_WALL_CAP].tolist()],
         "note": fam.note,
     }
 
@@ -320,8 +325,11 @@ def _verify_sbox(report: dict, problems: list[str]) -> None:
         u = subspace_from_json(violation["subspace"])
         w = subspace_from_json(violation["image"])
         norm = box.normalized()
-        image = {norm[x] for x in u.elements()}
-        if image != set(w.elements()):
+        if not u.ambient == w.ambient == box.m:
+            problems.append(f"anti-invariance witness lives in dimensions "
+                            f"{u.ambient} and {w.ambient}, not in the "
+                            f"box's {box.m}")
+        elif {norm[x] for x in u.elements()} != set(w.elements()):
             problems.append("anti-invariance witness does not map onto the "
                             "claimed image subspace")
     comp = report["linear_component"]

@@ -264,6 +264,72 @@ def walls_mode_masks(supports, b):
     return out
 
 
+def retired_lex_proper_masks(b):
+    """(sorted 1-based brick tuple, mask) of every proper nonempty brick
+    set, in lexicographic order of the tuples: the recursive walk the wall
+    checks used before they moved to numpy tables."""
+    full = (1 << b) - 1
+    out = []
+
+    def rec(prefix, mask, nxt):
+        for i in range(nxt, b + 1):
+            cur = prefix + (i,)
+            cm = mask | (1 << (i - 1))
+            if cm != full:
+                out.append((cur, cm))
+            rec(cur, cm, i + 1)
+
+    rec((), 0, 1)
+    return out
+
+
+def retired_wall_images(supports, mask):
+    """The retired per-mask walker: brick masks of a wall and of its images
+    under the successive layers (``supports[h][i]`` is the mask of bricks
+    layer h sends brick i into), up to the last image that is a wall."""
+    masks = [mask]
+    for sup in supports:
+        img = 0
+        for i in range(len(sup)):
+            if (masks[-1] >> i) & 1:
+                img |= sup[i]
+        if bin(img).count("1") != bin(mask).count("1"):
+            break
+        masks.append(img)
+    return masks
+
+
+def _mask_tuple(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def retired_is_proper(supports, b):
+    """(ok, first wall, as a brick tuple, that the layer fixes)."""
+    for bricks, mask in retired_lex_proper_masks(b):
+        if retired_wall_images([supports], mask)[1:] == [mask]:
+            return False, bricks
+    return True, None
+
+
+def retired_is_strongly_proper(supports, b):
+    """(ok, (first wall whose image is a wall, that image), as tuples)."""
+    for bricks, mask in retired_lex_proper_masks(b):
+        images = retired_wall_images([supports], mask)
+        if len(images) == 2:
+            return False, (bricks, _mask_tuple(images[1]))
+    return True, None
+
+
+def retired_family_escape(supports, b):
+    """(bricks, escape step or None) per proper wall, in lexicographic
+    order, over the prefixes of the layers given by their supports."""
+    out = []
+    for bricks, mask in retired_lex_proper_masks(b):
+        steps = len(retired_wall_images(supports, mask))
+        out.append((bricks, steps if steps <= len(supports) else None))
+    return out
+
+
 def cosets_of(subspace_elements, d):
     """The coset partition of a subspace, as a frozenset of frozensets."""
     seen = set()

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tbaudit.mixing as mixing_mod
@@ -21,9 +21,9 @@ from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             find_trapdoor_chains, partition_image,
                             round_table, substitution_table, verify_chain)
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _reduced_rows,
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _reduced_rows, as_wall,
                          count_proper_subspaces, random_invertible, rref)
-from tbaudit.mixing import MixingLayer
+from tbaudit.mixing import MixingLayer, enumerate_proper_walls
 from tbaudit.presets import (identity_sbox, inversion_sbox, identity_layer,
                              present_sbox, rotation_layer)
 from tbaudit.sbox import SBox
@@ -559,6 +559,56 @@ def test_verify_chain_rejects_tampering():
     assert not verify_chain(cipher, wrong_ambient)
 
 
+def _other_wall(rng, layout, wall):
+    """A proper wall with as many bricks as ``wall`` but not equal to it."""
+    others = [w for w in enumerate_proper_walls(layout)
+              if len(w.bricks) == len(wall.bricks) and w != wall]
+    return rng.choice(others).subspace()
+
+
+def _grown(space):
+    """A nontrivial space holding ``space`` with one dimension more, or None
+    when that would be the whole space."""
+    d = space.ambient
+    if space.dim + 1 >= d:
+        return None
+    v = next(1 << i for i in range(d) if (1 << i) not in space)
+    return rref(space.basis + (v,), d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_verify_chain_wall_links_agree_with_the_tables(seed):
+    # The containment check of wall links accepts the walls-mode chains and
+    # rejects a wrong next wall and a next space one dimension too big, the
+    # way the full-codebook partition images do.
+    rng = random.Random(seed)
+    m, b, ell = 2, rng.randint(2, 4), rng.randint(1, 3)
+    layout = BrickLayout(m, b)
+    kinds = ("random", "rotation", "permuting", "leaky")
+    cipher = TbCipher(tuple(
+        Round(tuple(SBox(tuple(rng.sample(range(1 << m), 1 << m)))
+                    for _ in range(b)),
+              _walls_test_layer(rng.choice(kinds), rng, layout))
+        for _ in range(ell)))
+    for chain in find_trapdoor_chains(cipher, "walls"):
+        assert verify_chain(cipher, chain)
+        assert verify_chain(cipher, chain, elementwise=True)
+        h = rng.randrange(ell)
+        nxt = chain.spaces[h + 1]
+        wall = as_wall(nxt, layout)
+        mutants = [_grown(nxt)]
+        if wall is not None:
+            mutants.append(_other_wall(rng, layout, wall))
+        for space in mutants:
+            if space is None:
+                continue
+            bad = PartitionChain(chain.spaces[:h + 1] + (space,)
+                                 + chain.spaces[h + 2:])
+            assert not verify_chain(cipher, bad)
+            assert not verify_chain(cipher, bad, elementwise=True)
+
+
 def test_chain_holds_under_sampled_keys():
     cipher = build_rotation_cipher(3, 3, 4)
     chain = find_trapdoor_chains(cipher, "walls")[0]
@@ -692,13 +742,13 @@ def test_audit_condition1prime_rescues_the_split_route_bricks():
 
 def test_audit_walks_the_walls_once_per_distinct_layer(monkeypatch):
     walks = []
-    lex_proper_masks = mixing_mod._lex_proper_masks
+    escape_steps = mixing_mod._escape_steps
 
-    def counted(b):
+    def counted(supports, b):
         walks.append(b)
-        return lex_proper_masks(b)
+        return escape_steps(supports, b)
 
-    monkeypatch.setattr(mixing_mod, "_lex_proper_masks", counted)
+    monkeypatch.setattr(mixing_mod, "_escape_steps", counted)
     layout = BrickLayout(3, 3)
     box = identity_sbox(3)
     rot = Round((box,) * 3, rotation_layer(layout))

@@ -16,6 +16,9 @@ from tbaudit.presets import (aes_layout, aes_mix_columns_layer,
                              find_strongly_proper_layer, identity_layer,
                              rotation_layer)
 
+from oracles import (retired_family_escape, retired_is_proper,
+                     retired_is_strongly_proper, retired_lex_proper_masks)
+
 
 def random_layer(seed, m=2, b=3):
     layout = BrickLayout(m, b)
@@ -144,6 +147,78 @@ def test_strongly_proper_search_result_is_strongly_proper():
     # deterministic for a given seed
     again = find_strongly_proper_layer(BrickLayout(3, 2), seed=0)
     assert layer.matrix.rows == again.matrix.rows
+
+
+# ---------------------------------------------------------------------------
+# The numpy wall tables versus the retired per-mask walker.
+
+
+def brick_permuting_layer(rng, layout, leaks):
+    """Brick i goes to brick perm[i] through an invertible m x m block, so
+    every wall image is a wall; each leak also sends one bit of a brick into
+    the image of another, so some walls stop being walls."""
+    m, b = layout.m, layout.b
+    perm = rng.sample(range(b), b)
+    rows = []
+    for i in range(b):
+        rows += [r << (perm[i] * m) for r in random_invertible(rng, m).rows]
+    for _ in range(leaks):
+        # i < j keeps the matrix block-triangular up to the permutation, so
+        # it stays invertible
+        i, j = sorted(rng.sample(range(b), 2))
+        rows[i * m] ^= 1 << (perm[j] * m + rng.randrange(m))
+    return MixingLayer(BitMatrix(tuple(rows), layout.d), layout)
+
+
+def assert_kernel_matches_walker(layers):
+    layout = layers[0].layout
+    b = layout.b
+    for layer in layers:
+        supports = layer.brick_supports()
+        ok, wall = is_proper(layer)
+        assert (ok, None if wall is None else wall.sorted_bricks()) == \
+            retired_is_proper(supports, b)
+        ok, pair = is_strongly_proper(layer)
+        assert (ok, None if pair is None else tuple(
+            w.sorted_bricks() for w in pair)) == \
+            retired_is_strongly_proper(supports, b)
+    fam = LayerFamily(tuple(layers))
+    for full in (False, True):
+        rep = family_strongly_proper(fam, include_full_product=full)
+        expected = retired_family_escape(
+            [layer.brick_supports() for layer in layers[:rep.max_prefix]], b)
+        assert len(rep.escape) == len(expected)
+        assert list(rep.escape) == expected
+        assert list(rep.escape[1::3]) == expected[1::3]
+        assert len(rep.escape[:5]) == len(expected[:5])
+        assert rep.surviving_walls() == [w for w, step in expected
+                                         if step is None]
+        assert rep.strongly_proper == all(step for _, step in expected)
+
+
+@pytest.mark.parametrize("b", range(2, 13))
+def test_wall_kernel_matches_the_retired_walker(b):
+    layout = BrickLayout(2, b)
+    assert [w.sorted_bricks() for w in enumerate_proper_walls(layout)] == \
+        [bricks for bricks, _ in retired_lex_proper_masks(b)]
+    rng = random.Random(1705 + b)
+    for ell in (1, 2, 3):
+        layers = []
+        for _ in range(ell):
+            kind = rng.randrange(4)
+            layers.append(
+                MixingLayer(random_invertible(rng, layout.d), layout)
+                if kind == 0 else rotation_layer(layout) if kind == 1
+                else brick_permuting_layer(rng, layout, rng.randrange(4)))
+        assert_kernel_matches_walker(layers)
+
+
+def test_wall_kernel_matches_the_retired_walker_on_the_aes_layout():
+    sr, mc, sr_mc = (aes_shift_rows_layer(), aes_mix_columns_layer(),
+                     aes_sr_mc_layer())
+    assert [w.sorted_bricks() for w in enumerate_proper_walls(aes_layout())] \
+        == [bricks for bricks, _ in retired_lex_proper_masks(16)]
+    assert_kernel_matches_walker([sr, mc, sr_mc])
 
 
 # ---------------------------------------------------------------------------

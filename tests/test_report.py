@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tbaudit.report as report_mod
+import tbaudit.sbox as sbox_mod
 from tbaudit.cipher import (audit, build_linear_toy_cipher,
                             build_present_toy_cipher, build_rotation_cipher,
                             find_trapdoor_chains)
@@ -76,7 +77,7 @@ def test_sbox_report_requested_r():
 def test_requested_r_condition_builds_the_ddt_once(monkeypatch, use_1prime):
     # With r requested or not, the condition reads delta and the minimum
     # image from analyze_sbox's DDT and builds none of its own.
-    sbox_mod, cipher_mod = report_mod.sbox_mod, report_mod.cipher_mod
+    cipher_mod = report_mod.cipher_mod
     built = []
     ddt = sbox_mod.ddt
 
@@ -93,6 +94,29 @@ def test_requested_r_condition_builds_the_ddt_once(monkeypatch, use_1prime):
     cipher_mod._brick_conditions.cache_clear()
     rep = sbox_report(box, use_condition1prime=use_1prime)
     assert built == [box] and rep["condition"]["ok"]
+
+
+@pytest.mark.parametrize("box", [present_sbox(), inversion_sbox(8)])
+def test_sbox_report_scans_for_anti_invariance_once(monkeypatch, box):
+    # analyze_sbox's exact order decides the brick condition's
+    # anti-invariance check, so the condition runs no scan of its own.
+    scans = []
+    violation_scan = sbox_mod._violation_scan
+
+    def counted(*args, **kwargs):
+        scans.append(args[2])
+        return violation_scan(*args, **kwargs)
+
+    monkeypatch.setattr(sbox_mod, "_violation_scan", counted)
+    rep = sbox_report(box)
+    assert len(scans) == 1
+    assert rep["anti_invariance"]["exact"]
+    assert rep["condition"]["anti_invariant_ok"] is True
+    scans.clear()
+    rep = sbox_report(box, requested_r=3)
+    assert len(scans) == 1
+    assert rep["condition"]["anti_invariant_ok"] is (
+        rep["anti_invariance"]["order"] >= 2)
 
 
 def test_sbox_report_rejects_out_of_range_r():
@@ -267,6 +291,16 @@ def test_malformed_report_is_reported_not_raised():
         ok, problems = verify_report(bad)
         assert not ok
         assert any("malformed report" in p for p in problems), problems
+
+
+def test_sbox_witness_in_another_dimension_is_reported_not_raised():
+    rep = sbox_report(identity_sbox(4))
+    rep["anti_invariance"]["violation"]["subspace"] = {
+        "basis": ["400000000000000000"], "ambient": 100}
+    ok, problems = verify_report(rep)
+    assert not ok
+    assert any("witness lives in dimensions 100 and 4" in p
+               for p in problems), problems
 
 
 # ---------------------------------------------------------------------------
