@@ -40,13 +40,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import CapExceeded, SpecError
 from .gf2 import (BitMatrix, BrickLayout, Subspace, _iter_rref_blocks,
-                  _maps_cosets, _reduced_rows, _span_elements, as_wall,
-                  count_proper_subspaces, subspace_image)
-from .mixing import (FamilyReport, LayerFamily, MixingLayer, _mask_wall,
-                     _popcount, _wall_table, family_strongly_proper,
-                     is_strongly_proper)
+                  _maps_cosets, _mask_wall, _reduced_rows, _span_elements,
+                  count_proper_subspaces, subspace_image, wall_brick_mask)
+from .mixing import (FamilyReport, LayerFamily, MixingLayer, _popcount,
+                     _wall_table, family_strongly_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, DerivativeImage, SBox,
                    anti_invariance_scan_cost, ddt, differential_uniformity,
                    is_strongly_anti_invariant, min_derivative_image)
@@ -63,6 +62,7 @@ __all__ = [
     "BrickConditionReport",
     "RoundConditionReport",
     "AuditVerdict",
+    "brick_condition",
     "encrypt",
     "decrypt",
     "substitution_table",
@@ -590,8 +590,7 @@ def verify_chain(cipher: TbCipher, chain: PartitionChain, *,
         return False
     for h, rnd in enumerate(cipher.rounds):
         cur, nxt = chain.spaces[h], chain.spaces[h + 1]
-        wall = as_wall(cur, layout)
-        if wall is not None and not elementwise:
+        if not elementwise and wall_brick_mask(cur, layout) is not None:
             apply = rnd.layer.matrix.apply
             if (cur.dim != nxt.dim
                     or not all(apply(r) in nxt for r in cur.basis)):
@@ -661,36 +660,36 @@ class AuditVerdict:
 def _brick_conditions(box: SBox, use_1prime: bool,
                       budget: int) -> BrickConditionReport:
     table = ddt(box)
-    return _brick_condition(box, differential_uniformity(box, table),
-                            min_derivative_image(box, table), use_1prime,
-                            budget)
+    return brick_condition(box, differential_uniformity(box, table),
+                           min_derivative_image(box, table), use_1prime,
+                           budget)
 
 
-def _anti_invariant(box: SBox, r: int, budget: int,
-                    order: int | None = None) -> bool:
-    """Strong r-anti-invariance.  ``order``, the box's exact anti-invariance
-    order when known, decides it without a scan (the property holds exactly
-    for r up to the order), unless the scan would be refused."""
-    if order is not None and anti_invariance_scan_cost(box.m, r) <= budget:
-        return r <= order
-    return is_strongly_anti_invariant(box, r, budget=budget)[0]
-
-
-def _brick_condition(box: SBox, delta: int, mini: DerivativeImage,
-                     use_1prime: bool, budget: int,
-                     order: int | None = None) -> BrickConditionReport:
+def brick_condition(box: SBox, delta: int, mini: DerivativeImage,
+                    use_1prime: bool, budget: int, order: int | None = None,
+                    requested_r: int | None = None) -> BrickConditionReport:
     """The brick condition of ``audit`` from the box's measured delta and
     minimum derivative image, and its exact anti-invariance order when
-    known (see ``_anti_invariant``)."""
+    known.  r is the least exponent with delta <= 2^r, or with
+    ``use_1prime`` a minimum image above 2^(m-r); a ``requested_r`` is
+    checked against that bound instead.  Strong (r-1)-anti-invariance is
+    checked only when the bound holds."""
     m = box.m
+    route = "min-image" if use_1prime else "uniformity"
     r: int | None
-    if use_1prime:
-        route = "min-image"
+    if requested_r is not None:
+        if not 1 <= requested_r < m:
+            raise SpecError(f"r must be in [1, {m - 1}], got {requested_r}")
+        holds = (mini.size > (1 << (m - requested_r)) if use_1prime
+                 else delta <= (1 << requested_r))
+        r = requested_r if holds else None
+        r_text = (f"requested r={requested_r}: bound "
+                  f"{'holds' if holds else 'fails'}")
+    elif use_1prime:
         r = next((c for c in range(1, m) if mini.size > (1 << (m - c))), None)
         r_text = (f"min image {mini.size} > 2^({m}-{r})" if r is not None
                   else f"min image {mini.size} supports no exponent r < {m}")
     else:
-        route = "uniformity"
         r = (delta - 1).bit_length()
         if r >= m:
             r_text = f"delta={delta} needs exponent r={r}, not below m={m}"
@@ -698,21 +697,28 @@ def _brick_condition(box: SBox, delta: int, mini: DerivativeImage,
         else:
             r_text = f"delta={delta} <= 2^{r}"
     anti_ok: bool | None = None
-    if r is not None:
-        if r == 1:
-            anti_ok = True
+    if r == 1:
+        anti_ok = True
+    elif r is not None:
+        # The order decides it (the property holds exactly for r - 1 up to
+        # the order) without a scan, unless the scan would be refused.
+        if order is not None and anti_invariance_scan_cost(m, r - 1) <= budget:
+            anti_ok = r - 1 <= order
+        else:
+            anti_ok = is_strongly_anti_invariant(box, r - 1, budget=budget)[0]
+    if requested_r is None:
+        if r is None:
+            anti_text = "anti-invariance not evaluated"
+        elif r == 1:
             anti_text = "strong 0-anti-invariance holds vacuously"
         else:
-            anti_ok = _anti_invariant(box, r - 1, budget, order)
             anti_text = (f"strongly {r - 1}-anti-invariant: "
                          f"{'yes' if anti_ok else 'no'}")
-    else:
-        anti_text = "anti-invariance not evaluated"
-    ok = r is not None and bool(anti_ok)
+        r_text = f"{r_text}; {anti_text}"
     return BrickConditionReport(
         brick_index=0, delta=delta, min_image_size=mini.size,
-        min_image_u=mini.u, route=route, r=r, anti_ok=anti_ok, ok=ok,
-        detail=f"{r_text}; {anti_text}")
+        min_image_u=mini.u, route=route, r=r, anti_ok=anti_ok,
+        ok=bool(anti_ok), detail=r_text)
 
 
 def audit(cipher: TbCipher, *, use_condition1prime: bool = False,

@@ -81,13 +81,7 @@ def _brick_from_args(args) -> SBox:
     if args.builtin is not None and args.table is not None:
         raise SpecError("give either a table file or --builtin, not both")
     if args.builtin is not None:
-        if args.builtin == "present":
-            return presets.present_sbox()
-        if args.builtin == "identity":
-            return presets.identity_sbox(args.m)
-        if args.builtin == "inverse_gf2m":
-            return presets.inversion_sbox(args.m)
-        raise SpecError(f"unknown builtin S-box {args.builtin!r}")
+        return presets.BUILTIN_BRICKS[args.builtin](args.m)
     if args.table is None:
         raise SpecError("need a table file or --builtin NAME")
     values = _read_values_file(args.table)
@@ -135,17 +129,7 @@ def _layer_from_args(args) -> MixingLayer:
     if args.builtin is not None and args.matrix is not None:
         raise SpecError("give either a matrix file or --builtin, not both")
     if args.builtin is not None:
-        if args.builtin == "rotation":
-            return presets.rotation_layer(BrickLayout(args.m, args.b))
-        if args.builtin == "identity":
-            return presets.identity_layer(BrickLayout(args.m, args.b))
-        if args.builtin == "aes_shift_rows":
-            return presets.aes_shift_rows_layer()
-        if args.builtin == "aes_mix_columns":
-            return presets.aes_mix_columns_layer()
-        if args.builtin == "aes_sr_mc":
-            return presets.aes_sr_mc_layer()
-        raise SpecError(f"unknown builtin layer {args.builtin!r}")
+        return presets.BUILTIN_LAYERS[args.builtin](args.m, args.b)
     if args.matrix is None:
         raise SpecError("need a matrix file or --builtin NAME")
     rows = _read_values_file(args.matrix)
@@ -415,8 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-sbox", help="measure one S-box")
     p.add_argument("table", nargs="?", help="file of hex table entries")
-    p.add_argument("--builtin", choices=["inverse_gf2m", "present",
-                                         "identity"])
+    p.add_argument("--builtin", choices=presets.BUILTIN_BRICKS)
     p.add_argument("--m", type=int, default=4,
                    help="bit width for builtins (default 4)")
     p.add_argument("--r", type=int, default=None,
@@ -430,9 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-mixing", help="measure one mixing layer")
     p.add_argument("matrix", nargs="?", help="file of hex matrix rows")
-    p.add_argument("--builtin", choices=["rotation", "identity",
-                                         "aes_shift_rows", "aes_mix_columns",
-                                         "aes_sr_mc"])
+    p.add_argument("--builtin", choices=presets.BUILTIN_LAYERS)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--b", type=int, default=4)
     p.add_argument("--family", type=int, default=None, metavar="ELL",

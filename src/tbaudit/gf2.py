@@ -50,6 +50,7 @@ __all__ = [
     "count_proper_subspaces",
     "enumerate_subspaces",
     "as_wall",
+    "wall_brick_mask",
 ]
 
 AMBIENT_CAP = 128
@@ -408,8 +409,9 @@ class Wall(object):
         return Subspace(tuple(rows), self.layout.d)
 
 
-def as_wall(s: Subspace, layout: BrickLayout) -> Wall | None:
-    """Recognize a subspace as a wall, or return None.
+def wall_brick_mask(s: Subspace, layout: BrickLayout) -> int | None:
+    """The bricks of the wall that s is, as a b-bit mask (bit i - 1 for
+    brick i), or None when s is not a wall.
 
     A subspace equals the direct sum of the bricks it touches iff its
     dimension is m times the number of touched bricks (containment in that
@@ -420,7 +422,22 @@ def as_wall(s: Subspace, layout: BrickLayout) -> Wall | None:
     support = 0
     for row in s.basis:
         support |= row
-    touched = layout.bricks_of(support)
-    if s.dim != layout.m * len(touched):
-        return None
-    return Wall(layout, touched)
+    m, brick = layout.m, (1 << layout.m) - 1
+    mask = sum(1 << i for i in range(layout.b) if support >> (i * m) & brick)
+    return mask if s.dim == m * mask.bit_count() else None
+
+
+def _mask_bricks(mask: int) -> tuple[int, ...]:
+    """The sorted 1-based bricks of a brick mask."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
+
+
+def _mask_wall(layout: BrickLayout, mask: int) -> Wall:
+    """The wall whose bricks are the set bits of a b-bit brick mask."""
+    return Wall(layout, frozenset(_mask_bricks(mask)))
+
+
+def as_wall(s: Subspace, layout: BrickLayout) -> Wall | None:
+    """Recognize a subspace as a wall, or return None."""
+    mask = wall_brick_mask(s, layout)
+    return None if mask is None else _mask_wall(layout, mask)

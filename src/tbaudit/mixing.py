@@ -31,7 +31,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceeded, SingularMatrixError
-from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, as_wall, subspace_image
+from .gf2 import (BitMatrix, BrickLayout, Subspace, Wall, _mask_bricks,
+                  _mask_wall, as_wall, subspace_image)
 
 __all__ = [
     "WALL_CAP",
@@ -176,16 +177,6 @@ def _escape_steps(supports: Sequence[tuple[int, ...]], b: int
         cur = _wall_table(sup)[cur]
         steps[(steps == 0) & (_popcount(cur) != size)] = j
     return masks, steps
-
-
-def _mask_bricks(mask: int) -> tuple[int, ...]:
-    """The sorted 1-based bricks of a brick mask."""
-    return tuple(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
-
-
-def _mask_wall(layout: BrickLayout, mask: int) -> Wall:
-    """The wall whose bricks are the set bits of a b-bit brick mask."""
-    return Wall(layout, frozenset(_mask_bricks(mask)))
 
 
 def enumerate_proper_walls(layout: BrickLayout) -> Iterator[Wall]:

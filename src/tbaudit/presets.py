@@ -1,11 +1,16 @@
 """Standard building blocks: field inversion boxes, the PRESENT S-box,
 rotation and AES-shaped mixing layers, and a seeded search for strongly
 proper layers used by the toy ciphers.
+
+``BUILTIN_BRICKS`` (builders of m) and ``BUILTIN_LAYERS`` (of m and b) name
+the blocks that spec files and the command line accept; a block of fixed
+shape (PRESENT, the AES layers) ignores the widths it is given.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from .gf2 import BitMatrix, BrickLayout, random_invertible
 from .mixing import MixingLayer, is_strongly_proper
@@ -26,6 +31,8 @@ __all__ = [
     "aes_mix_columns_layer",
     "aes_sr_mc_layer",
     "find_strongly_proper_layer",
+    "BUILTIN_BRICKS",
+    "BUILTIN_LAYERS",
 ]
 
 # Irreducible moduli for the binary fields we build inversion boxes over.
@@ -170,3 +177,18 @@ def find_strongly_proper_layer(layout: BrickLayout, seed: int = 0) -> MixingLaye
         ok, _ = is_strongly_proper(layer)
         if ok:
             return layer
+
+
+BUILTIN_BRICKS: dict[str, Callable[[int], SBox]] = {
+    "inverse_gf2m": inversion_sbox,
+    "present": lambda m: present_sbox(),
+    "identity": identity_sbox,
+}
+
+BUILTIN_LAYERS: dict[str, Callable[[int, int], MixingLayer]] = {
+    "rotation": lambda m, b: rotation_layer(BrickLayout(m, b)),
+    "identity": lambda m, b: identity_layer(BrickLayout(m, b)),
+    "aes_shift_rows": lambda m, b: aes_shift_rows_layer(),
+    "aes_mix_columns": lambda m, b: aes_mix_columns_layer(),
+    "aes_sr_mc": lambda m, b: aes_sr_mc_layer(),
+}

@@ -10,7 +10,8 @@ produce byte-identical JSON apart from the ``generated_at`` field.
 A report whose recorded caps would let the verifier run an exhaustive chain
 search above DEFAULT_CHAIN_CAP bits, or an anti-invariance scan above
 ANTI_INVARIANCE_BUDGET subspaces, is refused with ``CapExceeded``; like the
-scans themselves, the check is made up front on the whole cost.
+scans themselves, the check is made up front on the whole cost.  So is a
+recorded family longer than WALL_CAP layers.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from typing import Any
 
 import numpy as np
 
-from . import cipher as cipher_mod
-from .cipher import (DEFAULT_CHAIN_CAP, SEMANTICS, AuditVerdict,
-                     PartitionChain, TbCipher, audit, chain_holds_under_key,
+from .cipher import (DEFAULT_CHAIN_CAP, MAX_TABLE_D, SEMANTICS,
+                     AuditVerdict, BrickConditionReport, PartitionChain,
+                     TbCipher, audit, brick_condition, chain_holds_under_key,
                      find_trapdoor_chains, verify_chain)
 from .errors import CapExceeded, SpecError
-from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, rref
-from .mixing import (FamilyReport, LayerFamily, MixingLayer, _mask_bricks,
+from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, _mask_bricks, rref
+from .mixing import (WALL_CAP, FamilyReport, LayerFamily, MixingLayer,
                      family_strongly_proper, is_proper, is_strongly_proper)
-from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, SBoxReport, analyze_sbox,
+from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, analyze_sbox,
                    anti_invariance_scan_cost)
 from .specfile import cipher_to_spec, parse_cipher
 
@@ -80,8 +81,11 @@ def sbox_report(box: SBox, *, requested_r: int | None = None,
                 use_condition1prime: bool = False,
                 budget: int = ANTI_INVARIANCE_BUDGET) -> dict:
     rep = analyze_sbox(box, budget=budget)
-    condition = _brick_condition_json(box, rep, requested_r,
-                                      use_condition1prime, budget)
+    # An exact order decides the anti-invariance check without a second scan.
+    condition = brick_condition(
+        box, rep.delta, rep.min_image, use_condition1prime, budget,
+        rep.anti_invariance_order if rep.order_is_exact else None,
+        requested_r)
     violation = None
     if rep.violation is not None:
         u, w = rep.violation
@@ -103,42 +107,13 @@ def sbox_report(box: SBox, *, requested_r: int | None = None,
             "violation": violation,
             "budget": budget,
         },
-        "condition": condition,
+        "condition": _brick_condition_json(condition),
         "flags": {"r": requested_r, "condition1prime": use_condition1prime},
         "semantics": SEMANTICS,
     }
 
 
-def _brick_condition_json(box: SBox, measured: SBoxReport,
-                          requested_r: int | None, use_1prime: bool,
-                          budget: int) -> dict:
-    delta, mini = measured.delta, measured.min_image
-    # An exact order decides the anti-invariance check without a second scan.
-    order = (measured.anti_invariance_order if measured.order_is_exact
-             else None)
-    if requested_r is not None:
-        m = box.m
-        if not 1 <= requested_r < m:
-            raise SpecError(f"r must be in [1, {m - 1}], got {requested_r}")
-        bound_ok = (mini.size > (1 << (m - requested_r)) if use_1prime
-                    else delta <= (1 << requested_r))
-        if requested_r == 1:
-            anti_ok = True
-        else:
-            anti_ok = cipher_mod._anti_invariant(box, requested_r - 1, budget,
-                                                 order)
-        rep = cipher_mod.BrickConditionReport(
-            brick_index=0, delta=delta,
-            min_image_size=mini.size, min_image_u=mini.u,
-            route="min-image" if use_1prime else "uniformity",
-            r=requested_r if bound_ok else None,
-            anti_ok=anti_ok if bound_ok else None,
-            ok=bound_ok and anti_ok,
-            detail=f"requested r={requested_r}: bound "
-                   f"{'holds' if bound_ok else 'fails'}")
-    else:
-        rep = cipher_mod._brick_condition(box, delta, mini, use_1prime,
-                                          budget, order)
+def _brick_condition_json(rep: BrickConditionReport) -> dict:
     return {
         "route": rep.route, "r": rep.r, "anti_invariant_ok": rep.anti_ok,
         "ok": rep.ok, "detail": rep.detail,
@@ -169,6 +144,9 @@ def mixing_report(layer: MixingLayer, *, family_ell: int | None = None) -> dict:
     if family_ell is not None:
         if family_ell < 1:
             raise SpecError(f"family length must be positive, got {family_ell}")
+        if family_ell > WALL_CAP:
+            raise CapExceeded(f"family of {family_ell} layers refused",
+                              estimate=family_ell, limit=WALL_CAP)
         fam = family_strongly_proper(LayerFamily((layer,) * family_ell))
         family = _family_json(fam)
     return {
@@ -213,9 +191,7 @@ def audit_report(cphr: TbCipher, verdict: AuditVerdict, *,
             "ok": rep.ok,
             "bricks": [{
                 "brick": b.brick_index, "delta": b.delta,
-                "min_image": b.min_image_size, "route": b.route, "r": b.r,
-                "anti_invariant_ok": b.anti_ok, "ok": b.ok,
-                "detail": b.detail,
+                "min_image": b.min_image_size, **_brick_condition_json(b),
             } for b in rep.bricks],
         })
     return {
@@ -391,7 +367,7 @@ def _verify_audit(report: dict, problems: list[str]) -> None:
         if not verify_chain(cphr, chain):
             problems.append("embedded chain does not re-verify against the "
                             "cipher")
-        elif cphr.layout.d <= cipher_mod.MAX_TABLE_D:
+        elif cphr.layout.d <= MAX_TABLE_D:
             rng = random.Random(0xA5)
             top = 1 << cphr.layout.d
             for _ in range(8):

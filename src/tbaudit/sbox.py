@@ -182,8 +182,11 @@ def walsh_row_extrema(box: SBox) -> np.ndarray:
 
 
 def nonlinearity(box: SBox) -> int:
-    n = 1 << box.m
-    return (n >> 1) - int(walsh_row_extrema(box)[1:].max()) // 2
+    return _nonlinearity(walsh_row_extrema(box))
+
+
+def _nonlinearity(extrema: np.ndarray) -> int:
+    return (len(extrema) >> 1) - int(extrema[1:].max()) // 2
 
 
 def has_linear_component(box: SBox) -> tuple[bool, int | None]:
@@ -192,12 +195,13 @@ def has_linear_component(box: SBox) -> tuple[bool, int | None]:
     A component is linear exactly when its Walsh transform attains magnitude
     2^m at some mask; returns the smallest such c.
     """
-    n = 1 << box.m
-    extrema = walsh_row_extrema(box)
-    hits = np.nonzero(extrema[1:] == n)[0]
-    if len(hits) == 0:
-        return (False, None)
-    return (True, int(hits[0]) + 1)
+    mask = _linear_component(walsh_row_extrema(box))
+    return (mask is not None, mask)
+
+
+def _linear_component(extrema: np.ndarray) -> int | None:
+    hits = np.nonzero(extrema[1:] == len(extrema))[0]
+    return int(hits[0]) + 1 if len(hits) else None
 
 
 def anti_invariance_scan_cost(m: int, r: int) -> int:
@@ -332,7 +336,7 @@ def analyze_sbox(box: SBox, *, max_r: int | None = None,
     table = ddt(box)
     delta = differential_uniformity(box, table)
     mini = min_derivative_image(box, table)
-    lin, mask = has_linear_component(box)
+    extrema = walsh_row_extrema(box)
     if max_r is None:
         max_r = m - 1
     norm = box.normalized()
@@ -353,7 +357,7 @@ def analyze_sbox(box: SBox, *, max_r: int | None = None,
         exact = False
     return SBoxReport(
         m=m, shift=box.shift, delta=delta, min_image=mini,
-        nonlinearity=nonlinearity(box),
-        linear_component=mask if lin else None,
+        nonlinearity=_nonlinearity(extrema),
+        linear_component=_linear_component(extrema),
         anti_invariance_order=order, order_is_exact=exact,
         violation=pair)

@@ -34,9 +34,8 @@ from .sbox import SBox
 __all__ = ["load_cipher", "parse_cipher", "cipher_to_spec",
            "BRICK_BUILTINS", "LAYER_BUILTINS"]
 
-BRICK_BUILTINS = ("inverse_gf2m", "present", "identity")
-LAYER_BUILTINS = ("rotation", "identity", "aes_shift_rows",
-                  "aes_mix_columns", "aes_sr_mc")
+BRICK_BUILTINS = tuple(presets.BUILTIN_BRICKS)
+LAYER_BUILTINS = tuple(presets.BUILTIN_LAYERS)
 
 _IGNORED_KEYS = {"comment", "name", "description"}
 
@@ -89,16 +88,13 @@ def _parse_values(entry, path: str) -> list[int]:
 
 def _parse_brick(entry, m: int, path: str) -> SBox:
     if isinstance(entry, str) and entry in BRICK_BUILTINS:
-        if entry == "present":
-            if m != 4:
-                _fail(path, f"the present brick is 4-bit, layout has m={m}")
-            return presets.present_sbox()
-        if entry == "identity":
-            return presets.identity_sbox(m)
         try:
-            return presets.inversion_sbox(m)
+            box = presets.BUILTIN_BRICKS[entry](m)
         except ValueError as exc:
             _fail(path, str(exc))
+        if box.m != m:
+            _fail(path, f"the {entry} brick is {box.m}-bit, layout has m={m}")
+        return box
     if isinstance(entry, str) and " " not in entry and "," not in entry \
             and len(entry) > 4:
         # Looks like a (misspelled) name rather than a table.
@@ -115,20 +111,14 @@ def _parse_brick(entry, m: int, path: str) -> SBox:
 
 def _parse_layer(entry, layout: BrickLayout, path: str) -> MixingLayer:
     if isinstance(entry, str):
-        if entry == "rotation":
-            return presets.rotation_layer(layout)
-        if entry == "identity":
-            return presets.identity_layer(layout)
-        if entry in ("aes_shift_rows", "aes_mix_columns", "aes_sr_mc"):
-            if (layout.m, layout.b) != (8, 16):
-                _fail(path, f"{entry} needs layout m=8, b=16")
-            if entry == "aes_shift_rows":
-                return presets.aes_shift_rows_layer()
-            if entry == "aes_mix_columns":
-                return presets.aes_mix_columns_layer()
-            return presets.aes_sr_mc_layer()
-        _fail(path, f"unknown layer {entry!r}; builtins: "
-                    f"{', '.join(LAYER_BUILTINS)}")
+        if entry not in LAYER_BUILTINS:
+            _fail(path, f"unknown layer {entry!r}; builtins: "
+                        f"{', '.join(LAYER_BUILTINS)}")
+        layer = presets.BUILTIN_LAYERS[entry](layout.m, layout.b)
+        if layer.layout != layout:
+            _fail(path, f"{entry} needs layout m={layer.layout.m}, "
+                        f"b={layer.layout.b}")
+        return layer
     if isinstance(entry, dict):
         obj = _as_dict(entry, path, {"name", "seed"})
         name = obj.get("name")

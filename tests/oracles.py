@@ -217,6 +217,36 @@ def brute_anti_invariance_order(table):
     return m - 1 - largest_bad
 
 
+def requested_r_conditions(table):
+    """The brick condition at every requested exponent r, as the report's
+    own branch decided it before the audit's routine took it over: the bound
+    (delta <= 2^r, or with ``use_1prime`` a minimum derivative image above
+    2^(m-r)) and strong (r-1)-anti-invariance, which holds exactly when
+    r - 1 is at most the anti-invariance order; r and the anti-invariance
+    answer are reported only when the bound holds.  The report's condition
+    objects, keyed by (r, use_1prime)."""
+    n = len(table)
+    m = n.bit_length() - 1
+    delta = brute_uniformity(table)
+    min_image = brute_min_derivative_image(table)[0]
+    order = brute_anti_invariance_order(table)
+    out = {}
+    for r in range(1, m):
+        anti_ok = r - 1 <= order
+        for use_1prime in (False, True):
+            bound_ok = (min_image > 1 << (m - r) if use_1prime
+                        else delta <= 1 << r)
+            out[r, use_1prime] = {
+                "route": "min-image" if use_1prime else "uniformity",
+                "r": r if bound_ok else None,
+                "anti_invariant_ok": anti_ok if bound_ok else None,
+                "ok": bound_ok and anti_ok,
+                "detail": f"requested r={r}: bound "
+                          f"{'holds' if bound_ok else 'fails'}",
+            }
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Walls and partition images.
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
+import argparse
 import json
 import resource
 import shutil
@@ -11,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import tbaudit
+from tbaudit import presets, specfile
 from tbaudit.cipher import audit
-from tbaudit.cli import main
+from tbaudit.cli import _build_parser, main
+from tbaudit.errors import SpecError
 from tbaudit.report import (audit_report, chains_report, dumps_report,
                             verify_report)
 from tbaudit.specfile import parse_cipher
@@ -232,6 +235,54 @@ def test_analyze_sbox_out_of_range_r(capsys):
     assert "r must be in [1, 3]" in err
 
 
+def test_analyze_sbox_requested_r_whose_bound_fails_needs_no_scan(capsys):
+    # delta = 2^12 fails the bound at r = 11, so the strong 10-anti-invariance
+    # scan, far above the budget, is never asked for.
+    code, out, err = run_cli(capsys, "analyze-sbox", "--builtin", "identity",
+                             "--m", "12", "--r", "11")
+    assert code == 0, err
+    assert "FAILS (requested r=11: bound fails)" in out
+
+
+def test_fixed_shape_builtins_ignore_the_width_flags(capsys):
+    code, out, _ = run_cli(capsys, "analyze-sbox", "--builtin", "present",
+                           "--m", "7")
+    assert code == 0
+    assert "S-box on m=4 bits: c 5 6 b 9 0 a d" in out
+    code, out, _ = run_cli(capsys, "analyze-mixing", "--builtin", "aes_sr_mc",
+                           "--m", "1")
+    assert code == 0
+    assert "mixing layer on d=128 bits (m=8, b=16)" in out
+    assert "strongly proper: no (wall{" in out
+
+
+def _builtin_choices(command):
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions
+                if a.dest == "builtin")
+
+
+def test_builtin_names_come_from_the_presets_tables(capsys):
+    for command, table, spec_names, kind in (
+            ("analyze-sbox", presets.BUILTIN_BRICKS, specfile.BRICK_BUILTINS,
+             "bricks"),
+            ("analyze-mixing", presets.BUILTIN_LAYERS,
+             specfile.LAYER_BUILTINS, "layer")):
+        assert list(_builtin_choices(command)) == list(table)
+        assert spec_names == tuple(table)
+        obj = {"layout": {"m": 3, "b": 2},
+               "rounds": [{"bricks": "inverse_gf2m", "layer": "rotation"}]}
+        obj["rounds"][0][kind] = "no_such_builtin"
+        with pytest.raises(SpecError,
+                           match=f"builtins: {', '.join(table)}$"):
+            specfile.parse_cipher(obj)
+        with pytest.raises(SystemExit):
+            main([command, "--builtin", "no_such_builtin"])
+        err = capsys.readouterr().err
+        assert ", ".join(map(repr, table)) in err
+
+
 # ---------------------------------------------------------------------------
 # analyze-mixing
 
@@ -266,6 +317,23 @@ def test_wall_walks_above_the_cap_are_refused(tmp_path):
         assert code == 66, err
         assert f"estimated work: {2**40 - 2}, limit: 65534" in err
         assert seconds < 1
+
+
+@pytest.mark.parametrize("ell", [10**9, 2**70])
+def test_hostile_family_lengths_are_refused(tmp_path, ell):
+    # A family of ell copies would be built as an ell-tuple first.
+    golden = SPEC_DIR / "golden" / "mixing_rotation_m3b4_fam3.json"
+    report = json.loads(golden.read_text())
+    report["flags"]["family"] = ell
+    rep_path = tmp_path / "family.json"
+    rep_path.write_text(json.dumps(report))
+    for argv in (("verify-report", str(rep_path)),
+                 ("analyze-mixing", "--builtin", "rotation", "--m", "3",
+                  "--b", "4", "--family", str(ell))):
+        code, err, seconds = run_cli_bounded(*argv)
+        assert code == 66, err
+        assert f"estimated work: {ell}, limit: 65534" in err
+        assert seconds < 2
 
 
 def test_analyze_mixing_matrix_file(capsys, tmp_path):

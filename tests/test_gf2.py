@@ -13,7 +13,7 @@ from tbaudit.gf2 import (_BLOCK_CHUNK, BitMatrix, BrickLayout, Subspace, Wall,
                          as_wall, count_proper_subspaces, enumerate_subspaces,
                          gaussian_binomial, identity_matrix,
                          random_invertible, rref, subspace_image,
-                         subspace_sum)
+                         subspace_sum, wall_brick_mask)
 
 from oracles import (all_subspaces, brute_derivative_containment,
                      canonical_rref_bases, gaussian_recurrence,
@@ -387,10 +387,16 @@ def test_as_wall_recognition():
 
 @given(st.data())
 def test_as_wall_vs_elementwise_definition(data):
-    lay = BrickLayout(2, 2)
-    vecs = data.draw(st.lists(st.integers(0, 15), max_size=4))
-    s = rref(vecs, 4)
-    walls = {frozenset(wall_elements(2, 2, bricks))
-             for bricks in ([], [1], [2], [1, 2])}
-    is_wall_set = frozenset(s.elements()) in walls
-    assert (as_wall(s, lay) is not None) == is_wall_set
+    m, b = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    lay = BrickLayout(m, b)
+    # unit vectors make walls likely, other vectors near-misses
+    vecs = data.draw(st.lists(
+        st.one_of(st.sampled_from([1 << i for i in range(lay.d)]),
+                  st.integers(0, (1 << lay.d) - 1)), max_size=lay.d))
+    s = rref(vecs, lay.d)
+    walls = {frozenset(wall_elements(m, b, [i + 1 for i in range(b)
+                                            if mask >> i & 1])): mask
+             for mask in range(1 << b)}
+    mask = walls.get(frozenset(s.elements()))
+    assert wall_brick_mask(s, lay) == mask
+    assert (as_wall(s, lay) is not None) == (mask is not None)

@@ -3,11 +3,13 @@
 import copy
 import importlib.util
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
+import tbaudit.cipher as cipher_mod
 import tbaudit.report as report_mod
 import tbaudit.sbox as sbox_mod
 from tbaudit.cipher import (audit, build_linear_toy_cipher,
@@ -22,6 +24,8 @@ from tbaudit.report import (SCHEMA_VERSION, audit_report, chains_report,
                             dumps_report, mixing_report, sbox_report,
                             subspace_from_json, subspace_json, verify_report)
 from tbaudit.sbox import SBox
+
+from oracles import requested_r_conditions
 
 SPLIT_ROUTE_TABLE = (3, 14, 7, 9, 13, 11, 4, 5, 12, 8, 1, 0, 15, 6, 2, 10)
 
@@ -73,11 +77,28 @@ def test_sbox_report_requested_r():
     assert_verifies(rep)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_requested_r_condition_matches_the_retired_branch(m):
+    # Every r and both routes, on seeded boxes where the bound holds and
+    # where it fails, against the report's former requested-r branch.
+    rng = random.Random(m)
+    boxes = [identity_sbox(m), inversion_sbox(m)] + [
+        SBox(tuple(rng.sample(range(1 << m), 1 << m))) for _ in range(3)]
+    bound_held = set()
+    for box in boxes:
+        for (r, use_1prime), expected in requested_r_conditions(
+                box.table).items():
+            rep = sbox_report(box, requested_r=r,
+                              use_condition1prime=use_1prime)
+            assert rep["condition"] == expected, (box.table, r, use_1prime)
+            bound_held.add(expected["r"] is not None)
+    assert bound_held == {True, False}
+
+
 @pytest.mark.parametrize("use_1prime", [False, True])
 def test_requested_r_condition_builds_the_ddt_once(monkeypatch, use_1prime):
     # With r requested or not, the condition reads delta and the minimum
     # image from analyze_sbox's DDT and builds none of its own.
-    cipher_mod = report_mod.cipher_mod
     built = []
     ddt = sbox_mod.ddt
 

@@ -129,6 +129,25 @@ def test_min_image_bound_definition():
 # Walsh spectrum.
 
 
+def test_analyze_sbox_runs_one_walsh_transform(monkeypatch):
+    # The nonlinearity and the linear component read the same extrema.
+    calls = []
+    extrema = sbox_mod.walsh_row_extrema
+
+    def counted(box):
+        calls.append(box)
+        return extrema(box)
+
+    monkeypatch.setattr(sbox_mod, "walsh_row_extrema", counted)
+    for box in (INV4, identity_sbox(5)):
+        calls.clear()
+        rep = analyze_sbox(box)
+        assert calls == [box]
+        assert rep.nonlinearity == nonlinearity(box)
+        assert (rep.linear_component is not None,
+                rep.linear_component) == has_linear_component(box)
+
+
 @given(perm_strategy)
 def test_walsh_extrema_match_direct_sums(perm):
     box = SBox(tuple(perm))
