@@ -402,7 +402,7 @@ def _walls_mode_chains(cipher: TbCipher, family: FamilyReport | None = None
                        ) -> list[PartitionChain]:
     """One chain per wall that survives the layer family, in lexicographic
     order of the starting wall.  ``family`` is the family's report over the
-    default prefix range j in [1, l-1]; it is computed when not given.
+    prefix range j in [1, l-1]; it is computed when not given.
 
     The surviving masks go through every layer's wall table at once.  Each
     image before the last layer is a wall; the last image is one exactly
@@ -571,8 +571,7 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
     return chains
 
 
-def verify_chain(cipher: TbCipher, chain: PartitionChain, *,
-                 elementwise: bool | None = None) -> bool:
+def verify_chain(cipher: TbCipher, chain: PartitionChain) -> bool:
     """Re-derive every link of a chain against the cipher.
 
     Wall links are verified structurally: a bricklayer of bijective bricks
@@ -581,7 +580,6 @@ def verify_chain(cipher: TbCipher, chain: PartitionChain, *,
     holds iff lambda(U) = V; lambda is invertible, so that is lambda(U) in V
     with dim U = dim V, checked on the basis rows of U.  Non-wall links need
     the full-codebook partition image, so they require d <= MAX_TABLE_D.
-    ``elementwise`` forces the table route even for wall links.
     """
     layout = cipher.layout
     if len(chain.spaces) != cipher.ell + 1:
@@ -590,7 +588,7 @@ def verify_chain(cipher: TbCipher, chain: PartitionChain, *,
         return False
     for h, rnd in enumerate(cipher.rounds):
         cur, nxt = chain.spaces[h], chain.spaces[h + 1]
-        if not elementwise and wall_brick_mask(cur, layout) is not None:
+        if wall_brick_mask(cur, layout) is not None:
             apply = rnd.layer.matrix.apply
             if (cur.dim != nxt.dim
                     or not all(apply(r) in nxt for r in cur.basis)):

@@ -362,15 +362,7 @@ class BrickLayout:
 
     def bricks_of(self, v: int) -> frozenset[int]:
         """1-based indices of bricks where v has support."""
-        out = []
-        m = self.m
-        i = 1
-        while v:
-            if v & ((1 << m) - 1):
-                out.append(i)
-            v >>= m
-            i += 1
-        return frozenset(out)
+        return frozenset(_mask_bricks(_brick_support(v, self.m)))
 
 
 @dataclass(frozen=True)
@@ -422,9 +414,20 @@ def wall_brick_mask(s: Subspace, layout: BrickLayout) -> int | None:
     support = 0
     for row in s.basis:
         support |= row
-    m, brick = layout.m, (1 << layout.m) - 1
-    mask = sum(1 << i for i in range(layout.b) if support >> (i * m) & brick)
-    return mask if s.dim == m * mask.bit_count() else None
+    mask = _brick_support(support, layout.m)
+    return mask if s.dim == layout.m * mask.bit_count() else None
+
+
+def _brick_support(v: int, m: int) -> int:
+    """The bricks (of m bits each) where v has support, as a mask with bit
+    i - 1 for brick i."""
+    brick, mask, bit = (1 << m) - 1, 0, 1
+    while v:
+        if v & brick:
+            mask |= bit
+        v >>= m
+        bit <<= 1
+    return mask
 
 
 def _mask_bricks(mask: int) -> tuple[int, ...]:

@@ -31,8 +31,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceeded, SingularMatrixError
-from .gf2 import (BitMatrix, BrickLayout, Subspace, Wall, _mask_bricks,
-                  _mask_wall, as_wall, subspace_image)
+from .gf2 import (BitMatrix, BrickLayout, Subspace, Wall, _brick_support,
+                  _mask_bricks, _mask_wall, as_wall, subspace_image)
 
 __all__ = [
     "WALL_CAP",
@@ -73,19 +73,13 @@ class MixingLayer:
     def brick_supports(self) -> tuple[int, ...]:
         """For each source brick i (0-based), the set of bricks its image
         touches, as a bitmask over b bits."""
-        m, b = self.layout.m, self.layout.b
-        rows = self.matrix.rows
-        sub_mask = (1 << m) - 1
+        m, rows = self.layout.m, self.matrix.rows
         out = []
-        for i in range(b):
+        for i in range(self.layout.b):
             acc = 0
             for row in rows[i * m:(i + 1) * m]:
                 acc |= row
-            support = 0
-            for j in range(b):
-                if (acc >> (j * m)) & sub_mask:
-                    support |= 1 << j
-            out.append(support)
+            out.append(_brick_support(acc, m))
         return tuple(out)
 
 
@@ -166,16 +160,23 @@ def _escape_steps(supports: Sequence[tuple[int, ...]], b: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The proper wall masks in lexicographic order and, for each, the least
     j such that its image under the first j layers (given by their brick
-    supports) is not a wall, or 0 when every image is a wall."""
+    supports) is not a wall, or 0 when every image is a wall.
+
+    When every layer has the same supports T, the walls that survive j + 1
+    steps are the walls W with T(W) a wall that survives j steps; so once a
+    step lets no wall escape, no later step does, and the walk stops there.
+    """
     masks = _lex_proper_masks(b)
     size = _popcount(masks)
     steps = np.zeros(len(masks), dtype=np.int64)
+    constant = len(set(supports)) == 1
     cur = masks
     for j, sup in enumerate(supports, 1):
-        if steps.all():
-            break
         cur = _wall_table(sup)[cur]
-        steps[(steps == 0) & (_popcount(cur) != size)] = j
+        escaped = (steps == 0) & (_popcount(cur) != size)
+        steps[escaped] = j
+        if steps.all() or (constant and not escaped.any()):
+            break
     return masks, steps
 
 
@@ -214,8 +215,7 @@ def is_strongly_proper(layer: MixingLayer) -> tuple[bool, tuple[Wall, Wall] | No
 
 class WallSteps(Sequence):
     """(sorted brick tuple, escape step or None) per wall, kept as two
-    arrays: the brick masks, and the steps with 0 for None.  A slice is a
-    ``WallSteps`` over the same slice of both arrays."""
+    arrays: the brick masks, and the steps with 0 for None."""
 
     __slots__ = ("masks", "steps")
 
@@ -226,9 +226,7 @@ class WallSteps(Sequence):
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return WallSteps(self.masks[i], self.steps[i])
+    def __getitem__(self, i: int) -> tuple[tuple[int, ...], int | None]:
         step = int(self.steps[i])
         return (_mask_bricks(int(self.masks[i])), step or None)
 
@@ -250,21 +248,12 @@ class FamilyReport:
     enumeration order) with the smallest j such that the image under the
     first j layers stops being a wall, or None if the wall survives every
     checked prefix.  The family is strongly proper iff no wall survives.
-    Any sequence of such pairs is accepted and kept as a ``WallSteps``.
     """
 
     ell: int
     max_prefix: int
     escape: WallSteps
     note: str = ""
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.escape, WallSteps):
-            pairs = list(self.escape)
-            masks = np.array([sum(1 << (i - 1) for i in bricks)
-                              for bricks, _ in pairs], dtype=np.uint16)
-            steps = np.array([step or 0 for _, step in pairs], dtype=np.int64)
-            object.__setattr__(self, "escape", WallSteps(masks, steps))
 
     @property
     def strongly_proper(self) -> bool:
@@ -274,21 +263,17 @@ class FamilyReport:
         """Brick masks of the surviving walls, in enumeration order."""
         return self.escape.masks[self.escape.steps == 0]
 
-    def surviving_walls(self) -> list[tuple[int, ...]]:
-        return [_mask_bricks(mask) for mask in self.surviving_masks().tolist()]
 
-
-def family_strongly_proper(family: LayerFamily, *,
-                           include_full_product: bool = False) -> FamilyReport:
+def family_strongly_proper(family: LayerFamily) -> FamilyReport:
     """Check the per-wall prefix condition over j in [1, l-1].
 
     For l = 1 there are no proper prefixes, so no wall can escape and the
-    family is reported not strongly proper.  ``include_full_product``
-    extends the prefix range to j = l for sensitivity analysis; it is off by
-    default because the final product is not covered by the definition.
+    family is reported not strongly proper.
     """
-    max_prefix = family.ell if include_full_product else family.ell - 1
-    supports = [layer.brick_supports() for layer in family.layers[:max_prefix]]
+    max_prefix = family.ell - 1
+    prefix = family.layers[:max_prefix]
+    known = {layer: layer.brick_supports() for layer in set(prefix)}
+    supports = [known[layer] for layer in prefix]
     note = ""
     if max_prefix == 0:
         note = ("single-layer family: no prefix j < 1 exists, so every wall "

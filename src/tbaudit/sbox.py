@@ -294,25 +294,17 @@ def _violation_scan(table: Sequence[int], m: int, k_lo: int, budget: int,
     return None, None, k_done
 
 
-def anti_invariance_order(box: SBox, *, max_r: int | None = None,
+def anti_invariance_order(box: SBox, *,
                           budget: int = ANTI_INVARIANCE_BUDGET) -> int:
     """Largest r in [1, m-1] for which the box is strongly r-anti-invariant,
     or 0 if none.
 
     The answer is determined by the largest violating dimension k*: the
     order is m-1-k*, or m-1 when no dimension violates (the property is
-    monotone: the dim window [m-r, m) only grows with r).  ``max_r`` caps the
-    certified answer, which keeps the scan shallow for wide boxes.
+    monotone: the dim window [m-r, m) only grows with r).
     """
-    m = box.m
-    if max_r is None:
-        max_r = m - 1
-    if not 1 <= max_r <= m - 1:
-        raise ValueError(f"max_r={max_r} out of range [1, {m - 1}]")
-    k_star, _, _ = _violation_scan(box.normalized(), m, m - max_r, budget)
-    if k_star is None:
-        return max_r
-    return m - 1 - k_star
+    k_star, _, _ = _violation_scan(box.normalized(), box.m, 1, budget)
+    return box.m - 1 - (k_star or 0)
 
 
 @dataclass(frozen=True)
@@ -328,7 +320,7 @@ class SBoxReport:
     violation: tuple[Subspace, Subspace] | None
 
 
-def analyze_sbox(box: SBox, *, max_r: int | None = None,
+def analyze_sbox(box: SBox, *,
                  budget: int = ANTI_INVARIANCE_BUDGET) -> SBoxReport:
     """One-stop measurement report; the anti-invariance order degrades to a
     lower bound (order_is_exact=False) when the budget stops the scan."""
@@ -337,10 +329,7 @@ def analyze_sbox(box: SBox, *, max_r: int | None = None,
     delta = differential_uniformity(box, table)
     mini = min_derivative_image(box, table)
     extrema = walsh_row_extrema(box)
-    if max_r is None:
-        max_r = m - 1
-    norm = box.normalized()
-    k_star, pair, k_done = _violation_scan(norm, m, m - max_r, budget,
+    k_star, pair, k_done = _violation_scan(box.normalized(), m, 1, budget,
                                            refuse=False)
     order: int | None
     if k_star is not None:

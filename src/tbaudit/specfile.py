@@ -31,11 +31,7 @@ from .gf2 import BitMatrix, BrickLayout
 from .mixing import MixingLayer
 from .sbox import SBox
 
-__all__ = ["load_cipher", "parse_cipher", "cipher_to_spec",
-           "BRICK_BUILTINS", "LAYER_BUILTINS"]
-
-BRICK_BUILTINS = tuple(presets.BUILTIN_BRICKS)
-LAYER_BUILTINS = tuple(presets.BUILTIN_LAYERS)
+__all__ = ["load_cipher", "parse_cipher", "cipher_to_spec"]
 
 _IGNORED_KEYS = {"comment", "name", "description"}
 
@@ -87,7 +83,7 @@ def _parse_values(entry, path: str) -> list[int]:
 
 
 def _parse_brick(entry, m: int, path: str) -> SBox:
-    if isinstance(entry, str) and entry in BRICK_BUILTINS:
+    if isinstance(entry, str) and entry in presets.BUILTIN_BRICKS:
         try:
             box = presets.BUILTIN_BRICKS[entry](m)
         except ValueError as exc:
@@ -99,7 +95,7 @@ def _parse_brick(entry, m: int, path: str) -> SBox:
             and len(entry) > 4:
         # Looks like a (misspelled) name rather than a table.
         _fail(path, f"unknown brick {entry!r}; builtins: "
-                    f"{', '.join(BRICK_BUILTINS)}")
+                    f"{', '.join(presets.BUILTIN_BRICKS)}")
     values = _parse_values(entry, path)
     if len(values) != 1 << m:
         _fail(path, f"table has {len(values)} entries, layout needs {1 << m}")
@@ -111,9 +107,9 @@ def _parse_brick(entry, m: int, path: str) -> SBox:
 
 def _parse_layer(entry, layout: BrickLayout, path: str) -> MixingLayer:
     if isinstance(entry, str):
-        if entry not in LAYER_BUILTINS:
+        if entry not in presets.BUILTIN_LAYERS:
             _fail(path, f"unknown layer {entry!r}; builtins: "
-                        f"{', '.join(LAYER_BUILTINS)}")
+                        f"{', '.join(presets.BUILTIN_LAYERS)}")
         layer = presets.BUILTIN_LAYERS[entry](layout.m, layout.b)
         if layer.layout != layout:
             _fail(path, f"{entry} needs layout m={layer.layout.m}, "

@@ -571,6 +571,20 @@ def table_scan_chains(cipher):
     return chains
 
 
+def table_verify_chain(cipher, chain):
+    """Whether every link of a chain holds by the full-codebook route: the
+    partition image of U_h under round h's table is the coset partition of
+    U_{h+1}.  ``verify_chain`` takes this route only for non-wall links."""
+    from tbaudit.cipher import LinearPartition, partition_image, round_table
+    if len(chain.spaces) != cipher.ell + 1:
+        return False
+    for rnd, cur, nxt in zip(cipher.rounds, chain.spaces, chain.spaces[1:]):
+        img = partition_image(round_table(rnd), LinearPartition(cur))
+        if img is None or img.subspace != nxt:
+            return False
+    return True
+
+
 def scalar_violation_scan(table, m, k_lo, budget, refuse=True):
     """The anti-invariance scan that the pre-filtered block scan replaced:
     the image-span rank of every subspace, dims m-1 down to k_lo, with the

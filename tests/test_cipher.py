@@ -30,7 +30,7 @@ from tbaudit.sbox import SBox
 
 from oracles import (brute_derivative_containment, brute_partition_image,
                      matrix_apply_by_columns, span_rank, table_scan_chains,
-                     walls_mode_masks, xor_span)
+                     table_verify_chain, walls_mode_masks, xor_span)
 
 SPLIT_ROUTE_TABLE = (3, 14, 7, 9, 13, 11, 4, 5, 12, 8, 1, 0, 15, 6, 2, 10)
 
@@ -291,7 +291,7 @@ def test_walls_mode_on_the_rotation_cipher():
         (1, 2, 4), (8, 16, 32), (64, 128, 256), (1, 2, 4)]
     for ch in chains:
         assert verify_chain(cipher, ch)
-        assert verify_chain(cipher, ch, elementwise=True)
+        assert table_verify_chain(cipher, ch)
 
 
 def _walls_test_layer(kind, rng, layout):
@@ -498,8 +498,7 @@ def test_exhaustive_search_builds_no_table(monkeypatch):
     assert scans == [cipher] and len(chains) == count_proper_subspaces(6)
     # the raw round tables re-verify them, though these bricks move 0
     assert any(box.shift for rnd in cipher.rounds for box in rnd.bricks)
-    assert all(verify_chain(cipher, ch, elementwise=True)
-               for ch in chains[::97])
+    assert all(table_verify_chain(cipher, ch) for ch in chains[::97])
 
 
 @pytest.mark.parametrize("m, b, count", [(4, 3, 6), (3, 4, 14)])
@@ -593,7 +592,7 @@ def test_verify_chain_wall_links_agree_with_the_tables(seed):
         for _ in range(ell)))
     for chain in find_trapdoor_chains(cipher, "walls"):
         assert verify_chain(cipher, chain)
-        assert verify_chain(cipher, chain, elementwise=True)
+        assert table_verify_chain(cipher, chain)
         h = rng.randrange(ell)
         nxt = chain.spaces[h + 1]
         wall = as_wall(nxt, layout)
@@ -606,7 +605,7 @@ def test_verify_chain_wall_links_agree_with_the_tables(seed):
             bad = PartitionChain(chain.spaces[:h + 1] + (space,)
                                  + chain.spaces[h + 2:])
             assert not verify_chain(cipher, bad)
-            assert not verify_chain(cipher, bad, elementwise=True)
+            assert not table_verify_chain(cipher, bad)
 
 
 def test_chain_holds_under_sampled_keys():

@@ -3,12 +3,14 @@ images instead of the support-mask arithmetic the module uses internally."""
 
 import random
 
+import numpy as np
 import pytest
 
+import tbaudit.mixing as mixing_mod
 from tbaudit.errors import SingularMatrixError
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, as_wall,
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _mask_bricks, as_wall,
                          identity_matrix, random_invertible, subspace_image)
-from tbaudit.mixing import (FamilyReport, LayerFamily, MixingLayer,
+from tbaudit.mixing import (FamilyReport, LayerFamily, MixingLayer, WallSteps,
                             enumerate_proper_walls, family_strongly_proper,
                             is_proper, is_strongly_proper, wall_trace)
 from tbaudit.presets import (aes_layout, aes_mix_columns_layer,
@@ -182,18 +184,20 @@ def assert_kernel_matches_walker(layers):
         assert (ok, None if pair is None else tuple(
             w.sorted_bricks() for w in pair)) == \
             retired_is_strongly_proper(supports, b)
-    fam = LayerFamily(tuple(layers))
-    for full in (False, True):
-        rep = family_strongly_proper(fam, include_full_product=full)
-        expected = retired_family_escape(
-            [layer.brick_supports() for layer in layers[:rep.max_prefix]], b)
-        assert len(rep.escape) == len(expected)
-        assert list(rep.escape) == expected
-        assert list(rep.escape[1::3]) == expected[1::3]
-        assert len(rep.escape[:5]) == len(expected[:5])
-        assert rep.surviving_walls() == [w for w, step in expected
-                                         if step is None]
-        assert rep.strongly_proper == all(step for _, step in expected)
+    assert_family_matches_walker(LayerFamily(tuple(layers)))
+
+
+def assert_family_matches_walker(fam):
+    rep = family_strongly_proper(fam)
+    assert rep.max_prefix == fam.ell - 1
+    expected = retired_family_escape(
+        [layer.brick_supports() for layer in fam.layers[:-1]], fam.layout.b)
+    assert len(rep.escape) == len(expected)
+    assert list(rep.escape) == expected
+    assert [_mask_bricks(mask) for mask in rep.surviving_masks().tolist()] \
+        == [w for w, step in expected if step is None]
+    assert rep.strongly_proper == all(step for _, step in expected)
+    return expected
 
 
 @pytest.mark.parametrize("b", range(2, 13))
@@ -232,7 +236,7 @@ def test_rotation_family_never_escapes():
     assert not rep.strongly_proper
     assert rep.max_prefix == 3
     assert all(step is None for _, step in rep.escape)
-    assert len(rep.surviving_walls()) == 6
+    assert len(rep.surviving_masks()) == 6
 
 
 def test_single_layer_family_is_vacuously_stuck():
@@ -241,11 +245,7 @@ def test_single_layer_family_is_vacuously_stuck():
     assert rep.max_prefix == 0
     assert not rep.strongly_proper
     assert "single-layer" in rep.note
-    # with the full product included, the strongly proper layer ends it at j=1
-    rep_full = family_strongly_proper(LayerFamily((layer,)),
-                                      include_full_product=True)
-    assert rep_full.strongly_proper
-    assert all(step == 1 for _, step in rep_full.escape)
+    assert all(step is None for _, step in rep.escape)
 
 
 def test_family_escape_steps_match_prefix_traces():
@@ -324,7 +324,43 @@ def test_aes_family_of_ten_is_strongly_proper():
 
 
 def test_family_report_shape():
-    rep = FamilyReport(ell=2, max_prefix=1,
-                       escape=(((1,), 1), ((2,), None)))
+    rep = FamilyReport(ell=2, max_prefix=1, escape=WallSteps(
+        np.array([1, 2], dtype=np.uint16), np.array([1, 0])))
     assert not rep.strongly_proper
-    assert rep.surviving_walls() == [(2,)]
+    assert list(rep.escape) == [((1,), 1), ((2,), None)]
+    assert rep.surviving_masks().tolist() == [2]
+
+
+def test_constant_family_walk_matches_the_retired_walker():
+    # One layer repeated: the walk stops at the first step that lets no wall
+    # escape, which must leave every escape step as the full walk finds it.
+    # Leaky brick permutations hold some walls for several steps, so the
+    # stop has walls to get wrong.
+    latest = 0
+    for seed in range(300):
+        rng = random.Random(9000 + seed)
+        layout = BrickLayout(rng.randint(2, 3), rng.randint(2, 7))
+        kind = seed % 3
+        layer = (rotation_layer(layout) if kind == 0
+                 else brick_permuting_layer(rng, layout, rng.randint(1, 3))
+                 if kind == 1
+                 else MixingLayer(random_invertible(rng, layout.d), layout))
+        expected = assert_family_matches_walker(
+            LayerFamily((layer,) * rng.randint(1, 40)))
+        latest = max([latest] + [step or 0 for _, step in expected])
+    assert latest >= 3
+
+
+def test_constant_family_reads_one_wall_table(monkeypatch):
+    lookups = []
+    wall_table = mixing_mod._wall_table
+
+    def counted(supports):
+        lookups.append(supports)
+        return wall_table(supports)
+
+    monkeypatch.setattr(mixing_mod, "_wall_table", counted)
+    fam = LayerFamily((rotation_layer(BrickLayout(2, 8)),) * 1000)
+    rep = family_strongly_proper(fam)
+    assert not rep.strongly_proper and len(rep.surviving_masks()) == 254
+    assert len(lookups) <= 2

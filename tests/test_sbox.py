@@ -238,6 +238,9 @@ def test_inversion_subfield_is_the_order_witness():
     assert is_strongly_anti_invariant(INV4, 1) == (True, None)
     assert anti_invariance_order(INV4) == 1
     assert anti_invariance_order(INV5) == 3
+    # the property is monotone, so every shallower window holds too
+    assert all(is_strongly_anti_invariant(INV5, r) == (True, None)
+               for r in (1, 2, 3))
     assert anti_invariance_order(identity_sbox(4)) == 0
     # F_64 contains F_8 as a 3-dimensional subfield fixed by inversion
     assert anti_invariance_order(inversion_sbox(6)) == 2
@@ -248,8 +251,6 @@ def test_anti_invariance_r_range():
         is_strongly_anti_invariant(INV4, 0)
     with pytest.raises(ValueError):
         is_strongly_anti_invariant(INV4, 4)
-    with pytest.raises(ValueError):
-        anti_invariance_order(INV4, max_r=0)
 
 
 def test_budget_refusal_carries_the_cost():
@@ -263,12 +264,6 @@ def test_budget_refusal_carries_the_cost():
         is_strongly_anti_invariant(identity_sbox(5), 2, budget=31)
     assert exc.value.estimate == anti_invariance_scan_cost(5, 2)
     assert exc.value.limit == 31
-
-
-def test_order_is_capped_by_max_r():
-    # inv5 is strongly 3-anti-invariant; a shallow scan certifies less
-    assert anti_invariance_order(INV5, max_r=2) == 2
-    assert anti_invariance_order(INV5, max_r=1) == 1
 
 
 def half_identity_box(seed, m):

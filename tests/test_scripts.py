@@ -1,5 +1,6 @@
-"""Smoke runs of the sweep scripts, which drive the audit, both chain-search
-modes and chain verification end to end."""
+"""Smoke runs of the scripts: the sweeps drive the audit, both chain-search
+modes and chain verification end to end, and the layer derivation checks
+the rows frozen in the spec files."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ ROOT = Path(__file__).parent.parent
 @pytest.mark.parametrize("argv", [
     ["scripts/consistency_sweep.py", "--count", "12", "--max-d", "9"],
     ["scripts/rotation_sweep.py", "--m", "2", "--max-b", "3", "--max-ell", "3"],
+    ["scripts/derive_toy_layers.py"],
 ])
 def test_sweep_script_runs_clean(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

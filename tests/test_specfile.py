@@ -8,9 +8,9 @@ import pytest
 from tbaudit.cipher import (build_linear_toy_cipher,
                             build_present_toy_cipher, build_rotation_cipher)
 from tbaudit.errors import SingularMatrixError, SpecError
-from tbaudit.presets import present_sbox, inversion_sbox
-from tbaudit.specfile import (BRICK_BUILTINS, LAYER_BUILTINS, cipher_to_spec,
-                              load_cipher, parse_cipher)
+from tbaudit.presets import (BUILTIN_BRICKS, BUILTIN_LAYERS, present_sbox,
+                             inversion_sbox)
+from tbaudit.specfile import cipher_to_spec, load_cipher, parse_cipher
 
 SPEC_DIR = Path(__file__).parent.parent / "specs"
 
@@ -131,8 +131,8 @@ def test_comment_keys_are_ignored():
 
 
 def test_builtin_lists_are_stable():
-    assert BRICK_BUILTINS == ("inverse_gf2m", "present", "identity")
-    assert set(LAYER_BUILTINS) == {
+    assert tuple(BUILTIN_BRICKS) == ("inverse_gf2m", "present", "identity")
+    assert set(BUILTIN_LAYERS) == {
         "rotation", "identity", "aes_shift_rows", "aes_mix_columns",
         "aes_sr_mc"}
 
