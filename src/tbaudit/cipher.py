@@ -22,13 +22,16 @@ by the same spans.  Neither route builds a full-codebook table.
 Derivative spans come from ``derivative_span``, brick by brick and without a
 table; its per-(brick, u_i) pieces and each round's inverse (``decrypt``
 uses it too) sit in caches bounded at ``_ROUND_TABLE_CACHE`` rounds.
-Full-codebook tables are built per keyless round by ``round_table``, the one
-table cache, which holds at most ``_ROUND_TABLE_CACHE`` tables; the
-substitution and mixing tables it is made from are not kept.
+Every full-codebook table is an XOR of per-brick pieces of 2^m entries and
+is built from them brick by brick, in one pass over the 2^d points
+(``_codebook_table``).  ``round_table`` is the one table cache, holding at
+most ``_ROUND_TABLE_CACHE`` keyless round tables.
 
 The audit itself is certificate-based: it reports Secure only when the
 layer/brick hypotheses that provably exclude all chains hold, Vulnerable
-only with a chain that re-verifies, and Inconclusive otherwise.
+only with a chain that re-verifies, and Inconclusive otherwise.  It counts
+the walls-mode chains on their brick masks (``_wall_links_hold``) and
+builds and fully re-verifies only the one it reports.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ __all__ = [
 MAX_TABLE_D = 20
 DEFAULT_CHAIN_CAP = 9
 
-# Memo cache bounds: 16 round tables, one per round (8 MiB each at
+# Memo cache bounds: 16 round tables, one per round (4 MiB each at
 # d = MAX_TABLE_D), cover every round that one audit touches.
 _ROUND_TABLE_CACHE = 16
 _BRICK_CONDITION_CACHE = 256
@@ -203,44 +206,56 @@ def _require_table_width(d: int) -> None:
             estimate=1 << d, limit=1 << MAX_TABLE_D)
 
 
+def _codebook_table(layout: BrickLayout,
+                    pieces: Iterable[np.ndarray]) -> np.ndarray:
+    """Table of x -> T_1[x_1] ^ ... ^ T_b[x_b], where x_i is the i-th m-bit
+    brick of x (brick 1 lowest) and T_i the i-th piece (2^m uint32 entries),
+    built brick by brick in one pass: the table over the low i bricks grows
+    to the low i + 1 by entry y * 2^(i*m) + z = T_{i+1}[y] ^ table[z].  The
+    width is refused before any piece is made.  Read-only uint32, like every
+    full-codebook table here."""
+    _require_table_width(layout.d)
+    tab = np.zeros(1, dtype=np.uint32)
+    for piece in pieces:
+        tab = (piece[:, None] ^ tab[None, :]).ravel()
+    tab.setflags(write=False)
+    return tab
+
+
 def substitution_table(bricks: tuple[SBox, ...], layout: BrickLayout,
                        normalized: bool = True) -> np.ndarray:
     """Lookup table of the bricklayer alone (no mixing, no key), as uint32
-    (d <= MAX_TABLE_D), like every full-codebook table here."""
-    d = layout.d
-    _require_table_width(d)
+    (d <= MAX_TABLE_D): the piece of brick i is S_i(y) << i*m."""
     if len(bricks) != layout.b:
         raise ValueError(f"got {len(bricks)} bricks, layout needs {layout.b}")
-    n = 1 << d
     m = layout.m
-    idx = np.arange(n, dtype=np.uint32)
-    sub = np.zeros(n, dtype=np.uint32)
     for i, box in enumerate(bricks):
         if box.m != m:
             raise ValueError(f"brick {i + 1} is {box.m}-bit, layout needs {m}-bit")
-        t = box.normalized() if normalized else box.table
-        bt = np.array(t, dtype=np.uint32)
-        sub |= bt[(idx >> (i * m)) & ((1 << m) - 1)] << (i * m)
-    sub.setflags(write=False)
-    return sub
+    return _codebook_table(layout, (
+        np.array(box.normalized() if normalized else box.table,
+                 dtype=np.uint32) << (i * m)
+        for i, box in enumerate(bricks)))
 
 
 @lru_cache(maxsize=_ROUND_TABLE_CACHE)
 def round_table(rnd: Round) -> np.ndarray:
-    """Lookup table of the keyless round map f(x) = L(S(x))."""
-    sub = substitution_table(rnd.bricks, rnd.layout, normalized=False)
-    out = _span_elements(rnd.layer.matrix.rows, np.uint32)[sub]
-    out.setflags(write=False)
-    return out
+    """Lookup table of the keyless round map f(x) = L(S(x)).  L is linear,
+    so f(x) is the XOR over bricks i of L(S_i(x_i) << i*m), and the piece of
+    brick i is the span table of L's rows i*m .. i*m + m - 1 gathered
+    through S_i."""
+    m, rows = rnd.layout.m, rnd.layer.matrix.rows
+    return _codebook_table(rnd.layout, (
+        _span_elements(rows[i * m:(i + 1) * m], np.uint32)[list(box.table)]
+        for i, box in enumerate(rnd.bricks)))
 
 
 def encryption_table(cipher: TbCipher, keys: Sequence[int]) -> np.ndarray:
     """Full codebook of the keyed cipher, uint32 like the round tables it
     is composed from."""
     _check_key_tuple(cipher, keys)
-    _require_table_width(cipher.layout.d)
-    state = np.arange(1 << cipher.layout.d, dtype=np.uint32)
-    for rnd, k in zip(cipher.rounds, keys):
+    state = round_table(cipher.rounds[0]) ^ keys[0]
+    for rnd, k in zip(cipher.rounds[1:], keys[1:]):
         state = round_table(rnd)[state] ^ k
     return state
 
@@ -398,35 +413,62 @@ class PartitionChain:
                 raise ValueError("chain contains a trivial subspace")
 
 
-def _walls_mode_chains(cipher: TbCipher, family: FamilyReport | None = None
-                       ) -> list[PartitionChain]:
-    """One chain per wall that survives the layer family, in lexicographic
-    order of the starting wall.  ``family`` is the family's report over the
-    prefix range j in [1, l-1]; it is computed when not given.
-
-    The surviving masks go through every layer's wall table at once.  Each
-    image before the last layer is a wall; the last image is one exactly
-    when it touches as many bricks (see ``mixing``), and is otherwise
-    computed from its basis.
-    """
-    if family is None:
-        family = family_strongly_proper(LayerFamily(cipher.layers()))
-    layout = cipher.layout
+def _wall_walk(cipher: TbCipher, family: FamilyReport) -> np.ndarray:
+    """The brick masks of the walls that survive the layer family (its report
+    over the prefix range j in [1, l-1]), in lexicographic order, and of
+    their images under each layer in turn: an (n, l+1) uint16 array, one row
+    per wall, built through every layer's wall table at once."""
     walk = [family.surviving_masks()]
     for rnd in cipher.rounds:
         walk.append(_wall_table(rnd.layer.brick_supports())[walk[-1]])
-    last_is_wall = (_popcount(walk[-1]) == _popcount(walk[0])).tolist()
+    return np.stack(walk, axis=1)
+
+
+def _ends_in_wall(walk: np.ndarray) -> np.ndarray:
+    """Per row of a wall walk, whether its last image is a wall: exactly when
+    it touches as many bricks as the starting wall (see ``mixing``)."""
+    return _popcount(walk[:, -1]) == _popcount(walk[:, 0])
+
+
+def _walk_chains(cipher: TbCipher, walk: np.ndarray) -> list[PartitionChain]:
+    """One chain per row of a wall walk.  Each mask before the last is a
+    wall; so is the last when the row ends in a wall, and otherwise the last
+    space is the image of the wall before it, computed from its basis."""
+    layout = cipher.layout
     last = cipher.rounds[-1].layer.matrix
     # A wall recurs as the image of other walls: build each subspace once.
     wall_space = lru_cache(maxsize=1 << layout.b)(
         lambda mask: _mask_wall(layout, mask).subspace())
     chains = []
-    for masks, is_wall in zip(np.stack(walk, axis=1).tolist(), last_is_wall):
+    for masks, is_wall in zip(walk.tolist(), _ends_in_wall(walk).tolist()):
         spaces = [wall_space(mask) for mask in masks[:-1]]
         spaces.append(wall_space(masks[-1]) if is_wall
                       else subspace_image(spaces[-1], last))
         chains.append(PartitionChain(tuple(spaces)))
     return chains
+
+
+def _wall_links_hold(cipher: TbCipher, walk: np.ndarray) -> np.ndarray:
+    """Per row of a wall walk, whether ``verify_chain`` accepts its chain,
+    decided on the masks alone.
+
+    A link from the wall of bricks I to the wall of bricks J holds iff
+    lambda(W_I) lies in W_J and |I| = |J| (``verify_chain``).  The least
+    wall holding lambda(W_I) is that of the bricks its basis touches, the OR
+    of the layer's brick supports over I; that OR is taken here by b masked
+    ORs, not read from the wall tables that made the walk.  A row that does
+    not end in a wall ends in lambda(U_l) itself, which its last link maps
+    onto by construction.
+    """
+    src, dst = walk[:, :-1], walk[:, 1:]
+    supports = np.array([rnd.layer.brick_supports() for rnd in cipher.rounds],
+                        dtype=np.uint16)
+    img = np.zeros_like(src)
+    for i in range(cipher.layout.b):
+        img |= np.where(src & (1 << i) != 0, supports[:, i], np.uint16(0))
+    ok = ((img & ~dst) == 0) & (_popcount(src) == _popcount(dst))
+    ok[:, -1] |= ~_ends_in_wall(walk)
+    return ok.all(axis=1)
 
 
 def _scan_chains(cipher: TbCipher) -> list[PartitionChain]:
@@ -541,7 +583,8 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
 
     walls mode: starts from every proper wall and requires each intermediate
     image (before the last round) to stay a wall; complete for the chains
-    that exist whenever the layer family is not strongly proper.
+    that exist whenever the layer family is not strongly proper.  One chain
+    per surviving wall, in lexicographic order of the starting wall.
 
     exhaustive mode: complete, but refused above ``cap`` ambient bits.  It
     closes every nonzero seed (``_seed_atoms``) and joins the A distinct
@@ -553,7 +596,8 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
     sorted by (dim U_1, basis).
     """
     if mode == "walls":
-        return _walls_mode_chains(cipher)
+        family = family_strongly_proper(LayerFamily(cipher.layers()))
+        return _walk_chains(cipher, _wall_walk(cipher, family))
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     d = cipher.layout.d
@@ -603,6 +647,12 @@ def verify_chain(cipher: TbCipher, chain: PartitionChain) -> bool:
 def chain_holds_under_key(cipher: TbCipher, chain: PartitionChain,
                           keys: Sequence[int]) -> bool:
     """Whether the keyed cipher maps L(U_1) to L(U_{l+1})."""
+    d = cipher.layout.d
+    if len(chain.spaces) != cipher.ell + 1 or chain.spaces[0].ambient != d:
+        raise ValueError(
+            f"chain of {len(chain.spaces)} spaces in (F_2)^"
+            f"{chain.spaces[0].ambient} does not fit a {cipher.ell}-round "
+            f"cipher on {d} bits")
     table = encryption_table(cipher, keys)
     return _maps_cosets(table, chain.spaces[0].basis, chain.spaces[-1].basis)
 
@@ -775,8 +825,9 @@ def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
     if clause1_round is not None or clause2:
         return verdict(status="secure", clause1_round=clause1_round,
                        clause2_ok=clause2, notes=tuple(notes))
-    chains = [ch for ch in _walls_mode_chains(cipher, family)
-              if verify_chain(cipher, ch)]
+    walk = _wall_walk(cipher, family)
+    passing = walk[_wall_links_hold(cipher, walk)]
+    chains = _walk_chains(cipher, passing[:1])
     if not family.strongly_proper:
         notes.append(
             f"{len(family.surviving_masks())} proper wall(s) survive every "
@@ -787,9 +838,9 @@ def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
                 notes.append(
                     f"round {rep.round_index} brick {brick.brick_index}: "
                     f"{brick.detail}")
-    if chains:
+    if chains and verify_chain(cipher, chains[0]):
         return verdict(status="vulnerable", chain=chains[0],
-                       chain_count=len(chains), notes=tuple(notes))
+                       chain_count=len(passing), notes=tuple(notes))
     if exhaustive_fallback_cap < layout.d:
         return verdict(status="inconclusive", notes=tuple(notes))
     deep = find_trapdoor_chains(cipher, "exhaustive",

@@ -537,7 +537,54 @@ def carryless_mul_mod(a, b, modulus, m):
 
 
 # ---------------------------------------------------------------------------
-# Retired search routes, kept as second routes.
+# Retired routes, kept as second routes.
+
+
+def retired_substitution_table(bricks, layout, normalized=True):
+    """The bricklayer table by the route that the one-pass brick-by-brick
+    build replaced: every brick looked up over an index array of all 2^d
+    points, read-only uint32."""
+    import numpy as np
+    n = 1 << layout.d
+    m = layout.m
+    idx = np.arange(n, dtype=np.uint32)
+    sub = np.zeros(n, dtype=np.uint32)
+    for i, box in enumerate(bricks):
+        bt = np.array(box.normalized() if normalized else box.table,
+                      dtype=np.uint32)
+        sub |= bt[(idx >> (i * m)) & ((1 << m) - 1)] << (i * m)
+    sub.setflags(write=False)
+    return sub
+
+
+def retired_round_table(rnd):
+    """The keyless round table by the retired route: the raw bricklayer
+    table, gathered through the span table of all of L's rows."""
+    import numpy as np
+    from tbaudit.gf2 import _span_elements
+    sub = retired_substitution_table(rnd.bricks, rnd.layout, normalized=False)
+    out = _span_elements(rnd.layer.matrix.rows, np.uint32)[sub]
+    out.setflags(write=False)
+    return out
+
+
+def retired_encryption_table(cipher, keys):
+    """The keyed codebook by the retired route: every point pushed from an
+    index array through the retired round tables."""
+    import numpy as np
+    state = np.arange(1 << cipher.layout.d, dtype=np.uint32)
+    for rnd, k in zip(cipher.rounds, keys):
+        state = retired_round_table(rnd)[state] ^ k
+    return state
+
+
+def retired_walls_audit_chains(cipher):
+    """The walls-mode chains that ``audit`` counted before the mask-level
+    link check, the first of which it embedded: every chain built and sent
+    through ``verify_chain``."""
+    from tbaudit.cipher import find_trapdoor_chains, verify_chain
+    return [ch for ch in find_trapdoor_chains(cipher, "walls")
+            if verify_chain(cipher, ch)]
 
 
 def table_scan_chains(cipher):

@@ -2,7 +2,9 @@
 
 import random
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             SEMANTICS, LinearPartition, PartitionChain,
                             Round, TbCipher, _brick_conditions, _join_atoms,
                             _round_inverse, _scan_chains, _seed_atoms,
-                            _span_kernel, audit,
+                            _span_kernel, _wall_links_hold, _wall_walk, audit,
                             build_linear_toy_cipher, build_present_toy_cipher,
                             build_rotation_cipher, build_secure_toy_cipher,
                             chain_holds_under_key, check_lemma_containment,
@@ -27,10 +29,15 @@ from tbaudit.mixing import MixingLayer, enumerate_proper_walls
 from tbaudit.presets import (identity_sbox, inversion_sbox, identity_layer,
                              present_sbox, rotation_layer)
 from tbaudit.sbox import SBox
+from tbaudit.specfile import load_cipher
 
 from oracles import (brute_derivative_containment, brute_partition_image,
-                     matrix_apply_by_columns, span_rank, table_scan_chains,
+                     matrix_apply_by_columns, retired_encryption_table,
+                     retired_round_table, retired_substitution_table,
+                     retired_walls_audit_chains, span_rank, table_scan_chains,
                      table_verify_chain, walls_mode_masks, xor_span)
+
+SPEC_DIR = Path(__file__).parent.parent / "specs"
 
 SPLIT_ROUTE_TABLE = (3, 14, 7, 9, 13, 11, 4, 5, 12, 8, 1, 0, 15, 6, 2, 10)
 
@@ -156,6 +163,38 @@ def test_round_table_normalization():
     # the round table is the raw map L(S(x))
     lin = rnd.layer.matrix
     assert round_table(rnd).tolist() == [lin.apply(y) for y in raw.tolist()]
+
+
+def _same_table(got, want):
+    assert got.dtype == want.dtype
+    assert got.flags.writeable == want.flags.writeable
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m, b", [(2, 2), (2, 5), (2, 9), (3, 3), (3, 4),
+                                  (4, 2), (4, 5), (5, 3), (6, 2), (7, 2),
+                                  (8, 2), (2, 10)])
+def test_codebook_tables_match_the_retired_route(m, b):
+    # the brick-by-brick build against the 2^d index-array route it
+    # replaced; (4, 5) and (2, 10) are d = 20, the table cap
+    rng = random.Random(1000 * m + b)
+    layout = BrickLayout(m, b)
+    cipher = TbCipher(tuple(
+        Round(tuple(_oracle_test_brick(rng.choice(("random", "affine",
+                                                   "identity")), rng, m)
+                    for _ in range(b)),
+              _walls_test_layer(rng.choice(("random", "rotation",
+                                            "permuting")), rng, layout))
+        for _ in range(2)))
+    for rnd in cipher.rounds:
+        _same_table(round_table(rnd), retired_round_table(rnd))
+        for normalized in (False, True):
+            _same_table(
+                substitution_table(rnd.bricks, layout, normalized),
+                retired_substitution_table(rnd.bricks, layout, normalized))
+    keys = tuple(rng.getrandbits(layout.d) for _ in range(cipher.ell))
+    _same_table(encryption_table(cipher, keys),
+                retired_encryption_table(cipher, keys))
 
 
 def test_substitution_table_fixes_wall_partitions():
@@ -625,6 +664,16 @@ def test_chain_holds_under_sampled_keys():
     assert hits < 20
 
 
+def test_chain_holds_under_key_refuses_a_chain_that_does_not_fit():
+    cipher = build_rotation_cipher(3, 3, 2)  # d = 9, 2 rounds
+    wide = find_trapdoor_chains(build_rotation_cipher(3, 4, 2), "walls")[0]
+    narrow = find_trapdoor_chains(build_rotation_cipher(2, 2, 2), "walls")[0]
+    short = find_trapdoor_chains(build_rotation_cipher(3, 3, 1), "walls")[0]
+    for chain in (wide, narrow, short):
+        with pytest.raises(ValueError, match="does not fit"):
+            chain_holds_under_key(cipher, chain, (0, 0))
+
+
 # ---------------------------------------------------------------------------
 # Per-brick certificate conditions.
 
@@ -757,6 +806,77 @@ def test_audit_walks_the_walls_once_per_distinct_layer(monkeypatch):
         verdict = audit(TbCipher(rounds))
         assert verdict.status == "vulnerable"
         assert len(walks) == distinct + 1
+
+
+def _audit_test_ciphers():
+    """Rotation ciphers at b = 2-12, ciphers of random, rotation,
+    brick-permuting and leaky layers over random, affine and identity
+    bricks, and the bundled specs."""
+    rng = random.Random(18)
+    ciphers = [build_rotation_cipher(m, b, ell)
+               for m, top in ((2, 12), (3, 6)) for b in range(2, top + 1)
+               for ell in (1, 2, 3)]
+    for n in range(180):
+        m, b = (2, 2 + n % 5) if n % 3 else (3, 2 + n % 3)
+        layout = BrickLayout(m, b)
+        kinds = ("random", "rotation", "permuting", "leaky")
+        brick = rng.choice(("random", "affine", "identity"))
+        ciphers.append(TbCipher(tuple(
+            Round(tuple(_oracle_test_brick(brick, rng, m) for _ in range(b)),
+                  _walls_test_layer(rng.choice(kinds), rng, layout))
+            for _ in range(1 + n % 4))))
+    ciphers += [load_cipher(path) for path in sorted(SPEC_DIR.glob("*.json"))]
+    return ciphers
+
+
+def test_audit_counts_the_chains_the_retired_route_verifies():
+    # the mask-level link check against every walls chain sent through
+    # verify_chain, on every cipher whose audit reaches the walls search
+    tally = {"secure": 0, "none": 0, "some": 0}
+    for cipher in _audit_test_ciphers():
+        verdict = audit(cipher)
+        if verdict.status == "secure":
+            tally["secure"] += 1
+            assert verdict.chain is None and verdict.chain_count == 0
+            continue
+        oracle = retired_walls_audit_chains(cipher)
+        assert verdict.chain_count == len(oracle)
+        assert verdict.chain == (oracle[0] if oracle else None)
+        tally["some" if oracle else "none"] += 1
+    assert tally["none"] + tally["some"] >= 200
+    assert min(tally.values()) > 0, tally
+
+
+def test_audit_verifies_only_the_chain_it_embeds(monkeypatch):
+    import tbaudit.cipher as cipher_mod
+    calls = []
+    verify = cipher_mod.verify_chain
+    monkeypatch.setattr(
+        cipher_mod, "verify_chain",
+        lambda cipher, chain: calls.append(chain) or verify(cipher, chain))
+    verdict = audit(build_rotation_cipher(2, 12, 3))
+    assert verdict.status == "vulnerable" and verdict.chain_count == 4094
+    assert calls == [verdict.chain]
+
+
+def test_wall_link_check_rejects_a_tampered_walk():
+    # the check recomputes each link's image mask, so a row fails once one
+    # of its walls is swapped for another wall of the same size, or an
+    # intermediate wall for a larger one
+    cipher = build_rotation_cipher(2, 4, 3)
+    walk = _wall_walk(cipher, audit(cipher).family)
+    assert _wall_links_hold(cipher, walk).all()
+    rng = random.Random(4)
+    for _ in range(40):
+        row, col = rng.randrange(len(walk)), rng.randrange(1, 4)
+        mask = int(walk[row, col])
+        bad = walk.copy()
+        bad[row, col] = rng.choice([
+            w for w in range(1, 15) if w != mask
+            and (w.bit_count() == mask.bit_count()
+                 or col < 3 and (w & mask) == mask)])
+        held = _wall_links_hold(cipher, bad)
+        assert not held[row] and held.sum() == len(walk) - 1
 
 
 def test_semantics_resolutions_are_recorded():
