@@ -14,10 +14,11 @@ through the mixing layers' wall tables (``mixing._wall_table``) at once
 walls always exist).
 The exhaustive mode is complete and capped at ``cap`` bits.  It closes every
 nonzero seed under the rounds' forward and backward derivative spans and
-joins the distinct proper closures; where the chain lattice is so dense that
-the join would cost more than visiting every subspace, it scans every
-nontrivial subspace of (F_2)^d instead and pushes each through the rounds
-by the same spans.  Neither route builds a full-codebook table.
+joins the distinct proper closures' first positions U_1; where the chain
+lattice is so dense that the join would cost more than visiting every
+subspace, it tries every nontrivial subspace of (F_2)^d as U_1 instead.
+Either way one routine (``_push_head``) pushes each U_1 through the rounds
+by the same spans to its chain.  No route builds a full-codebook table.
 
 Derivative spans come from ``derivative_span``, brick by brick and without a
 table; its per-(brick, u_i) pieces and each round's inverse (``decrypt``
@@ -39,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -471,33 +472,33 @@ def _wall_links_hold(cipher: TbCipher, walk: np.ndarray) -> np.ndarray:
     return ok.all(axis=1)
 
 
-def _scan_chains(cipher: TbCipher) -> list[PartitionChain]:
-    """The dense fallback: push every proper subspace U through the rounds
-    by derivative spans, dropping U once a span W outranks it.  f is a
-    bijection, so |W| >= |f(x + U)| = |U|, with equality exactly when
-    (U, W) is a link (``derivative_span``)."""
-    d = cipher.layout.d
-    kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
-    chains = []
+def _push_head(kernels: Sequence[Callable[[int], list[int]]],
+               head: tuple[int, ...], d: int) -> PartitionChain | None:
+    """The chain with U_1 = span(head), or None when there is none: push U_1
+    through the rounds by derivative spans, dropping it once a span W
+    outranks it.  f is a bijection, so |W| >= |f(x + U)| = |U|, with
+    equality exactly when (U, W) is a link (``derivative_span``); a chain's
+    U_1 therefore fixes the rest of it."""
+    spaces = [head]
+    for spanning in kernels:
+        rows = _reduced_rows((v for u in spaces[-1] for v in spanning(u)),
+                             limit=len(head))
+        if rows is None:
+            return None
+        spaces.append(rows)
+    return PartitionChain(tuple(Subspace(s, d) for s in spaces))
+
+
+def _proper_heads(d: int) -> Iterator[tuple[int, ...]]:
+    """The dense route: the basis of every proper subspace, by dimension and
+    then in the walk's order (``_iter_rref_blocks``)."""
     for k in range(1, d):
         for bases in _iter_rref_blocks(d, k):
-            for rows in bases.tolist():
-                spaces = [tuple(rows)]
-                for spanning in kernels:
-                    w_rows = _reduced_rows(
-                        (v for u in spaces[-1] for v in spanning(u)), limit=k)
-                    if w_rows is None:
-                        break
-                    spaces.append(w_rows)
-                else:
-                    chains.append(PartitionChain(
-                        tuple(Subspace(s, d) for s in spaces)))
-    return chains
+            yield from map(tuple, bases.tolist())
 
 
-def _seed_atoms(cipher: TbCipher
-                ) -> dict[tuple[int, ...], list[dict[int, int]]]:
-    """The distinct proper seed closures, keyed by their U_1 basis.
+def _seed_atoms(cipher: TbCipher) -> list[tuple[int, ...]]:
+    """The distinct U_1 bases of the proper seed closures.
 
     The closure of a seed v is the least family of spaces V_1, ..., V_{l+1}
     with v in V_1, span(D_u f_h) in V_{h+1} for u in V_h and span(D_w f_h^-1)
@@ -512,7 +513,7 @@ def _seed_atoms(cipher: TbCipher
     ell = cipher.ell
     fwd = [_span_kernel(rnd, False) for rnd in cipher.rounds]
     bwd = [_span_kernel(rnd, True) for rnd in cipher.rounds]
-    atoms: dict[tuple[int, ...], list[dict[int, int]]] = {}
+    atoms: dict[tuple[int, ...], None] = {}
     for seed in range(1, 1 << d):
         spaces: list[dict[int, int]] = [{} for _ in range(ell + 1)]
         todo = [(0, seed)]
@@ -535,46 +536,31 @@ def _seed_atoms(cipher: TbCipher
             if h:
                 todo += [(h - 1, w) for w in bwd[h - 1](v)]
         else:
-            atoms.setdefault(_reduced_rows(spaces[0].values()), spaces)
-    return atoms
+            atoms[_reduced_rows(spaces[0].values())] = None
+    return list(atoms)
 
 
-def _join_atoms(atoms: dict[tuple[int, ...], list[dict[int, int]]], d: int
-                ) -> list[PartitionChain]:
-    """Every proper sum of the atoms, as chains.
+def _join_atoms(atoms: list[tuple[int, ...]], d: int
+                ) -> list[tuple[int, ...]]:
+    """Every proper sum of the atoms, as a U_1 basis.
 
     Componentwise sums of chains are chains (the pair conditions are closed
     under sums), U_1 fixes the rest of a chain, and a chain is the sum of the
-    closures of its U_1's vectors, each an atom.  So the chains are exactly
-    the proper sums of the atoms, and positions of a chain all have the same
-    dimension.  The join therefore runs on U_1 alone; each sum found records
-    one parent and one atom, from which its other positions are summed at
-    the end.
+    closures of its U_1's vectors, each an atom.  So the chains' U_1 are
+    exactly the proper sums of the atoms' U_1.
     """
-    keys = list(atoms)
-    found: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {
-        key: None for key in keys}
-    frontier = keys
+    found = dict.fromkeys(atoms)
+    frontier = atoms
     while frontier:
         grown = []
         for key in frontier:
-            for j, atom in enumerate(keys):
+            for atom in atoms:
                 joined = _reduced_rows(key + atom)
                 if len(joined) < d and joined not in found:
-                    found[joined] = (key, j)
+                    found[joined] = None
                     grown.append(joined)
         frontier = grown
-    positions: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for key, parent in found.items():
-        if parent is None:
-            positions[key] = [_reduced_rows(rows.values())
-                              for rows in atoms[key]]
-        else:
-            positions[key] = [
-                _reduced_rows(a + b) for a, b in
-                zip(positions[parent[0]], positions[keys[parent[1]]])]
-    return [PartitionChain(tuple(Subspace(rows, d) for rows in spaces))
-            for spaces in positions.values()]
+    return list(found)
 
 
 def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
@@ -591,9 +577,10 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
     proper closures (``_join_atoms``).  The join costs about
     min(2^A - 1, N) * A span reductions against the N proper subspaces a
     scan visits, so when that estimate exceeds N (dense chain lattices, such
-    as affine bricks) the scan of every subspace (``_scan_chains``) runs
-    instead.  Neither route builds a table; both give the same chains,
-    sorted by (dim U_1, basis).
+    as affine bricks) every proper subspace (``_proper_heads``) is tried
+    instead.  Either route hands its U_1 bases to ``_push_head``, which
+    builds each chain without a table; the chains are sorted by
+    (dim U_1, basis).
     """
     if mode == "walls":
         family = family_strongly_proper(LayerFamily(cipher.layers()))
@@ -607,10 +594,11 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
             f"exhaustive chain search at d={d} refused",
             estimate=n, limit=cap)
     atoms = _seed_atoms(cipher)
-    if min((1 << len(atoms)) - 1, n) * len(atoms) > n:
-        chains = _scan_chains(cipher)
-    else:
-        chains = _join_atoms(atoms, d)
+    dense = min((1 << len(atoms)) - 1, n) * len(atoms) > n
+    heads = _proper_heads(d) if dense else _join_atoms(atoms, d)
+    kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
+    chains = [ch for head in heads
+              if (ch := _push_head(kernels, head, d)) is not None]
     chains.sort(key=lambda ch: (ch.spaces[0].dim, ch.spaces[0].basis))
     return chains
 

@@ -14,7 +14,6 @@ verify-report.  Exit codes are part of the scripting interface:
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
@@ -32,7 +31,7 @@ from .mixing import LayerFamily, MixingLayer, wall_trace
 from .report import (audit_report, chains_report, dumps_report, mixing_report,
                      sbox_report, verify_report)
 from .sbox import ANTI_INVARIANCE_BUDGET, SBox
-from .specfile import load_cipher
+from .specfile import load_cipher, read_json
 
 EXIT_OK = 0
 EXIT_VULNERABLE = 2
@@ -347,13 +346,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_verify_report(args) -> int:
-    try:
-        report = json.loads(Path(args.report).read_text())
-    except OSError as exc:
-        raise SpecError(f"cannot read {args.report}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{args.report}: invalid JSON at line {exc.lineno}: "
-                        f"{exc.msg}")
+    report = read_json(args.report)
     if args.spec is not None:
         cipher = load_cipher(args.spec)
         from .specfile import parse_cipher

@@ -268,6 +268,15 @@ def _diff_paths(a: Any, b: Any, path: str, out: list[str]) -> None:
         out.append(f"{path}: report has {b!r}, regeneration gives {a!r}")
 
 
+def _recorded_int(field: str, value) -> int:
+    """A cap or budget read from a report.  The writer records plain ints;
+    anything else is malformed, since NaN fails every comparison with a
+    ceiling and a float or bool would reach the search as a bound."""
+    if type(value) is not int:
+        raise ValueError(f"{field}={value!r} is not an integer")
+    return value
+
+
 def _wide_search_refusal(field: str, cap, d: int) -> CapExceeded:
     return CapExceeded(
         f"report records {field}={cap!r}: an exhaustive chain search at "
@@ -290,7 +299,7 @@ def _verify_sbox(report: dict, problems: list[str]) -> None:
     table = tuple(int(v, 16) for v in report["table"].split())
     box = SBox(table)
     flags = report.get("flags", {})
-    budget = report["anti_invariance"]["budget"]
+    budget = _recorded_int("budget", report["anti_invariance"]["budget"])
     _check_budget("budget", budget, box.m)
     fresh = sbox_report(box, requested_r=flags.get("r"),
                         use_condition1prime=bool(flags.get("condition1prime")),
@@ -346,8 +355,10 @@ def _verify_mixing(report: dict, problems: list[str]) -> None:
 def _verify_audit(report: dict, problems: list[str]) -> None:
     cphr = parse_cipher(report["cipher"])
     flags = report.get("flags", {})
-    exhaustive_cap = flags.get("exhaustive_cap", 0)
-    anti_budget = flags.get("anti_budget", ANTI_INVARIANCE_BUDGET)
+    exhaustive_cap = _recorded_int("exhaustive_cap",
+                                   flags.get("exhaustive_cap", 0))
+    anti_budget = _recorded_int("anti_budget",
+                                flags.get("anti_budget", ANTI_INVARIANCE_BUDGET))
     d = cphr.layout.d
     _check_budget("anti_budget", anti_budget, cphr.layout.m)
     # The fallback runs only on an inconclusive verdict, so auditing without
@@ -381,7 +392,7 @@ def _verify_audit(report: dict, problems: list[str]) -> None:
 def _verify_chains(report: dict, problems: list[str]) -> None:
     cphr = parse_cipher(report["cipher"])
     cap = report.get("flags", {}).get("cap")
-    kwargs = {} if cap is None else {"cap": cap}
+    kwargs = {} if cap is None else {"cap": _recorded_int("cap", cap)}
     d = cphr.layout.d
     if (report["mode"] == "exhaustive" and cap is not None
             and cap >= d > DEFAULT_CHAIN_CAP):
@@ -423,4 +434,6 @@ def verify_report(report: Any) -> tuple[bool, list[str]]:
             problems.append(f"unknown report kind {kind!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         problems.append(f"malformed report: {exc!r}")
+    except RecursionError:
+        problems.append("malformed report: nested too deeply")
     return not problems, problems

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Any
 
 from . import presets
 from .cipher import Round, TbCipher
@@ -193,20 +194,27 @@ def parse_cipher(obj) -> TbCipher:
     return TbCipher(tuple(rounds))
 
 
-def load_cipher(path: str | Path) -> TbCipher:
-    """Read and validate a cipher description file."""
+def read_json(path: str | Path) -> Any:
+    """Read a JSON file given to the program (a spec or a report); a file
+    that cannot be read or parsed is a SpecError."""
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as exc:
         raise SpecError(f"cannot read {p}: {exc.strerror}")
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}", path=str(p))
-    return parse_cipher(obj)
+    except RecursionError:
+        raise SpecError("JSON nested too deeply", path=str(p))
+
+
+def load_cipher(path: str | Path) -> TbCipher:
+    """Read and validate a cipher description file."""
+    return parse_cipher(read_json(path))
 
 
 def cipher_to_spec(cipher: TbCipher) -> dict:

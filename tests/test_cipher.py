@@ -13,8 +13,9 @@ import tbaudit.mixing as mixing_mod
 from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             SEMANTICS, LinearPartition, PartitionChain,
                             Round, TbCipher, _brick_conditions, _join_atoms,
-                            _round_inverse, _scan_chains, _seed_atoms,
-                            _span_kernel, _wall_links_hold, _wall_walk, audit,
+                            _proper_heads, _push_head, _round_inverse,
+                            _seed_atoms, _span_kernel, _wall_links_hold,
+                            _wall_walk, audit,
                             build_linear_toy_cipher, build_present_toy_cipher,
                             build_rotation_cipher, build_secure_toy_cipher,
                             chain_holds_under_key, check_lemma_containment,
@@ -471,10 +472,12 @@ def test_closure_search_matches_the_subspace_scan():
             rounds.append(Round(
                 tuple(_oracle_test_brick(k, rng, m) for k in kinds), layer))
         cipher = TbCipher(tuple(rounds))
+        kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
         atoms = _seed_atoms(cipher)
         oracle = table_scan_chains(cipher)
-        # the derivative-span scan visits the subspaces in the same order
-        assert ([ch.spaces for ch in _scan_chains(cipher)]
+        # pushing every proper subspace visits them in the same order
+        scanned = [_push_head(kernels, head, d) for head in _proper_heads(d)]
+        assert ([ch.spaces for ch in scanned if ch is not None]
                 == [ch.spaces for ch in oracle])
         expected = [ch.spaces for ch in _chain_order(oracle)]
         n_sub = count_proper_subspaces(d)
@@ -484,8 +487,11 @@ def test_closure_search_matches_the_subspace_scan():
         slowest = d > 4 and len(expected) == n_sub
         if not slowest or not full_joins:
             full_joins += slowest
-            got = _chain_order(_join_atoms(atoms, d))
-            assert [ch.spaces for ch in got] == expected
+            # every joined U_1 pushes to a chain: no head is dropped
+            got = [_push_head(kernels, head, d)
+                   for head in _join_atoms(atoms, d)]
+            assert None not in got
+            assert [ch.spaces for ch in _chain_order(got)] == expected
         if not dense or d <= 4:
             found = find_trapdoor_chains(cipher, "exhaustive")
             assert [ch.spaces for ch in found] == expected
@@ -499,15 +505,15 @@ def test_exhaustive_search_takes_the_scan_on_a_dense_lattice(monkeypatch):
     # would form all 417,197 sums, so the search must fall back to the scan
     import tbaudit.cipher as cipher_mod
     scans = []
-    scan = cipher_mod._scan_chains
+    scan = cipher_mod._proper_heads
 
-    def timed(cipher):
+    def timed(d):
+        # from the first head to the last, so the pushes are timed too
         start = time.perf_counter()
-        out = scan(cipher)
+        yield from scan(d)
         scans.append(time.perf_counter() - start)
-        return out
 
-    monkeypatch.setattr(cipher_mod, "_scan_chains", timed)
+    monkeypatch.setattr(cipher_mod, "_proper_heads", timed)
     layout = BrickLayout(4, 2)
     rnd = Round((identity_sbox(4),) * 2,
                 MixingLayer(random_invertible(random.Random(8), 8), layout))
@@ -523,9 +529,9 @@ def test_exhaustive_search_builds_no_table(monkeypatch):
     # takes the scan; neither it nor the seed closures may build a table
     import tbaudit.cipher as cipher_mod
     scans = []
-    scan = cipher_mod._scan_chains
-    monkeypatch.setattr(cipher_mod, "_scan_chains",
-                        lambda cipher: scans.append(cipher) or scan(cipher))
+    scan = cipher_mod._proper_heads
+    monkeypatch.setattr(cipher_mod, "_proper_heads",
+                        lambda d: scans.append(d) or scan(d))
     rng = random.Random(6)
     layout = BrickLayout(3, 2)
     cipher = TbCipher(tuple(
@@ -534,7 +540,7 @@ def test_exhaustive_search_builds_no_table(monkeypatch):
     round_table.cache_clear()
     chains = find_trapdoor_chains(cipher, "exhaustive")
     assert round_table.cache_info().misses == 0
-    assert scans == [cipher] and len(chains) == count_proper_subspaces(6)
+    assert scans == [6] and len(chains) == count_proper_subspaces(6)
     # the raw round tables re-verify them, though these bricks move 0
     assert any(box.shift for rnd in cipher.rounds for box in rnd.bricks)
     assert all(table_verify_chain(cipher, ch) for ch in chains[::97])

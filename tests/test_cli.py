@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 import resource
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from tbaudit.cipher import audit
 from tbaudit.cli import _build_parser, main
 from tbaudit.errors import SpecError
 from tbaudit.report import (audit_report, chains_report, dumps_report,
-                            verify_report)
+                            sbox_report, verify_report)
 from tbaudit.specfile import parse_cipher
 
 SPEC_DIR = Path(__file__).parent.parent / "specs"
@@ -472,6 +473,49 @@ def test_verify_report_refuses_recorded_caps_above_its_ceiling(capsys,
         assert time.monotonic() - start < 1.0
         assert code == 66
         assert recorded in err and "ceiling of 9 bits" in err
+
+
+def test_verify_report_refuses_recorded_bounds_that_are_not_ints(capsys,
+                                                                 tmp_path):
+    # NaN fails every comparison with a ceiling, so each of these would
+    # otherwise start the full search or scan: the d=10 inconclusive audit
+    # above, and an anti-invariance scan of a random 12-bit box.
+    cipher = parse_cipher({
+        "layout": {"m": 5, "b": 2},
+        "rounds": [{"bricks": "identity", "layer": {
+            "name": "random_strongly_proper", "seed": 0}}] * 2})
+    chains = chains_report(cipher, "exhaustive", [], cap=9)
+    audited = audit_report(cipher, audit(cipher))
+    sbox = sbox_report(presets.present_sbox())
+    sbox["table"] = " ".join(
+        format(v, "x") for v in random.Random(12).sample(range(4096), 4096))
+    fields = ((chains, ("flags", "cap")),
+              (audited, ("flags", "exhaustive_cap")),
+              (audited, ("flags", "anti_budget")),
+              (sbox, ("anti_invariance", "budget")))
+    rep_path = tmp_path / "bounds.json"
+    for rep, (outer, field) in fields:
+        for value in ("NaN", "Infinity", "9.5", "true"):
+            text = json.dumps({**rep, outer: {**rep[outer], field: 0}})
+            rep_path.write_text(
+                text.replace(f'"{field}": 0', f'"{field}": {value}'))
+            start = time.monotonic()
+            code, _, err = run_cli(capsys, "verify-report", str(rep_path))
+            assert time.monotonic() - start < 2.0, (field, value)
+            assert code == 1 and "malformed report" in err, (field, value)
+            assert f"{field}=" in err and "not an integer" in err
+
+
+def test_deeply_nested_json_is_a_spec_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    golden = str(SPEC_DIR / "golden" / "audit_weak_rotation_m3b3_l3.json")
+    for argv in (("audit", str(deep)), ("find-trapdoor", str(deep)),
+                 ("verify-report", str(deep)),
+                 ("verify-report", golden, "--spec", str(deep))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 64, argv
+        assert "nested too deeply" in err
 
 
 # ---------------------------------------------------------------------------
