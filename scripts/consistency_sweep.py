@@ -5,7 +5,8 @@ Samples random small ciphers (random bijective bricks, random invertible or
 rotation layers), audits each, and validates the verdict the hard way:
 
   * secure      -> the exhaustive subspace search must come back empty
-  * vulnerable  -> the certificate chain must hold under sampled key tuples
+  * vulnerable  -> the certificate chain must hold under sampled key tuples,
+                   and the audit's chain count must be the walls search's
   * always      -> walls-mode chains must be a subset of the exhaustive set
 
 Inconclusive verdicts are counted but carry no claim to check.  This is the
@@ -76,6 +77,10 @@ def main() -> int:
             assert not full, f"cipher {i}: secure verdict but chains exist"
         if verdict.status == "vulnerable":
             assert verify_chain(cipher, verdict.chain)
+            assert verdict.exhaustive_ran or \
+                verdict.chain_count == len(walls), \
+                f"cipher {i}: audit counts {verdict.chain_count} chain(s), " \
+                f"the walls search finds {len(walls)}"
             for _ in range(args.keys):
                 keys = tuple(rng.randrange(1 << layout.d)
                              for _ in range(cipher.ell))

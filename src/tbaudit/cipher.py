@@ -14,7 +14,8 @@ through the mixing layers' wall tables (``mixing._wall_table``) at once
 walls always exist).
 The exhaustive mode is complete and capped at ``cap`` bits.  It closes every
 nonzero seed under the rounds' forward and backward derivative spans and
-joins the distinct proper closures' first positions U_1; where the chain
+joins the distinct proper closures' first positions U_1 by ``gf2._joins``,
+the join the group checks' partition search uses too; where the chain
 lattice is so dense that the join would cost more than visiting every
 subspace, it tries every nontrivial subspace of (F_2)^d as U_1 instead.
 Either way one routine (``_push_head``) pushes each U_1 through the rounds
@@ -30,9 +31,9 @@ most ``_ROUND_TABLE_CACHE`` keyless round tables.
 
 The audit itself is certificate-based: it reports Secure only when the
 layer/brick hypotheses that provably exclude all chains hold, Vulnerable
-only with a chain that re-verifies, and Inconclusive otherwise.  It counts
-the walls-mode chains on their brick masks (``_wall_links_hold``) and
-builds and fully re-verifies only the one it reports.
+only with a chain that re-verifies, and Inconclusive otherwise.  Every row
+of the wall walk is a walls-mode chain (``_wall_walk``), so it counts the
+rows and builds and fully re-verifies only the chain it reports.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ import numpy as np
 
 from .errors import CapExceeded, SpecError
 from .gf2 import (BitMatrix, BrickLayout, Subspace, _iter_rref_blocks,
-                  _maps_cosets, _mask_wall, _reduced_rows, _span_elements,
-                  count_proper_subspaces, subspace_image, wall_brick_mask)
+                  _joins, _maps_cosets, _mask_wall, _reduced_rows,
+                  _span_elements, count_proper_subspaces, subspace_image,
+                  wall_brick_mask)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _popcount,
                      _wall_table, family_strongly_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, DerivativeImage, SBox,
@@ -418,58 +420,37 @@ def _wall_walk(cipher: TbCipher, family: FamilyReport) -> np.ndarray:
     """The brick masks of the walls that survive the layer family (its report
     over the prefix range j in [1, l-1]), in lexicographic order, and of
     their images under each layer in turn: an (n, l+1) uint16 array, one row
-    per wall, built through every layer's wall table at once."""
+    per wall, built through every layer's wall table at once.
+
+    Every row is a chain.  A wall table maps the mask of W_I to that of the
+    least wall holding lambda(W_I), so a link from W_I holds iff that wall
+    touches |I| bricks (``verify_chain``), and a surviving wall keeps its
+    brick count through every prefix j <= l - 1.  The last link maps onto
+    lambda(U_l) itself when the last mask is no wall."""
     walk = [family.surviving_masks()]
     for rnd in cipher.rounds:
         walk.append(_wall_table(rnd.layer.brick_supports())[walk[-1]])
     return np.stack(walk, axis=1)
 
 
-def _ends_in_wall(walk: np.ndarray) -> np.ndarray:
-    """Per row of a wall walk, whether its last image is a wall: exactly when
-    it touches as many bricks as the starting wall (see ``mixing``)."""
-    return _popcount(walk[:, -1]) == _popcount(walk[:, 0])
-
-
 def _walk_chains(cipher: TbCipher, walk: np.ndarray) -> list[PartitionChain]:
     """One chain per row of a wall walk.  Each mask before the last is a
-    wall; so is the last when the row ends in a wall, and otherwise the last
-    space is the image of the wall before it, computed from its basis."""
+    wall; so is the last when it touches as many bricks as the first (see
+    ``mixing``), and otherwise the last space is the image of the wall
+    before it, computed from its basis."""
     layout = cipher.layout
     last = cipher.rounds[-1].layer.matrix
     # A wall recurs as the image of other walls: build each subspace once.
     wall_space = lru_cache(maxsize=1 << layout.b)(
         lambda mask: _mask_wall(layout, mask).subspace())
+    ends_in_wall = _popcount(walk[:, -1]) == _popcount(walk[:, 0])
     chains = []
-    for masks, is_wall in zip(walk.tolist(), _ends_in_wall(walk).tolist()):
+    for masks, is_wall in zip(walk.tolist(), ends_in_wall.tolist()):
         spaces = [wall_space(mask) for mask in masks[:-1]]
         spaces.append(wall_space(masks[-1]) if is_wall
                       else subspace_image(spaces[-1], last))
         chains.append(PartitionChain(tuple(spaces)))
     return chains
-
-
-def _wall_links_hold(cipher: TbCipher, walk: np.ndarray) -> np.ndarray:
-    """Per row of a wall walk, whether ``verify_chain`` accepts its chain,
-    decided on the masks alone.
-
-    A link from the wall of bricks I to the wall of bricks J holds iff
-    lambda(W_I) lies in W_J and |I| = |J| (``verify_chain``).  The least
-    wall holding lambda(W_I) is that of the bricks its basis touches, the OR
-    of the layer's brick supports over I; that OR is taken here by b masked
-    ORs, not read from the wall tables that made the walk.  A row that does
-    not end in a wall ends in lambda(U_l) itself, which its last link maps
-    onto by construction.
-    """
-    src, dst = walk[:, :-1], walk[:, 1:]
-    supports = np.array([rnd.layer.brick_supports() for rnd in cipher.rounds],
-                        dtype=np.uint16)
-    img = np.zeros_like(src)
-    for i in range(cipher.layout.b):
-        img |= np.where(src & (1 << i) != 0, supports[:, i], np.uint16(0))
-    ok = ((img & ~dst) == 0) & (_popcount(src) == _popcount(dst))
-    ok[:, -1] |= ~_ends_in_wall(walk)
-    return ok.all(axis=1)
 
 
 def _push_head(kernels: Sequence[Callable[[int], list[int]]],
@@ -540,29 +521,6 @@ def _seed_atoms(cipher: TbCipher) -> list[tuple[int, ...]]:
     return list(atoms)
 
 
-def _join_atoms(atoms: list[tuple[int, ...]], d: int
-                ) -> list[tuple[int, ...]]:
-    """Every proper sum of the atoms, as a U_1 basis.
-
-    Componentwise sums of chains are chains (the pair conditions are closed
-    under sums), U_1 fixes the rest of a chain, and a chain is the sum of the
-    closures of its U_1's vectors, each an atom.  So the chains' U_1 are
-    exactly the proper sums of the atoms' U_1.
-    """
-    found = dict.fromkeys(atoms)
-    frontier = atoms
-    while frontier:
-        grown = []
-        for key in frontier:
-            for atom in atoms:
-                joined = _reduced_rows(key + atom)
-                if len(joined) < d and joined not in found:
-                    found[joined] = None
-                    grown.append(joined)
-        frontier = grown
-    return list(found)
-
-
 def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
                          cap: int = DEFAULT_CHAIN_CAP) -> list[PartitionChain]:
     """Chains of nontrivial subspaces transported by the keyless rounds.
@@ -573,14 +531,17 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
     per surviving wall, in lexicographic order of the starting wall.
 
     exhaustive mode: complete, but refused above ``cap`` ambient bits.  It
-    closes every nonzero seed (``_seed_atoms``) and joins the A distinct
-    proper closures (``_join_atoms``).  The join costs about
-    min(2^A - 1, N) * A span reductions against the N proper subspaces a
-    scan visits, so when that estimate exceeds N (dense chain lattices, such
-    as affine bricks) every proper subspace (``_proper_heads``) is tried
-    instead.  Either route hands its U_1 bases to ``_push_head``, which
-    builds each chain without a table; the chains are sorted by
-    (dim U_1, basis).
+    closes every nonzero seed (``_seed_atoms``) and joins the U_1 of the A
+    distinct proper closures (``gf2._joins``) with no closing step:
+    componentwise sums of chains are chains (the pair conditions are closed
+    under sums), U_1 fixes the rest of a chain, and a chain is the sum of
+    the closures of its U_1's vectors, so the chains' U_1 are exactly the
+    proper sums of the atoms.  The join costs about min(2^A - 1, N) * A span
+    reductions against the N proper subspaces a scan visits, so when that
+    estimate exceeds N (dense chain lattices, such as affine bricks) every
+    proper subspace (``_proper_heads``) is tried instead.  Either route
+    hands its U_1 bases to ``_push_head``, which builds each chain without a
+    table; the chains are sorted by (dim U_1, basis).
     """
     if mode == "walls":
         family = family_strongly_proper(LayerFamily(cipher.layers()))
@@ -595,7 +556,8 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
             estimate=n, limit=cap)
     atoms = _seed_atoms(cipher)
     dense = min((1 << len(atoms)) - 1, n) * len(atoms) > n
-    heads = _proper_heads(d) if dense else _join_atoms(atoms, d)
+    heads = (_proper_heads(d) if dense
+             else _joins(atoms, lambda rows: rows, d))
     kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
     chains = [ch for head in heads
               if (ch := _push_head(kernels, head, d)) is not None]
@@ -814,8 +776,7 @@ def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
         return verdict(status="secure", clause1_round=clause1_round,
                        clause2_ok=clause2, notes=tuple(notes))
     walk = _wall_walk(cipher, family)
-    passing = walk[_wall_links_hold(cipher, walk)]
-    chains = _walk_chains(cipher, passing[:1])
+    chains = _walk_chains(cipher, walk[:1])
     if not family.strongly_proper:
         notes.append(
             f"{len(family.surviving_masks())} proper wall(s) survive every "
@@ -828,7 +789,7 @@ def audit(cipher: TbCipher, *, use_condition1prime: bool = False,
                     f"{brick.detail}")
     if chains and verify_chain(cipher, chains[0]):
         return verdict(status="vulnerable", chain=chains[0],
-                       chain_count=len(passing), notes=tuple(notes))
+                       chain_count=len(walk), notes=tuple(notes))
     if exhaustive_fallback_cap < layout.d:
         return verdict(status="inconclusive", notes=tuple(notes))
     deep = find_trapdoor_chains(cipher, "exhaustive",

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -112,6 +112,34 @@ def _maps_cosets(table: np.ndarray, u_rows: Iterable[int],
     in_w[_span_elements(w_rows)] = True
     idx = np.arange(n, dtype=table.dtype)
     return all(in_w[table[idx ^ u] ^ table].all() for u in u_rows)
+
+
+def _joins(atoms: Iterable[tuple[int, ...]],
+           close: Callable[[tuple[int, ...]], tuple[int, ...] | None],
+           d: int) -> Iterator[tuple[int, ...]]:
+    """The atoms, then every other proper join of them, each once, as
+    reduced rows.
+
+    A join adds one atom to a set already found, skipping an atom that set
+    holds or that holds it, and passes the sum to ``close``, which returns
+    the closed reduced rows, or None for the full space.  Every proper
+    closed set is the closure of the atoms it holds, reached one atom at a
+    time through closed sets inside it, so the search misses none of them.
+    """
+    found = list(dict.fromkeys(atoms))
+    atoms = found[:]
+    seen = set(found)
+    yield from found
+    for key in found:  # grows as joins are found
+        for atom in atoms:
+            rows = _reduced_rows(key + atom, limit=d - 1)
+            if rows is None or len(rows) == max(len(key), len(atom)):
+                continue
+            rows = close(rows)
+            if rows is not None and rows not in seen:
+                seen.add(rows)
+                found.append(rows)
+                yield rows
 
 
 @dataclass(frozen=True)

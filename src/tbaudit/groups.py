@@ -34,7 +34,10 @@ seed.  The first step of the closure C(v) is U1(v), the span of v and every
 phi_g(v), and one numpy echelon reduction takes it for every seed at once.
 C(w) lies in C(v) for every w in C(v), so a seed whose U1 holds a point with
 a full closure has a full closure too.  And C(v) = C(U1(v)), so one scalar
-closure per distinct U1 settles the seeds left.
+closure per distinct U1 settles the seeds left.  The proper closures are
+then joined and closed by ``gf2._joins``, the join the cipher's exhaustive
+chain search uses too, and the search refuses on the closed subspace past
+``MAX_PARTITIONS``.
 """
 
 from __future__ import annotations
@@ -46,10 +49,12 @@ import numpy as np
 
 from .cipher import TbCipher, encryption_table, round_table
 from .errors import CapExceeded, IntransitiveError
-from .gf2 import Subspace, _maps_cosets, _reduced_rows, _span_elements
+from .gf2 import (Subspace, _joins, _maps_cosets, _reduced_rows,
+                  _span_elements)
 
 __all__ = [
     "MAX_DEGREE",
+    "MAX_PARTITIONS",
     "Perm",
     "GeneratorSet",
     "BlockSystem",
@@ -63,6 +68,10 @@ __all__ = [
 ]
 
 MAX_DEGREE = 1 << 16
+
+# The most closed subspaces the invariant-partition search builds before it
+# refuses with CapExceeded.
+MAX_PARTITIONS = 512
 
 # How many points of the breadth-first tree give is_primitive the Schreier
 # generators of its stabilizer subgroup: on round groups, 8 leave 1-3 orbits.
@@ -196,7 +205,8 @@ class BlockSystem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockSystem):
             return NotImplemented
-        return bool((self.block_of == other.block_of).all())
+        return self.degree == other.degree and bool(
+            (self.block_of == other.block_of).all())
 
     def __hash__(self) -> int:
         return hash(self.block_of.tobytes())
@@ -538,20 +548,20 @@ def _spread_full(spans: np.ndarray, full: np.ndarray) -> None:
         pending = pending[~settled]
 
 
-def invariant_linear_partition_search(gens: GeneratorSet, *,
-                                      max_results: int = 512
-                                      ) -> list[Subspace]:
+def invariant_linear_partition_search(gens: GeneratorSet) -> list[Subspace]:
     """All proper nonzero subspaces U with L(U) invariant under every
     generator, exactly.
 
     Any invariant subspace is closed under every phi_g: u -> g(u) + g(0),
     and is a join of the minimal such closures C(v) of its own elements.
-    The search takes the closure of every nonzero seed, joins closures
-    pairwise to a fixed point (a pair where one holds the other joins to
-    it, so it is skipped), then keeps the candidates that pass the full
-    derivative test (which the closure step, anchored at x = 0 only, does
-    not imply).  Generators that differ by a translation share phi and the
-    derivatives, so one of each is kept for both steps.
+    The search takes the closure of every nonzero seed, closes every join of
+    those atoms by the shared join (``gf2._joins``, which skips an atom a
+    set holds or that holds it), then keeps the candidates that pass the
+    full derivative test (which the closure step, anchored at x = 0 only,
+    does not imply).  Generators that differ by a translation share phi and
+    the derivatives, so one of each is kept for both steps.  The search
+    refuses with CapExceeded on the closed subspace past
+    ``MAX_PARTITIONS``, before it builds any more.
 
     The seed pass rests on three exact facts, so it finds the closures, in
     the order of their least seeds, that a closure of each seed would:
@@ -576,7 +586,7 @@ def invariant_linear_partition_search(gens: GeneratorSet, *,
     full = np.zeros(n, dtype=bool)
     full[1:] = np.count_nonzero(spans, axis=1) == d
     _spread_full(spans, full)
-    closures: dict[tuple[int, ...], None] = {}
+    atoms: dict[tuple[int, ...], None] = {}
     memo: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     for seed in (np.flatnonzero(~full[1:]) + 1).tolist():
         if full[seed]:
@@ -588,23 +598,15 @@ def invariant_linear_partition_search(gens: GeneratorSet, *,
             full[seed] = True
             _spread_full(spans, full)
         else:
-            closures.setdefault(memo[u1], None)
-    frontier = list(closures)
-    while frontier:
-        if len(closures) > max_results:
+            atoms.setdefault(memo[u1], None)
+    closures = []
+    for rows in _joins(atoms, lambda rows: _phi_closure(phi, rows, d, full),
+                       d):
+        if len(closures) == MAX_PARTITIONS:
             raise CapExceeded("too many closed subspaces",
-                              estimate=len(closures), limit=max_results)
-        nxt = []
-        for a in frontier:
-            for b in list(closures):
-                # one closure holding the other joins to it, already present
-                if len(_reduced_rows(a + b)) == max(len(a), len(b)):
-                    continue
-                joined = _phi_closure(phi, a + b, d, full)
-                if joined is not None and joined not in closures:
-                    closures[joined] = None
-                    nxt.append(joined)
-        frontier = nxt
+                              estimate=MAX_PARTITIONS + 1,
+                              limit=MAX_PARTITIONS)
+        closures.append(rows)
     out = [Subspace(rows, d) for rows in closures
            if _maps_cosets(phi, rows, rows)]
     out.sort(key=lambda s: (s.dim, s.basis))

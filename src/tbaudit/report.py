@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+import reprlib
 from datetime import datetime, timezone
 from typing import Any
 
@@ -250,10 +251,11 @@ def _strip_timestamp(report: dict) -> dict:
 def _diff_paths(a: Any, b: Any, path: str, out: list[str]) -> None:
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            if key not in a:
+            if key not in b:
                 out.append(f"{path}.{key}: missing from report")
-            elif key not in b:
-                out.append(f"{path}.{key}: unexpected in report")
+            elif key not in a:
+                out.append(
+                    f"{path}.{reprlib.repr(key)}: unexpected in report")
             else:
                 _diff_paths(a[key], b[key], f"{path}.{key}", out)
         return
@@ -265,7 +267,8 @@ def _diff_paths(a: Any, b: Any, path: str, out: list[str]) -> None:
             _diff_paths(x, y, f"{path}[{i}]", out)
         return
     if a != b:
-        out.append(f"{path}: report has {b!r}, regeneration gives {a!r}")
+        out.append(f"{path}: report has {reprlib.repr(b)}, "
+                   f"regeneration gives {reprlib.repr(a)}")
 
 
 def _recorded_int(field: str, value) -> int:

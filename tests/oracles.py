@@ -294,6 +294,45 @@ def walls_mode_masks(supports, b):
     return out
 
 
+def wall_walk_links_hold(cipher, walk):
+    """Per row of a wall walk (the brick masks of U_1 .. U_{l+1}), whether
+    every link is one ``verify_chain`` accepts, decided on the masks alone:
+    the image of the wall of bricks I under the round's layer lies in the
+    wall of bricks J, and |I| = |J|.  The image's bricks are read off the
+    layer matrix's rows.  A row whose last mask touches another number of
+    bricks than its first ends in lambda(U_l) itself, so its last link is
+    not checked."""
+    m, b = cipher.layout.m, cipher.layout.b
+    brick = (1 << m) - 1
+    supports = []
+    for rnd in cipher.rounds:
+        rows = rnd.layer.matrix.rows
+        per_brick = []
+        for i in range(b):
+            acc = 0
+            for row in rows[i * m:(i + 1) * m]:
+                acc |= row
+            per_brick.append(sum(1 << j for j in range(b)
+                                 if (acc >> (j * m)) & brick))
+        supports.append(per_brick)
+    out = []
+    for masks in [list(map(int, row)) for row in walk]:
+        ok = True
+        links = len(masks) - 1
+        if bin(masks[-1]).count("1") != bin(masks[0]).count("1"):
+            links -= 1
+        for h in range(links):
+            src, dst = masks[h], masks[h + 1]
+            img = 0
+            for i in range(b):
+                if (src >> i) & 1:
+                    img |= supports[h][i]
+            ok = (ok and img & ~dst == 0
+                  and bin(src).count("1") == bin(dst).count("1"))
+        out.append(ok)
+    return out
+
+
 def retired_lex_proper_masks(b):
     """(sorted 1-based brick tuple, mask) of every proper nonempty brick
     set, in lexicographic order of the tuples: the recursive walk the wall
@@ -579,9 +618,9 @@ def retired_encryption_table(cipher, keys):
 
 
 def retired_walls_audit_chains(cipher):
-    """The walls-mode chains that ``audit`` counted before the mask-level
-    link check, the first of which it embedded: every chain built and sent
-    through ``verify_chain``."""
+    """The walls-mode chains that ``audit`` counted before it counted the
+    rows of the wall walk, the first of which it embedded: every chain built
+    and sent through ``verify_chain``."""
     from tbaudit.cipher import find_trapdoor_chains, verify_chain
     return [ch for ch in find_trapdoor_chains(cipher, "walls")
             if verify_chain(cipher, ch)]

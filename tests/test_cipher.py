@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 import tbaudit.mixing as mixing_mod
 from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             SEMANTICS, LinearPartition, PartitionChain,
-                            Round, TbCipher, _brick_conditions, _join_atoms,
+                            Round, TbCipher, _brick_conditions,
                             _proper_heads, _push_head, _round_inverse,
-                            _seed_atoms, _span_kernel, _wall_links_hold,
-                            _wall_walk, audit,
+                            _seed_atoms, _span_kernel, _wall_walk, audit,
                             build_linear_toy_cipher, build_present_toy_cipher,
                             build_rotation_cipher, build_secure_toy_cipher,
                             chain_holds_under_key, check_lemma_containment,
@@ -24,9 +23,11 @@ from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             find_trapdoor_chains, partition_image,
                             round_table, substitution_table, verify_chain)
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _reduced_rows, as_wall,
-                         count_proper_subspaces, random_invertible, rref)
-from tbaudit.mixing import MixingLayer, enumerate_proper_walls
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _joins, _reduced_rows,
+                         as_wall, count_proper_subspaces, random_invertible,
+                         rref)
+from tbaudit.mixing import (LayerFamily, MixingLayer, enumerate_proper_walls,
+                            family_strongly_proper)
 from tbaudit.presets import (identity_sbox, inversion_sbox, identity_layer,
                              present_sbox, rotation_layer)
 from tbaudit.sbox import SBox
@@ -36,7 +37,8 @@ from oracles import (brute_derivative_containment, brute_partition_image,
                      matrix_apply_by_columns, retired_encryption_table,
                      retired_round_table, retired_substitution_table,
                      retired_walls_audit_chains, span_rank, table_scan_chains,
-                     table_verify_chain, walls_mode_masks, xor_span)
+                     table_verify_chain, wall_walk_links_hold,
+                     walls_mode_masks, xor_span)
 
 SPEC_DIR = Path(__file__).parent.parent / "specs"
 
@@ -489,7 +491,7 @@ def test_closure_search_matches_the_subspace_scan():
             full_joins += slowest
             # every joined U_1 pushes to a chain: no head is dropped
             got = [_push_head(kernels, head, d)
-                   for head in _join_atoms(atoms, d)]
+                   for head in _joins(atoms, lambda rows: rows, d)]
             assert None not in got
             assert [ch.spaces for ch in _chain_order(got)] == expected
         if not dense or d <= 4:
@@ -814,23 +816,28 @@ def test_audit_walks_the_walls_once_per_distinct_layer(monkeypatch):
         assert len(walks) == distinct + 1
 
 
+def _random_audit_cipher(rng, n):
+    """The n-th of a run of ciphers of 1-4 rounds of random, rotation,
+    brick-permuting or leaky layers over random, affine or identity bricks,
+    at m = 2, b = 2-6 or m = 3, b = 2-4."""
+    m, b = (2, 2 + n % 5) if n % 3 else (3, 2 + n % 3)
+    layout = BrickLayout(m, b)
+    kinds = ("random", "rotation", "permuting", "leaky")
+    brick = rng.choice(("random", "affine", "identity"))
+    return TbCipher(tuple(
+        Round(tuple(_oracle_test_brick(brick, rng, m) for _ in range(b)),
+              _walls_test_layer(rng.choice(kinds), rng, layout))
+        for _ in range(1 + n % 4)))
+
+
 def _audit_test_ciphers():
-    """Rotation ciphers at b = 2-12, ciphers of random, rotation,
-    brick-permuting and leaky layers over random, affine and identity
-    bricks, and the bundled specs."""
+    """Rotation ciphers at b = 2-12, 180 random ciphers and the bundled
+    specs."""
     rng = random.Random(18)
     ciphers = [build_rotation_cipher(m, b, ell)
                for m, top in ((2, 12), (3, 6)) for b in range(2, top + 1)
                for ell in (1, 2, 3)]
-    for n in range(180):
-        m, b = (2, 2 + n % 5) if n % 3 else (3, 2 + n % 3)
-        layout = BrickLayout(m, b)
-        kinds = ("random", "rotation", "permuting", "leaky")
-        brick = rng.choice(("random", "affine", "identity"))
-        ciphers.append(TbCipher(tuple(
-            Round(tuple(_oracle_test_brick(brick, rng, m) for _ in range(b)),
-                  _walls_test_layer(rng.choice(kinds), rng, layout))
-            for _ in range(1 + n % 4))))
+    ciphers += [_random_audit_cipher(rng, n) for n in range(180)]
     ciphers += [load_cipher(path) for path in sorted(SPEC_DIR.glob("*.json"))]
     return ciphers
 
@@ -866,12 +873,12 @@ def test_audit_verifies_only_the_chain_it_embeds(monkeypatch):
 
 
 def test_wall_link_check_rejects_a_tampered_walk():
-    # the check recomputes each link's image mask, so a row fails once one
+    # the oracle recomputes each link's image mask, so a row fails once one
     # of its walls is swapped for another wall of the same size, or an
     # intermediate wall for a larger one
     cipher = build_rotation_cipher(2, 4, 3)
     walk = _wall_walk(cipher, audit(cipher).family)
-    assert _wall_links_hold(cipher, walk).all()
+    assert all(wall_walk_links_hold(cipher, walk))
     rng = random.Random(4)
     for _ in range(40):
         row, col = rng.randrange(len(walk)), rng.randrange(1, 4)
@@ -881,8 +888,28 @@ def test_wall_link_check_rejects_a_tampered_walk():
             w for w in range(1, 15) if w != mask
             and (w.bit_count() == mask.bit_count()
                  or col < 3 and (w & mask) == mask)])
-        held = _wall_links_hold(cipher, bad)
-        assert not held[row] and held.sum() == len(walk) - 1
+        held = wall_walk_links_hold(cipher, bad)
+        assert not held[row] and sum(held) == len(walk) - 1
+
+
+def test_every_wall_walk_row_is_a_chain():
+    # the audit counts the walk's rows as chains: on 240 random ciphers the
+    # mask-level link check passes every row, and the count is the walls
+    # search's on every cipher that search makes vulnerable
+    rng = random.Random(20)
+    tally = {"rows": 0, "vulnerable": 0}
+    for n in range(240):
+        cipher = _random_audit_cipher(rng, n)
+        family = family_strongly_proper(LayerFamily(cipher.layers()))
+        walk = _wall_walk(cipher, family)
+        assert all(wall_walk_links_hold(cipher, walk))
+        tally["rows"] += len(walk)
+        verdict = audit(cipher)
+        if verdict.status == "vulnerable":
+            tally["vulnerable"] += 1
+            assert verdict.chain_count == len(
+                find_trapdoor_chains(cipher, "walls"))
+    assert tally["vulnerable"] >= 100 and tally["rows"] > 1000, tally
 
 
 def test_semantics_resolutions_are_recorded():

@@ -435,6 +435,31 @@ def test_verify_report_catches_tampering(capsys, tmp_path):
     assert "$.verdict" in err
 
 
+def test_verify_report_bounds_the_tampered_values_it_echoes(tmp_path):
+    # a 990-deep list (the deepest the JSON reader takes, in a fresh
+    # process) and a 10^5-character string in place of an audit golden's
+    # verdict, and an extra key of 10^5 characters: each gives one short
+    # problem line; a key the report lacks is named as missing
+    golden = SPEC_DIR / "golden" / "audit_toy_present_m4b2_l3.json"
+    for key, value, problem in (
+            ("verdict", "[" * 990 + "]" * 990, "$.verdict: report has"),
+            ("verdict", json.dumps("x" * 10 ** 5), "$.verdict: report has"),
+            ("k" * 10 ** 5, "1", "unexpected in report"),
+            ("verdict", None, "$.verdict: missing from report")):
+        rep = json.loads(golden.read_text())
+        if value is None:
+            del rep[key]
+        else:
+            rep[key] = "@"
+        rep_path = tmp_path / "tampered.json"
+        rep_path.write_text(json.dumps(rep).replace('"@"', str(value)))
+        code, err, _ = run_cli_bounded("verify-report", str(rep_path))
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200, lines
+        assert problem in lines[0]
+
+
 def test_verify_report_bad_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify-report", str(tmp_path / "no.json"))
     assert code == 64

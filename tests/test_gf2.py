@@ -1,6 +1,7 @@
 """Bit-packed linear algebra against brute-force set arithmetic."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from tbaudit.errors import CapExceeded
 from tbaudit.gf2 import (_BLOCK_CHUNK, BitMatrix, BrickLayout, Subspace, Wall,
-                         _iter_rref_blocks, _maps_cosets, _reduced_rows,
-                         as_wall, count_proper_subspaces, enumerate_subspaces,
-                         gaussian_binomial, identity_matrix,
-                         random_invertible, rref, subspace_image,
-                         subspace_sum, wall_brick_mask)
+                         _iter_rref_blocks, _joins, _maps_cosets,
+                         _reduced_rows, as_wall, count_proper_subspaces,
+                         enumerate_subspaces, gaussian_binomial,
+                         identity_matrix, random_invertible, rref,
+                         subspace_image, subspace_sum, wall_brick_mask)
 
 from oracles import (all_subspaces, brute_derivative_containment,
                      canonical_rref_bases, gaussian_recurrence,
@@ -24,6 +25,30 @@ vectors_strategy = st.integers(2, 8).flatmap(
     lambda d: st.tuples(
         st.just(d),
         st.lists(st.integers(0, (1 << d) - 1), min_size=0, max_size=10)))
+
+
+atoms_strategy = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.lists(st.integers(1, (1 << d) - 1), min_size=1,
+                          max_size=3), max_size=8)))
+
+
+@given(atoms_strategy)
+def test_joins_yield_every_proper_sum_of_the_atoms_once(case):
+    # brute force over every subset of the atoms, spans as element sets
+    d, spanning = case
+    atoms = list(dict.fromkeys(
+        rows for vecs in spanning
+        if len(rows := _reduced_rows(vecs)) < d))
+    got = [frozenset(xor_span(rows))
+           for rows in _joins(atoms, lambda rows: rows, d)]
+    assert len(got) == len(set(got))
+    want = {span for k in range(1, len(atoms) + 1)
+            for subset in combinations(atoms, k)
+            if len(span := frozenset(xor_span(sum(subset, ())))) < 1 << d}
+    assert set(got) == want
+    assert got[:len(atoms)] == [frozenset(xor_span(a)) for a in atoms]
 
 
 @given(vectors_strategy)

@@ -1,18 +1,23 @@
 """Permutation-group checks: blocks, primitivity, and invariant partitions."""
 
 import random
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbaudit import groups
 from tbaudit.cipher import TbCipher, Round, build_rotation_cipher
 from tbaudit.errors import CapExceeded, IntransitiveError
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, enumerate_subspaces,
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _joins, _reduced_rows,
+                         count_proper_subspaces, enumerate_subspaces,
                          random_invertible, rref)
-from tbaudit.groups import (BlockSystem, GeneratorSet, Perm, is_primitive,
-                            invariant_linear_partition_search, minimal_block,
-                            minimal_invariant_partitions,
+from tbaudit.groups import (MAX_PARTITIONS, BlockSystem, GeneratorSet, Perm,
+                            is_primitive, invariant_linear_partition_search,
+                            minimal_block, minimal_invariant_partitions,
                             partition_block_system, sample_ind_generators,
                             sample_round_generators)
 from tbaudit.mixing import MixingLayer
@@ -131,6 +136,14 @@ def test_block_system_canonical_relabelling():
     assert s.blocks() == [[0, 1], [2, 3]]
     assert s == BlockSystem(np.array([9, 9, 0, 0]))
     assert hash(s) == hash(BlockSystem(np.array([9, 9, 0, 0])))
+
+
+def test_block_systems_of_different_degrees_differ():
+    # one block of three points is not one block of one point, and systems
+    # of degrees 4 and 8 compare without a broadcast error
+    assert BlockSystem([0, 0, 0]) != BlockSystem([0])
+    assert BlockSystem([0, 0, 1, 1]) != BlockSystem([0, 0, 1, 1] * 2)
+    assert BlockSystem([0, 0, 1, 1] * 2) != BlockSystem([0, 0, 1, 1])
 
 
 def test_block_system_triviality_flags():
@@ -340,7 +353,7 @@ def test_invariant_search_empty_on_odd_rotation_depth():
     assert invariant_linear_partition_search(gens) == []
 
 
-def test_invariant_search_degenerate_identity_cipher():
+def test_invariant_search_degenerate_identity_cipher(monkeypatch):
     # with identity bricks the zero-key map is linear, so every proper
     # subspace is invariant; the cap must trip when the result set is
     # capped below that.
@@ -350,8 +363,21 @@ def test_invariant_search_degenerate_identity_cipher():
     gens = sample_ind_generators(cipher)
     found = invariant_linear_partition_search(gens)
     assert len(found) == 65
+    monkeypatch.setattr(groups, "MAX_PARTITIONS", 10)
     with pytest.raises(CapExceeded):
-        invariant_linear_partition_search(gens, max_results=10)
+        invariant_linear_partition_search(gens)
+
+
+def test_invariant_search_refuses_on_the_set_past_the_cap():
+    # the translations of degree 64 leave all 2,823 proper subspaces
+    # invariant; the search refuses on the 513th closed set it builds
+    gens = GeneratorSet(tuple(Perm.translation(6, 1 << j) for j in range(6)),
+                        tuple(f"xor[bit{j}]" for j in range(6)))
+    assert count_proper_subspaces(6) == 2823
+    with pytest.raises(CapExceeded) as got:
+        invariant_linear_partition_search(gens)
+    assert (got.value.estimate, got.value.limit) == (MAX_PARTITIONS + 1,
+                                                      MAX_PARTITIONS)
 
 
 def test_found_partitions_are_genuinely_invariant():
@@ -390,20 +416,75 @@ def test_search_rejects_non_power_of_two_degree():
 # The batched seed pass against the retired scalar-closure search.
 
 
-def _same_as_scalar_search(gens, max_results=512):
-    """Assert the search returns the retired search's list, or raises the
-    same refusal; return the list, or None on a refusal."""
-    try:
-        want = phi_closure_partition_search(gens, max_results)
-    except CapExceeded as exc:
-        with pytest.raises(CapExceeded) as got:
-            invariant_linear_partition_search(gens, max_results=max_results)
-        assert str(got.value) == str(exc)
-        assert (got.value.estimate, got.value.limit) == (exc.estimate,
-                                                          exc.limit)
-        return None
-    assert invariant_linear_partition_search(
-        gens, max_results=max_results) == want
+@st.composite
+def _phi_atoms(draw):
+    """A phi table of one or two permutations of degree 2^d, d <= 6, as the
+    search builds it (translations, bit permutations plus a constant, one
+    of those with two points swapped, or random), and the distinct proper
+    closures of one to eight seeds."""
+    d = draw(st.integers(2, 6))
+    n = 1 << d
+    perms = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("xor", "bits", "bits", "swapped",
+                                     "random")))
+        if kind == "random":
+            perms.append(draw(st.permutations(range(n))))
+            continue
+        order = (draw(st.permutations(range(d))) if kind != "xor"
+                 else range(d))
+        shift = draw(st.integers(0, n - 1))
+        images = [sum(((x >> i) & 1) << j for i, j in enumerate(order))
+                  ^ shift for x in range(n)]
+        if kind == "swapped":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            images[i], images[j] = images[j], images[i]
+        perms.append(images)
+    stack = np.array(perms, dtype=np.uint16)
+    phi = (stack ^ stack[:, :1]).T.copy()
+    full = np.zeros(n, dtype=bool)
+    seeds = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=8))
+    atoms = dict.fromkeys(rows for v in seeds if (
+        rows := groups._phi_closure(phi, (v,), d, full)) is not None)
+    close = partial(groups._phi_closure, phi, d=d, full=full)
+    return d, close, list(atoms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_phi_atoms())
+def test_joins_close_every_join_of_the_atoms_once(case):
+    # brute force: the closure of the sum of every subset of the atoms
+    d, close, atoms = case
+    got = list(_joins(atoms, close, d))
+    assert len(got) == len(set(got))
+    want = {rows for k in range(1, len(atoms) + 1)
+            for subset in combinations(atoms, k)
+            if (rows := close(_reduced_rows(sum(subset, ()))))
+            is not None}
+    assert set(got) == want
+    assert got[:len(atoms)] == atoms
+
+
+def _same_as_scalar_search(gens, limit=MAX_PARTITIONS):
+    """Assert the search, with ``MAX_PARTITIONS`` set to ``limit``, returns
+    the retired search's list, or raises the same refusal; return the list,
+    or None on a refusal.  The retired search counts its closed sets between
+    join levels, the search as it builds them, so only the estimate
+    differs: the search refuses on set limit + 1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "MAX_PARTITIONS", limit)
+        try:
+            want = phi_closure_partition_search(gens, limit)
+        except CapExceeded as exc:
+            with pytest.raises(CapExceeded) as got:
+                invariant_linear_partition_search(gens)
+            assert exc.estimate > limit
+            assert str(exc).startswith("too many closed subspaces (")
+            assert str(got.value) == (
+                f"too many closed subspaces (estimated work: {limit + 1}, "
+                f"limit: {limit})")
+            return None
+        assert invariant_linear_partition_search(gens) == want
     return want
 
 
@@ -545,9 +626,10 @@ def test_invariant_search_runs_few_scalar_closures(monkeypatch):
 
 
 def test_invariant_search_skips_joins_of_nested_closures(monkeypatch):
-    # the rotation cipher at d = 9 has six invariant partitions; a pair of
-    # closures where one holds the other joins to it, so the join loop
-    # skips it: 118 scalar closures before the skip, 100 with it
+    # the rotation cipher at d = 9 has six invariant partitions; a set and
+    # an atom where one holds the other join to that one, so the join skips
+    # them: 88 scalar closures (the retired pairwise join took 118, or 100
+    # with the skip)
     calls = []
     closure = groups._phi_closure
     monkeypatch.setattr(groups, "_phi_closure",
@@ -556,4 +638,4 @@ def test_invariant_search_skips_joins_of_nested_closures(monkeypatch):
     found = invariant_linear_partition_search(gens)
     assert found == phi_closure_partition_search(gens)
     assert len(found) == 6
-    assert len(calls) <= 100
+    assert len(calls) <= 88
