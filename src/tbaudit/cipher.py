@@ -21,9 +21,9 @@ subspace, it tries every nontrivial subspace of (F_2)^d as U_1 instead.
 Either way one routine (``_push_head``) pushes each U_1 through the rounds
 by the same spans to its chain.  No route builds a full-codebook table.
 
-Derivative spans come from ``derivative_span``, brick by brick and without a
-table; its per-(brick, u_i) pieces and each round's inverse (``decrypt``
-uses it too) sit in caches bounded at ``_ROUND_TABLE_CACHE`` rounds.
+Derivative spans come from ``_span_kernel``, brick by brick and without a
+table; its per-(brick, u_i) pieces sit in a cache bounded at
+``_ROUND_TABLE_CACHE`` rounds.
 Every full-codebook table is an XOR of per-brick pieces of 2^m entries and
 is built from them brick by brick, in one pass over the 2^d points
 (``_codebook_table``).  ``round_table`` is the one table cache, holding at
@@ -46,10 +46,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, SpecError
-from .gf2 import (BitMatrix, BrickLayout, Subspace, _iter_rref_blocks,
-                  _joins, _maps_cosets, _mask_wall, _reduced_rows,
-                  _span_elements, count_proper_subspaces, subspace_image,
-                  wall_brick_mask)
+from .gf2 import (BrickLayout, Subspace, _iter_rref_blocks, _joins,
+                  _maps_cosets, _mask_wall, _reduced_rows, _span_elements,
+                  count_proper_subspaces, subspace_image, wall_brick_mask)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _popcount,
                      _wall_table, family_strongly_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, DerivativeImage, SBox,
@@ -70,11 +69,9 @@ __all__ = [
     "AuditVerdict",
     "brick_condition",
     "encrypt",
-    "decrypt",
     "substitution_table",
     "round_table",
     "encryption_table",
-    "derivative_span",
     "partition_image",
     "check_lemma_containment",
     "find_trapdoor_chains",
@@ -84,7 +81,6 @@ __all__ = [
     "build_rotation_cipher",
     "build_present_toy_cipher",
     "build_secure_toy_cipher",
-    "build_linear_toy_cipher",
 ]
 
 MAX_TABLE_D = 20
@@ -175,29 +171,6 @@ def encrypt(cipher: TbCipher, keys: Sequence[int], x: int) -> int:
     return x
 
 
-def decrypt(cipher: TbCipher, keys: Sequence[int], y: int) -> int:
-    _check_key_tuple(cipher, keys)
-    layout = cipher.layout
-    m = layout.m
-    mask = (1 << m) - 1
-    for rnd, k in zip(reversed(cipher.rounds), reversed(list(keys))):
-        lin_inv, inv_tables = _round_inverse(rnd)
-        y = lin_inv.apply(y ^ k)
-        x = 0
-        for i, inv in enumerate(inv_tables):
-            x |= inv[(y >> (i * m)) & mask] << (i * m)
-        y = x
-    return y
-
-
-@lru_cache(maxsize=_ROUND_TABLE_CACHE)
-def _round_inverse(rnd: Round
-                   ) -> tuple[BitMatrix, tuple[tuple[int, ...], ...]]:
-    """L^-1 and the inverse brick tables of a round."""
-    return (rnd.layer.matrix.inverse(),
-            tuple(box.inverse_table() for box in rnd.bricks))
-
-
 # ---------------------------------------------------------------------------
 # Full-codebook tables (capped at MAX_TABLE_D bits).
 
@@ -225,10 +198,11 @@ def _codebook_table(layout: BrickLayout,
     return tab
 
 
-def substitution_table(bricks: tuple[SBox, ...], layout: BrickLayout,
-                       normalized: bool = True) -> np.ndarray:
-    """Lookup table of the bricklayer alone (no mixing, no key), as uint32
-    (d <= MAX_TABLE_D): the piece of brick i is S_i(y) << i*m."""
+def substitution_table(bricks: tuple[SBox, ...],
+                       layout: BrickLayout) -> np.ndarray:
+    """Lookup table of the normalized bricklayer alone (no mixing, no key),
+    as uint32 (d <= MAX_TABLE_D): the piece of brick i is S_i(y) << i*m,
+    with S_i normalized to S_i(0) = 0."""
     if len(bricks) != layout.b:
         raise ValueError(f"got {len(bricks)} bricks, layout needs {layout.b}")
     m = layout.m
@@ -236,8 +210,7 @@ def substitution_table(bricks: tuple[SBox, ...], layout: BrickLayout,
         if box.m != m:
             raise ValueError(f"brick {i + 1} is {box.m}-bit, layout needs {m}-bit")
     return _codebook_table(layout, (
-        np.array(box.normalized() if normalized else box.table,
-                 dtype=np.uint32) << (i * m)
+        np.array(box.normalized(), dtype=np.uint32) << (i * m)
         for i, box in enumerate(bricks)))
 
 
@@ -269,13 +242,29 @@ def encryption_table(cipher: TbCipher, keys: Sequence[int]) -> np.ndarray:
 
 @lru_cache(maxsize=_ROUND_TABLE_CACHE)
 def _span_kernel(rnd: Round, inverse: bool) -> Callable[[int], list[int]]:
-    """u -> vectors spanning span(Im D_u f) (f^-1 with ``inverse``), from
-    per-(brick, u_i) pieces built on first use; see ``derivative_span``."""
+    """u -> vectors spanning span(Im D_u f), where f is the keyless round
+    f(x) = L(S(x)) (f^-1(y) = S^-1(L^-1(y)) with ``inverse``), from
+    per-(brick, u_i) pieces built on first use; no table is built.
+
+    Proof.  Let S have bricks S_i and u brick parts u_i.  D_u S(x) has brick
+    parts D_{u_i}S_i(x_i), and the x_i vary independently, so
+    Im D_u S = A_1 x ... x A_b with A_i = {S_i(x) + S_i(x + u_i)} ({0} when
+    u_i = 0).  Fix a_i in A_i.  For a set A holding a, each x in A is
+    (x + a) + a, so span(A) = span(A + a) + <a>.  Apply this to the product
+    with a = (a_1, ..., a_b): each A_i + a_i holds 0, so their product spans
+    the direct sum of their spans, and
+    span(Im D_u S) = (+)_i span(A_i + a_i) + <(a_1, ..., a_b)>.  L is
+    linear, so span(Im D_u f) is L of that.  Backward,
+    D_w f^-1(z) = D_{L^-1 w} S^-1(L^-1 z) and L^-1 is onto, so the same
+    formula on the inverse bricks at u = L^-1 w gives span(Im D_w f^-1),
+    with no L after.  Constants added to a brick (normalization) cancel in
+    every derivative.  The pieces depend only on (brick, u_i).
+    """
     m = rnd.layout.m
     mask = (1 << m) - 1
     if inverse:
-        pre, tables = _round_inverse(rnd)
-        post = None
+        pre, post = rnd.layer.matrix.inverse(), None
+        tables = tuple(box.inverse_table() for box in rnd.bricks)
     else:
         pre, post = None, rnd.layer.matrix
         tables = tuple(box.table for box in rnd.bricks)
@@ -313,30 +302,6 @@ def _span_kernel(rnd: Round, inverse: bool) -> Callable[[int], list[int]]:
     return spanning
 
 
-def derivative_span(rnd: Round, rows: Iterable[int],
-                    inverse: bool = False) -> tuple[int, ...]:
-    """Reduced basis of the span of Im D_u f over the rows u, where f is the
-    keyless round f(x) = L(S(x)) (f^-1(y) = S^-1(L^-1(y)) with ``inverse``);
-    no table is built.
-
-    Proof.  Let S have bricks S_i and u brick parts u_i.  D_u S(x) has brick
-    parts D_{u_i}S_i(x_i), and the x_i vary independently, so
-    Im D_u S = A_1 x ... x A_b with A_i = {S_i(x) + S_i(x + u_i)} ({0} when
-    u_i = 0).  Fix a_i in A_i.  For a set A holding a, each x in A is
-    (x + a) + a, so span(A) = span(A + a) + <a>.  Apply this to the product
-    with a = (a_1, ..., a_b): each A_i + a_i holds 0, so their product spans
-    the direct sum of their spans, and
-    span(Im D_u S) = (+)_i span(A_i + a_i) + <(a_1, ..., a_b)>.  L is
-    linear, so span(Im D_u f) is L of that.  Backward,
-    D_w f^-1(z) = D_{L^-1 w} S^-1(L^-1 z) and L^-1 is onto, so the same
-    formula on the inverse bricks at u = L^-1 w gives span(Im D_w f^-1),
-    with no L after.  Constants added to a brick (normalization) cancel in
-    every derivative.  The pieces depend only on (brick, u_i).
-    """
-    spanning = _span_kernel(rnd, inverse)
-    return _reduced_rows(v for u in rows for v in spanning(u))
-
-
 # ---------------------------------------------------------------------------
 # Linear partitions and their images.
 
@@ -346,10 +311,6 @@ class LinearPartition:
     """The partition of (F_2)^d into cosets of a subspace."""
 
     subspace: Subspace
-
-    @property
-    def nontrivial(self) -> bool:
-        return not self.subspace.is_trivial()
 
 
 def partition_image(table, part: LinearPartition) -> LinearPartition | None:
@@ -458,7 +419,7 @@ def _push_head(kernels: Sequence[Callable[[int], list[int]]],
     """The chain with U_1 = span(head), or None when there is none: push U_1
     through the rounds by derivative spans, dropping it once a span W
     outranks it.  f is a bijection, so |W| >= |f(x + U)| = |U|, with
-    equality exactly when (U, W) is a link (``derivative_span``); a chain's
+    equality exactly when (U, W) is a link (``_span_kernel``); a chain's
     U_1 therefore fixes the rest of it."""
     spaces = [head]
     for spanning in kernels:
@@ -839,11 +800,3 @@ def build_secure_toy_cipher(ell: int = 2) -> TbCipher:
     rnd = Round((box, box), _toy_layer(3, 2))
     return TbCipher((rnd,) * ell)
 
-
-def build_linear_toy_cipher(ell: int = 2) -> TbCipher:
-    """Identity bricks under a strongly proper layer: the walls search has
-    nothing to find, but the bricks are linear, so the audit must stay
-    Inconclusive rather than Secure."""
-    box = presets.identity_sbox(3)
-    rnd = Round((box, box), _toy_layer(3, 2))
-    return TbCipher((rnd,) * ell)

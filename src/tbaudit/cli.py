@@ -28,8 +28,8 @@ from .groups import (invariant_linear_partition_search, is_primitive,
                      minimal_block, minimal_invariant_partitions,
                      sample_ind_generators, sample_round_generators)
 from .mixing import LayerFamily, MixingLayer, wall_trace
-from .report import (audit_report, chains_report, dumps_report, mixing_report,
-                     sbox_report, verify_report)
+from .report import (audit_report, chains_report, completeness, dumps_report,
+                     mixing_report, sbox_report, verify_report)
 from .sbox import ANTI_INVARIANCE_BUDGET, SBox
 from .specfile import load_cipher, read_json
 
@@ -216,8 +216,6 @@ def _cmd_audit(args) -> int:
 def _cmd_find_trapdoor(args) -> int:
     cipher = load_cipher(args.spec)
     chains = find_trapdoor_chains(cipher, args.mode, cap=args.exhaustive_cap)
-    marker = ("search-complete" if args.mode == "exhaustive"
-              else "walls-only")
     if args.json:
         rep = chains_report(cipher, args.mode, chains, cap=args.exhaustive_cap)
         print(dumps_report(rep), end="")
@@ -225,8 +223,8 @@ def _cmd_find_trapdoor(args) -> int:
     layout = cipher.layout
     for ch in chains:
         print(" -> ".join(_fmt_subspace(s, layout) for s in ch.spaces))
-    print(f"# {len(chains)} chain(s); completeness: {marker}",
-          file=sys.stderr)
+    print(f"# {len(chains)} chain(s); completeness: "
+          f"{completeness(args.mode)}", file=sys.stderr)
     return EXIT_VULNERABLE if chains else EXIT_OK
 
 

@@ -13,8 +13,8 @@ spans, so every subspace is produced exactly once.  Enumeration order is
 canonical: pivot-column sets in lexicographic order, free entries in a
 reflected Gray sequence within each pivot set.  ``_iter_rref_blocks`` states
 that order once and walks it as numpy arrays, a chunk of a pivot set's block
-at a time; every scan of subspaces (``enumerate_subspaces``, the S-box
-anti-invariance scan, the chain search's dense fallback) iterates its blocks.
+at a time; every scan of subspaces (the S-box anti-invariance scan, the chain
+search's dense fallback) iterates its blocks.
 
 The rest of the package shares one kernel from here: ``_reduced_rows`` is the
 echelon routine (spans, ranks, inverses and rank-bounded spans alike),
@@ -34,27 +34,21 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import CapExceeded
-
 __all__ = [
     "AMBIENT_CAP",
-    "DEFAULT_ENUMERATION_CAP",
     "BitMatrix",
     "Subspace",
     "BrickLayout",
     "Wall",
     "rref",
-    "subspace_sum",
     "subspace_image",
     "gaussian_binomial",
     "count_proper_subspaces",
-    "enumerate_subspaces",
     "as_wall",
     "wall_brick_mask",
 ]
 
 AMBIENT_CAP = 128
-DEFAULT_ENUMERATION_CAP = 10
 
 
 def _reduced_rows(vectors: Iterable[int],
@@ -211,12 +205,6 @@ def rref(vectors: Iterable[int], ambient: int) -> Subspace:
     return Subspace(_reduced_rows(vectors), ambient)
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient != b.ambient:
-        raise ValueError("ambient dimensions differ")
-    return rref(a.basis + b.basis, a.ambient)
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """Matrix over GF(2); rows[i] is the image of basis vector e_i.
@@ -344,25 +332,6 @@ def _iter_rref_blocks(d: int, k: int) -> Iterator[np.ndarray]:
             yield rows
 
 
-def enumerate_subspaces(d: int, k: int, *,
-                        cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Subspace]:
-    """All k-dimensional subspaces of (F_2)^d in canonical order.
-
-    Refuses with CapExceeded when d exceeds ``cap`` (full enumeration cost
-    grows like 2^(k(d-k))); the error carries the exact count that was
-    requested.
-    """
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= d, got k={k} d={d}")
-    if d > cap:
-        raise CapExceeded(
-            f"subspace enumeration at d={d} refused",
-            estimate=gaussian_binomial(d, k), limit=cap)
-    for bases in _iter_rref_blocks(d, k):
-        for rows in bases.tolist():
-            yield Subspace(tuple(rows), d)
-
-
 @dataclass(frozen=True)
 class BrickLayout:
     """Splitting of (F_2)^d into b parallel bricks of m bits each.
@@ -383,15 +352,6 @@ class BrickLayout:
     def d(self) -> int:
         return self.m * self.b
 
-    def brick_mask(self, i: int) -> int:
-        if not 1 <= i <= self.b:
-            raise ValueError(f"brick index {i} out of range")
-        return ((1 << self.m) - 1) << ((i - 1) * self.m)
-
-    def bricks_of(self, v: int) -> frozenset[int]:
-        """1-based indices of bricks where v has support."""
-        return frozenset(_mask_bricks(_brick_support(v, self.m)))
-
 
 @dataclass(frozen=True)
 class Wall(object):
@@ -405,22 +365,8 @@ class Wall(object):
             if not 1 <= i <= self.layout.b:
                 raise ValueError(f"brick index {i} out of range")
 
-    @property
-    def is_proper(self) -> bool:
-        return 0 < len(self.bricks) < self.layout.b
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.is_proper
-
     def sorted_bricks(self) -> tuple[int, ...]:
         return tuple(sorted(self.bricks))
-
-    def mask(self) -> int:
-        out = 0
-        for i in self.bricks:
-            out |= self.layout.brick_mask(i)
-        return out
 
     def subspace(self) -> Subspace:
         m = self.layout.m

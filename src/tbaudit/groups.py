@@ -121,9 +121,6 @@ class Perm:
         inv[self.images] = np.arange(self.degree, dtype=np.int64)
         return Perm(inv)
 
-    def is_identity(self) -> bool:
-        return bool((self.images == np.arange(self.degree)).all())
-
     @classmethod
     def identity(cls, n: int) -> "Perm":
         return cls(np.arange(n, dtype=np.int64))

@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "LayerFamily",
     "FamilyReport",
     "WallSteps",
-    "enumerate_proper_walls",
     "is_proper",
     "is_strongly_proper",
     "family_strongly_proper",
@@ -178,16 +176,6 @@ def _escape_steps(supports: Sequence[tuple[int, ...]], b: int
         if steps.all() or (constant and not escaped.any()):
             break
     return masks, steps
-
-
-def enumerate_proper_walls(layout: BrickLayout) -> Iterator[Wall]:
-    """All 2^b - 2 proper walls, in lexicographic order of their brick sets.
-
-    Witnesses reported by the checks below are always the first failing wall
-    in this order.
-    """
-    for mask in _lex_proper_masks(layout.b).tolist():
-        yield _mask_wall(layout, mask)
 
 
 def is_proper(layer: MixingLayer) -> tuple[bool, Wall | None]:

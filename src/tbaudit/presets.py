@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .gf2 import BitMatrix, BrickLayout, random_invertible
+from .gf2 import BitMatrix, BrickLayout, identity_matrix, random_invertible
 from .mixing import MixingLayer, is_strongly_proper
 from .sbox import SBox, _check_width
 
@@ -94,8 +94,7 @@ def identity_sbox(m: int) -> SBox:
 
 
 def identity_layer(layout: BrickLayout) -> MixingLayer:
-    d = layout.d
-    return MixingLayer(BitMatrix(tuple(1 << i for i in range(d)), d), layout)
+    return MixingLayer(identity_matrix(layout.d), layout)
 
 
 def rotation_layer(layout: BrickLayout) -> MixingLayer:

@@ -44,6 +44,7 @@ __all__ = [
     "mixing_report",
     "audit_report",
     "chains_report",
+    "completeness",
     "dumps_report",
     "verify_report",
 ]
@@ -220,6 +221,13 @@ def audit_report(cphr: TbCipher, verdict: AuditVerdict, *,
     }
 
 
+def completeness(mode: str) -> str:
+    """How much of the chain lattice a search of this mode covers: the
+    exhaustive search finds every chain, the walls search only the chains
+    through walls."""
+    return "search-complete" if mode == "exhaustive" else "walls-only"
+
+
 def chains_report(cphr: TbCipher, mode: str, chains: list[PartitionChain], *,
                   cap: int | None = None) -> dict:
     return {
@@ -229,8 +237,7 @@ def chains_report(cphr: TbCipher, mode: str, chains: list[PartitionChain], *,
         "cipher": cipher_to_spec(cphr),
         "mode": mode,
         "flags": {"cap": cap},
-        "completeness": ("search-complete" if mode == "exhaustive"
-                         else "walls-only"),
+        "completeness": completeness(mode),
         "chain_count": len(chains),
         "truncated": len(chains) > _EMBED_CHAIN_CAP,
         "chains": [_chain_json(ch) for ch in chains[:_EMBED_CHAIN_CAP]],

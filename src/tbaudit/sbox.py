@@ -31,9 +31,7 @@ __all__ = [
     "ddt",
     "differential_uniformity",
     "min_derivative_image",
-    "meets_min_image_bound",
     "walsh_row_extrema",
-    "nonlinearity",
     "has_linear_component",
     "anti_invariance_scan_cost",
     "is_strongly_anti_invariant",
@@ -137,13 +135,6 @@ def min_derivative_image(box: SBox, table: DDTable | None = None) -> DerivativeI
     return DerivativeImage(int(sizes[u - 1]), u)
 
 
-def meets_min_image_bound(box: SBox, r: int, table: DDTable | None = None) -> bool:
-    """Whether every nonzero derivative image is strictly larger than 2^(m-r)."""
-    if not 1 <= r <= box.m:
-        raise ValueError(f"r={r} out of range [1, {box.m}]")
-    return min_derivative_image(box, table).size > (1 << (box.m - r))
-
-
 _PARITY_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -179,10 +170,6 @@ def walsh_row_extrema(box: SBox) -> np.ndarray:
             h *= 2
         out[lo:lo + len(comps)] = np.abs(w.reshape(len(comps), n)).max(axis=1)
     return out
-
-
-def nonlinearity(box: SBox) -> int:
-    return _nonlinearity(walsh_row_extrema(box))
 
 
 def _nonlinearity(extrema: np.ndarray) -> int:

@@ -22,6 +22,8 @@ Validation failures raise SpecError with the JSON path of the offender.
 from __future__ import annotations
 
 import json
+import re
+from itertools import accumulate
 from pathlib import Path
 from typing import Any
 
@@ -32,7 +34,21 @@ from .gf2 import BitMatrix, BrickLayout
 from .mixing import MixingLayer
 from .sbox import SBox
 
-__all__ = ["load_cipher", "parse_cipher", "cipher_to_spec"]
+__all__ = ["MAX_JSON_BYTES", "MAX_JSON_DEPTH", "load_cipher", "parse_cipher",
+           "cipher_to_spec"]
+
+# The largest file and the deepest nesting of arrays and objects that the
+# JSON reader takes.  Specs and reports are far below both; the depth bound
+# keeps the parser's recursion well inside Python's limit at any call depth.
+MAX_JSON_BYTES = 1 << 24
+MAX_JSON_DEPTH = 256
+
+# An opening quote takes its string whether or not a closing quote follows,
+# so each quote is scanned once: an unclosed string costs linear time here
+# and is left for json.loads to refuse.
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+_NOT_BRACKET = re.compile(r"[^][{}]+")
+_BRACKET_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 _IGNORED_KEYS = {"comment", "name", "description"}
 
@@ -194,14 +210,35 @@ def parse_cipher(obj) -> TbCipher:
     return TbCipher(tuple(rounds))
 
 
+def _nesting_depth(text: str) -> int:
+    """The most arrays and objects open at once in JSON text.  Strings are
+    cut out first, since a bracket inside one opens nothing, then all but
+    the brackets; the running count over those is taken by C iterators, not
+    a Python loop."""
+    brackets = _NOT_BRACKET.sub("", _JSON_STRING.sub("", text))
+    return max(accumulate(map(_BRACKET_STEP.__getitem__, brackets)),
+               default=0)
+
+
 def read_json(path: str | Path) -> Any:
     """Read a JSON file given to the program (a spec or a report); a file
-    that cannot be read or parsed is a SpecError."""
+    that cannot be read or parsed, is larger than MAX_JSON_BYTES or nests
+    deeper than MAX_JSON_DEPTH is a SpecError.  Both bounds are checked
+    before the parser runs, so the answer does not depend on the caller's
+    stack depth."""
     p = Path(path)
     try:
-        text = p.read_text()
+        with p.open("rb") as f:
+            data = f.read(MAX_JSON_BYTES + 1)
     except OSError as exc:
         raise SpecError(f"cannot read {p}: {exc.strerror}")
+    if len(data) > MAX_JSON_BYTES:
+        raise SpecError(f"file larger than {MAX_JSON_BYTES} bytes",
+                        path=str(p))
+    text = data.decode()
+    if _nesting_depth(text) > MAX_JSON_DEPTH:
+        raise SpecError(f"JSON nested too deeply (more than "
+                        f"{MAX_JSON_DEPTH} levels)", path=str(p))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

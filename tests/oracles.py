@@ -5,7 +5,8 @@ slow, obvious way: sets of ints for subspaces, dict counting for difference
 tables, frozensets of frozensets for partitions.  Tests compare package
 output against these.  The one exception is the last section: retired
 routes, built on the package's own kernels (imported inside each function),
-kept as second routes for the code that replaced them.
+kept as second routes for the code that replaced them, and a reference
+cipher that only tests use.
 """
 
 from itertools import combinations
@@ -615,6 +616,19 @@ def retired_encryption_table(cipher, keys):
     for rnd, k in zip(cipher.rounds, keys):
         state = retired_round_table(rnd)[state] ^ k
     return state
+
+
+def build_linear_toy_cipher(ell=2):
+    """Identity bricks under the toy ciphers' strongly proper layer (at
+    ell = 2, the cipher of ``specs/linear_bricks_m3b2_l2.json``): the walls
+    search has nothing to find, but the bricks are linear, so the audit
+    must stay Inconclusive rather than Secure."""
+    from tbaudit.cipher import Round, TbCipher
+    from tbaudit.gf2 import BrickLayout
+    from tbaudit.presets import find_strongly_proper_layer, identity_sbox
+    box = identity_sbox(3)
+    layer = find_strongly_proper_layer(BrickLayout(3, 2), seed=0)
+    return TbCipher((Round((box, box), layer),) * ell)
 
 
 def retired_walls_audit_chains(cipher):

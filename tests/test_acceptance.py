@@ -170,7 +170,9 @@ def test_criterion_4_layer_zoo(capsys):
     # independent check: each mapped basis vector stays inside the column
     # mask and the images stay full rank
     images = [combined.matrix.apply(r) for r in diagonal.subspace().basis]
-    assert all(v & ~column.mask() == 0 for v in images)
+    column_bits = sum(((1 << layout.m) - 1) << (layout.m * (i - 1))
+                      for i in column.bricks)
+    assert all(v & ~column_bits == 0 for v in images)
     assert span_rank(images) == 32
     strong, _ = is_strongly_proper(combined)
     assert not strong

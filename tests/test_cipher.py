@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -13,32 +14,30 @@ import tbaudit.mixing as mixing_mod
 from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             SEMANTICS, LinearPartition, PartitionChain,
                             Round, TbCipher, _brick_conditions,
-                            _proper_heads, _push_head, _round_inverse,
-                            _seed_atoms, _span_kernel, _wall_walk, audit,
-                            build_linear_toy_cipher, build_present_toy_cipher,
-                            build_rotation_cipher, build_secure_toy_cipher,
-                            chain_holds_under_key, check_lemma_containment,
-                            decrypt, derivative_span, encrypt,
-                            encryption_table,
-                            find_trapdoor_chains, partition_image,
-                            round_table, substitution_table, verify_chain)
+                            _proper_heads, _push_head, _seed_atoms,
+                            _span_kernel, _wall_walk, audit,
+                            build_present_toy_cipher, build_rotation_cipher,
+                            build_secure_toy_cipher, chain_holds_under_key,
+                            check_lemma_containment, encrypt,
+                            encryption_table, find_trapdoor_chains,
+                            partition_image, round_table, substitution_table,
+                            verify_chain)
 from tbaudit.errors import CapExceeded
 from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _joins, _reduced_rows,
                          as_wall, count_proper_subspaces, random_invertible,
                          rref)
-from tbaudit.mixing import (LayerFamily, MixingLayer, enumerate_proper_walls,
-                            family_strongly_proper)
+from tbaudit.mixing import LayerFamily, MixingLayer, family_strongly_proper
 from tbaudit.presets import (identity_sbox, inversion_sbox, identity_layer,
                              present_sbox, rotation_layer)
 from tbaudit.sbox import SBox
 from tbaudit.specfile import load_cipher
 
 from oracles import (brute_derivative_containment, brute_partition_image,
-                     matrix_apply_by_columns, retired_encryption_table,
-                     retired_round_table, retired_substitution_table,
-                     retired_walls_audit_chains, span_rank, table_scan_chains,
-                     table_verify_chain, wall_walk_links_hold,
-                     walls_mode_masks, xor_span)
+                     build_linear_toy_cipher, matrix_apply_by_columns,
+                     retired_encryption_table, retired_round_table,
+                     retired_substitution_table, retired_walls_audit_chains,
+                     span_rank, table_scan_chains, table_verify_chain,
+                     wall_walk_links_hold, walls_mode_masks, xor_span)
 
 SPEC_DIR = Path(__file__).parent.parent / "specs"
 
@@ -106,34 +105,6 @@ def test_encrypt_matches_step_by_step_oracle(seed, data):
     assert encrypt(cipher, keys, x) == oracle_encrypt(cipher, keys, x)
 
 
-@given(st.integers(0, 2**32), st.data())
-def test_decrypt_inverts_encrypt(seed, data):
-    cipher = random_cipher(seed, 3, 2, 3)
-    d = cipher.layout.d
-    keys = tuple(data.draw(st.integers(0, (1 << d) - 1)) for _ in range(3))
-    x = data.draw(st.integers(0, (1 << d) - 1))
-    assert decrypt(cipher, keys, encrypt(cipher, keys, x)) == x
-
-
-def test_decrypt_inverts_each_distinct_round_once(monkeypatch):
-    inverse = BitMatrix.inverse
-    calls = []
-
-    def counted(matrix):
-        calls.append(matrix)
-        return inverse(matrix)
-
-    monkeypatch.setattr(BitMatrix, "inverse", counted)
-    for cipher, distinct in ((random_cipher(64, 3, 2, 3), 3),
-                             (build_rotation_cipher(3, 2, 4), 1)):
-        _round_inverse.cache_clear()
-        calls.clear()
-        keys = tuple(range(1, cipher.ell + 1))
-        for x in range(64):
-            assert decrypt(cipher, keys, encrypt(cipher, keys, x)) == x
-        assert len(calls) == distinct
-
-
 def test_key_tuple_validation():
     cipher = build_rotation_cipher(2, 2, 2)
     with pytest.raises(ValueError, match="round keys"):
@@ -155,17 +126,17 @@ def test_round_table_normalization():
     cipher = random_cipher(78, 2, 2, 1)
     rnd = cipher.rounds[0]
     layout = rnd.layout
-    norm = substitution_table(rnd.bricks, layout, normalized=True)
-    raw = substitution_table(rnd.bricks, layout, normalized=False)
+    norm = substitution_table(rnd.bricks, layout)
     assert norm[0] == 0
-    # both are the same map up to the constant folded out of the bricks
+    # the raw bricklayer is the same map up to the constant folded out of
+    # the bricks, and the round table is the raw map L(S(x))
     shift = 0
     for i, box in enumerate(rnd.bricks):
         shift |= box.shift << (i * layout.m)
-    assert shift and (raw == (norm ^ shift)).all()
-    # the round table is the raw map L(S(x))
+    assert shift
     lin = rnd.layer.matrix
-    assert round_table(rnd).tolist() == [lin.apply(y) for y in raw.tolist()]
+    assert round_table(rnd).tolist() == [lin.apply(y ^ shift)
+                                         for y in norm.tolist()]
 
 
 def _same_table(got, want):
@@ -191,10 +162,8 @@ def test_codebook_tables_match_the_retired_route(m, b):
         for _ in range(2)))
     for rnd in cipher.rounds:
         _same_table(round_table(rnd), retired_round_table(rnd))
-        for normalized in (False, True):
-            _same_table(
-                substitution_table(rnd.bricks, layout, normalized),
-                retired_substitution_table(rnd.bricks, layout, normalized))
+        _same_table(substitution_table(rnd.bricks, layout),
+                    retired_substitution_table(rnd.bricks, layout))
     keys = tuple(rng.getrandbits(layout.d) for _ in range(cipher.ell))
     _same_table(encryption_table(cipher, keys),
                 retired_encryption_table(cipher, keys))
@@ -225,7 +194,7 @@ def test_table_caches_are_bounded():
     info = round_table.cache_info()
     assert info.maxsize == _ROUND_TABLE_CACHE
     assert info.currsize <= _ROUND_TABLE_CACHE
-    for cached in (_brick_conditions, _round_inverse, _span_kernel):
+    for cached in (_brick_conditions, _span_kernel):
         assert cached.cache_info().maxsize is not None
 
 
@@ -264,8 +233,6 @@ def test_partition_image_trivial_partitions_pass_through():
     for u in (rref([], 3), rref([1, 2, 4], 3)):
         part = LinearPartition(u)
         assert partition_image(table, part) == part
-        assert not part.nontrivial
-    assert LinearPartition(rref([1], 3)).nontrivial
 
 
 def test_partition_image_is_key_blind():
@@ -581,7 +548,8 @@ def test_derivative_span_matches_the_full_table(seed, shape):
     d = layout.d
     for table, inverse in ((forward, False), (backward, True)):
         u = rref([rng.getrandbits(d) for _ in range(rng.randint(0, 3))], d)
-        w_rows = derivative_span(rnd, u.basis, inverse)
+        spanning = _span_kernel(rnd, inverse)
+        w_rows = _reduced_rows(v for row in u.basis for v in spanning(row))
         assert w_rows == _table_span(table, u.basis)
         u_els = u.elements()
         assert brute_derivative_containment(table, u_els, xor_span(w_rows))
@@ -607,8 +575,9 @@ def test_verify_chain_rejects_tampering():
 
 def _other_wall(rng, layout, wall):
     """A proper wall with as many bricks as ``wall`` but not equal to it."""
-    others = [w for w in enumerate_proper_walls(layout)
-              if len(w.bricks) == len(wall.bricks) and w != wall]
+    others = [w for bricks in combinations(range(1, layout.b + 1),
+                                           len(wall.bricks))
+              if (w := Wall(layout, frozenset(bricks))) != wall]
     return rng.choice(others).subspace()
 
 

@@ -436,13 +436,13 @@ def test_verify_report_catches_tampering(capsys, tmp_path):
 
 
 def test_verify_report_bounds_the_tampered_values_it_echoes(tmp_path):
-    # a 990-deep list (the deepest the JSON reader takes, in a fresh
-    # process) and a 10^5-character string in place of an audit golden's
-    # verdict, and an extra key of 10^5 characters: each gives one short
-    # problem line; a key the report lacks is named as missing
+    # a 200-deep list (under the JSON reader's nesting bound; its repr is
+    # 400 characters) and a 10^5-character string in place of an audit
+    # golden's verdict, and an extra key of 10^5 characters: each gives one
+    # short problem line; a key the report lacks is named as missing
     golden = SPEC_DIR / "golden" / "audit_toy_present_m4b2_l3.json"
     for key, value, problem in (
-            ("verdict", "[" * 990 + "]" * 990, "$.verdict: report has"),
+            ("verdict", "[" * 200 + "]" * 200, "$.verdict: report has"),
             ("verdict", json.dumps("x" * 10 ** 5), "$.verdict: report has"),
             ("k" * 10 ** 5, "1", "unexpected in report"),
             ("verdict", None, "$.verdict: missing from report")):
@@ -531,6 +531,54 @@ def test_verify_report_refuses_recorded_bounds_that_are_not_ints(capsys,
             assert f"{field}=" in err and "not an integer" in err
 
 
+def _tampered_verdict(tmp_path, depth):
+    """An audit golden whose verdict is a list nested ``depth`` deep, so the
+    whole report nests depth + 1 deep."""
+    golden = SPEC_DIR / "golden" / "audit_toy_present_m4b2_l3.json"
+    rep = json.loads(golden.read_text())
+    rep["verdict"] = "@"
+    path = tmp_path / f"deep{depth}.json"
+    path.write_text(json.dumps(rep).replace(
+        '"@"', "[" * depth + "]" * depth))
+    return str(path)
+
+
+def _frames_down(n, call):
+    return call() if n == 0 else _frames_down(n - 1, call)
+
+
+def test_nesting_bound_does_not_depend_on_the_caller(capsys, tmp_path):
+    # the report at the bound is read and its verdict found tampered (exit
+    # 1); one level more, or the 990 levels that once passed only at the
+    # top of a process, is refused before parsing (exit 64), whether main()
+    # runs at the top of a fresh process or 60 frames down
+    for depth, want in ((specfile.MAX_JSON_DEPTH - 1, 1),
+                        (specfile.MAX_JSON_DEPTH, 64), (990, 64)):
+        path = _tampered_verdict(tmp_path, depth)
+        code, err, _ = run_cli_bounded("verify-report", path)
+        assert code == want, (depth, err)
+        deep = _frames_down(60, lambda: main(["verify-report", path]))
+        assert deep == want, depth
+        err_deep = capsys.readouterr().err
+        problem = ("nested too deeply" if want == 64
+                   else "$.verdict: report has")
+        assert problem in err and problem in err_deep
+
+
+def test_oversized_json_is_refused(capsys, tmp_path):
+    # whitespace is valid JSON padding: the file at the size bound parses
+    # (and is no report), one byte more is refused unread
+    path = tmp_path / "big.json"
+    for size, want in ((specfile.MAX_JSON_BYTES, 1),
+                       (specfile.MAX_JSON_BYTES + 1, 64)):
+        path.write_bytes(b" " * (size - 2) + b"{}")
+        code, _, err = run_cli(capsys, "verify-report", str(path))
+        assert code == want, size
+        assert ("larger than" in err) == (want == 64)
+    code, _, err = run_cli(capsys, "audit", str(path))
+    assert code == 64 and "larger than" in err
+
+
 def test_deeply_nested_json_is_a_spec_error(capsys, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
@@ -541,6 +589,17 @@ def test_deeply_nested_json_is_a_spec_error(capsys, tmp_path):
         code, _, err = run_cli(capsys, *argv)
         assert code == 64, argv
         assert "nested too deeply" in err
+
+
+def test_unclosed_json_string_is_refused_in_linear_time(tmp_path):
+    # one quote and then only escaped quotes: the string never closes, and
+    # a depth scan that retried it from every quote would take time
+    # quadratic in the file
+    path = tmp_path / "unclosed.json"
+    path.write_text('"' + '\\"' * 10**5)
+    code, err, seconds = run_cli_bounded("verify-report", str(path))
+    assert code == 64, err
+    assert seconds < 1
 
 
 # ---------------------------------------------------------------------------

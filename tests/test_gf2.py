@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tbaudit.errors import CapExceeded
 from tbaudit.gf2 import (_BLOCK_CHUNK, BitMatrix, BrickLayout, Subspace, Wall,
-                         _iter_rref_blocks, _joins, _maps_cosets,
-                         _reduced_rows, as_wall, count_proper_subspaces,
-                         enumerate_subspaces, gaussian_binomial,
+                         _brick_support, _iter_rref_blocks, _joins,
+                         _maps_cosets, _reduced_rows, as_wall,
+                         count_proper_subspaces, gaussian_binomial,
                          identity_matrix, random_invertible, rref,
-                         subspace_image, subspace_sum, wall_brick_mask)
+                         subspace_image, wall_brick_mask)
 
 from oracles import (all_subspaces, brute_derivative_containment,
                      canonical_rref_bases, gaussian_recurrence,
@@ -130,15 +129,12 @@ def test_membership_and_coset_reps(dv, raw):
 
 @given(vectors_strategy)
 def test_subspace_sum_is_the_span_of_the_union(dv):
+    # the sum of two subspaces as the joins form it: the echelon basis of
+    # their bases together
     d, vecs = dv
     cut = len(vecs) // 2
     a, b = rref(vecs[:cut], d), rref(vecs[cut:], d)
-    assert set(subspace_sum(a, b).elements()) == xor_span(vecs)
-
-
-def test_subspace_sum_ambient_mismatch():
-    with pytest.raises(ValueError):
-        subspace_sum(rref([1], 2), rref([1], 3))
+    assert set(rref(a.basis + b.basis, d).elements()) == xor_span(vecs)
 
 
 def test_trivial_flags():
@@ -174,11 +170,17 @@ def test_known_subspace_counts():
 # Enumeration.
 
 
+def rref_walk(d, k):
+    """The subspaces of the canonical walk, one Subspace per basis."""
+    return [Subspace(tuple(rows), d)
+            for block in _iter_rref_blocks(d, k) for rows in block.tolist()]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_enumeration_is_exactly_the_subspace_lattice(d):
     reference = all_subspaces(d)
     for k in range(d + 1):
-        got = list(enumerate_subspaces(d, k))
+        got = rref_walk(d, k)
         assert len(got) == gaussian_binomial(d, k)
         assert len(set(got)) == len(got), "duplicate subspace emitted"
         got_sets = {frozenset(s.elements()) for s in got}
@@ -187,23 +189,9 @@ def test_enumeration_is_exactly_the_subspace_lattice(d):
 
 
 def test_enumeration_order_is_deterministic():
-    a = [s.basis for s in enumerate_subspaces(5, 2)]
-    b = [s.basis for s in enumerate_subspaces(5, 2)]
+    a = [s.basis for s in rref_walk(5, 2)]
+    b = [s.basis for s in rref_walk(5, 2)]
     assert a == b
-
-
-def test_enumeration_cap_refusal_carries_the_count():
-    with pytest.raises(CapExceeded) as exc:
-        next(enumerate_subspaces(11, 3, cap=10))
-    assert exc.value.estimate == gaussian_binomial(11, 3)
-    assert exc.value.limit == 10
-    # a raised cap lets the same request through
-    assert next(enumerate_subspaces(11, 3, cap=11)).dim == 3
-
-
-def test_enumeration_rejects_bad_k():
-    with pytest.raises(ValueError):
-        list(enumerate_subspaces(3, 4))
 
 
 def test_rref_blocks_flatten_to_the_canonical_order():
@@ -375,12 +363,9 @@ def test_layout_validation():
 def test_layout_masks_and_support():
     lay = BrickLayout(3, 3)
     assert lay.d == 9
-    assert lay.brick_mask(1) == 0b111
-    assert lay.brick_mask(3) == 0b111000000
-    with pytest.raises(ValueError):
-        lay.brick_mask(4)
-    assert lay.bricks_of(0) == frozenset()
-    assert lay.bricks_of(0b100000001) == {1, 3}
+    assert _brick_support(0, lay.m) == 0
+    assert _brick_support(0b100000001, lay.m) == 0b101
+    assert _brick_support(0b000111000, lay.m) == 0b010
 
 
 @given(st.integers(2, 3), st.integers(2, 3), st.data())
@@ -389,9 +374,6 @@ def test_wall_subspace_elements(m, b, data):
     bricks = data.draw(st.sets(st.integers(1, b), min_size=0, max_size=b))
     w = Wall(lay, frozenset(bricks))
     assert set(w.subspace().elements()) == wall_elements(m, b, bricks)
-    assert w.is_proper == (0 < len(bricks) < b)
-    assert w.is_trivial != w.is_proper
-    assert w.mask() == sum(lay.brick_mask(i) for i in bricks)
 
 
 def test_wall_index_validation():

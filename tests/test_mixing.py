@@ -8,10 +8,11 @@ import pytest
 
 import tbaudit.mixing as mixing_mod
 from tbaudit.errors import SingularMatrixError
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _mask_bricks, as_wall,
-                         identity_matrix, random_invertible, subspace_image)
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _mask_bricks,
+                         _mask_wall, as_wall, identity_matrix,
+                         random_invertible, subspace_image)
 from tbaudit.mixing import (FamilyReport, LayerFamily, MixingLayer, WallSteps,
-                            enumerate_proper_walls, family_strongly_proper,
+                            _lex_proper_masks, family_strongly_proper,
                             is_proper, is_strongly_proper, wall_trace)
 from tbaudit.presets import (aes_layout, aes_mix_columns_layer,
                              aes_shift_rows_layer, aes_sr_mc_layer,
@@ -26,6 +27,12 @@ def random_layer(seed, m=2, b=3):
     layout = BrickLayout(m, b)
     return MixingLayer(random_invertible(random.Random(seed), layout.d),
                        layout)
+
+
+def enumerate_proper_walls(layout):
+    """The proper walls in the order witnesses are reported."""
+    return [_mask_wall(layout, mask)
+            for mask in _lex_proper_masks(layout.b).tolist()]
 
 
 def brute_proper(layer):
@@ -78,8 +85,9 @@ def test_brick_supports_via_basis_images():
         expected = 0
         for j in range(layout.m):
             img = layer.matrix.apply(1 << (i * layout.m + j))
-            for touched in layout.bricks_of(img):
-                expected |= 1 << (touched - 1)
+            for touched in range(layout.b):
+                if (img >> (touched * layout.m)) & ((1 << layout.m) - 1):
+                    expected |= 1 << touched
         assert supports[i] == expected
 
 
@@ -93,7 +101,7 @@ def test_proper_wall_enumeration(b):
     walls = list(enumerate_proper_walls(layout))
     assert len(walls) == (1 << b) - 2
     assert len(set(walls)) == len(walls)
-    assert all(w.is_proper for w in walls)
+    assert all(0 < len(w.bricks) < b for w in walls)
     bricksets = [w.sorted_bricks() for w in walls]
     assert bricksets == sorted(bricksets)
 

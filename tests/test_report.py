@@ -12,9 +12,8 @@ import pytest
 import tbaudit.cipher as cipher_mod
 import tbaudit.report as report_mod
 import tbaudit.sbox as sbox_mod
-from tbaudit.cipher import (audit, build_linear_toy_cipher,
-                            build_present_toy_cipher, build_rotation_cipher,
-                            find_trapdoor_chains)
+from tbaudit.cipher import (audit, build_present_toy_cipher,
+                            build_rotation_cipher, find_trapdoor_chains)
 from tbaudit.errors import CapExceeded, SpecError
 from tbaudit.gf2 import BrickLayout, rref
 from tbaudit.presets import (identity_layer, identity_sbox, inversion_sbox,
@@ -25,7 +24,7 @@ from tbaudit.report import (SCHEMA_VERSION, audit_report, chains_report,
                             subspace_from_json, subspace_json, verify_report)
 from tbaudit.sbox import SBox
 
-from oracles import requested_r_conditions
+from oracles import build_linear_toy_cipher, requested_r_conditions
 
 SPLIT_ROUTE_TABLE = (3, 14, 7, 9, 13, 11, 4, 5, 12, 8, 1, 0, 15, 6, 2, 10)
 

@@ -8,22 +8,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tbaudit.sbox as sbox_mod
+from tbaudit.cipher import brick_condition
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import Subspace, enumerate_subspaces, gaussian_binomial
+from tbaudit.gf2 import Subspace, gaussian_binomial
 from tbaudit.presets import identity_sbox, inversion_sbox, present_sbox
-from tbaudit.sbox import (ANTI_INVARIANCE_BUDGET, SBox, _violation_scan,
-                          analyze_sbox,
+from tbaudit.sbox import (ANTI_INVARIANCE_BUDGET, SBox, _nonlinearity,
+                          _violation_scan, analyze_sbox,
                           anti_invariance_order, anti_invariance_scan_cost,
                           ddt, differential_uniformity, has_linear_component,
-                          is_strongly_anti_invariant, meets_min_image_bound,
-                          min_derivative_image, nonlinearity,
+                          is_strongly_anti_invariant, min_derivative_image,
                           walsh_row_extrema)
 
 from oracles import (brute_anti_invariance_order,
                      brute_anti_invariance_violations, brute_linear_components,
                      brute_min_derivative_image, brute_nonlinearity,
-                     brute_uniformity, image_span_rows,
+                     brute_uniformity, canonical_rref_bases, image_span_rows,
                      scalar_violation_scan)
+
+def nonlinearity(box):
+    return _nonlinearity(walsh_row_extrema(box))
+
 
 INV4 = inversion_sbox(4)
 INV5 = inversion_sbox(5)
@@ -115,14 +119,20 @@ def test_named_box_measurements():
 
 
 def test_min_image_bound_definition():
-    # inv4 min image is 7: strictly above 2^(4-r) exactly for r >= 2
-    assert not meets_min_image_bound(INV4, 1)
-    assert meets_min_image_bound(INV4, 2)
-    assert meets_min_image_bound(INV4, 4)
-    with pytest.raises(ValueError):
-        meets_min_image_bound(INV4, 0)
-    with pytest.raises(ValueError):
-        meets_min_image_bound(INV4, 5)
+    # inv4 min image is 7: strictly above 2^(4-r) exactly for r >= 2, the
+    # bound that the audit's min-image route checks
+    delta, mini = differential_uniformity(INV4), min_derivative_image(INV4)
+
+    def bound_r(r=None):
+        return brick_condition(INV4, delta, mini, True, ANTI_INVARIANCE_BUDGET,
+                               requested_r=r).r
+
+    assert bound_r(1) is None
+    assert bound_r(2) == 2 and bound_r(3) == 3
+    assert bound_r() == 2  # unrequested, the least r the bound admits
+    for r in (0, 4):
+        with pytest.raises(ValueError):
+            bound_r(r)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +347,8 @@ def test_pair_filter_passes_every_violation(perm):
     f = box.normalized()
     f_inv = {y: x for x, y in enumerate(f)}
     for k in range(2, box.m):
-        for u in enumerate_subspaces(box.m, k):
+        for u in (Subspace(basis, box.m)
+                  for basis in canonical_rref_bases(box.m, k)):
             if image_span_rows(f, u.basis, k) is None:
                 continue
             assert all(f_inv[f[a] ^ f[b]] in u

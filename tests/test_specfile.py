@@ -5,12 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from tbaudit.cipher import (build_linear_toy_cipher,
-                            build_present_toy_cipher, build_rotation_cipher)
+from tbaudit.cipher import (Round, TbCipher, audit, build_present_toy_cipher,
+                            build_rotation_cipher, verify_chain)
 from tbaudit.errors import SingularMatrixError, SpecError
-from tbaudit.presets import (BUILTIN_BRICKS, BUILTIN_LAYERS, present_sbox,
-                             inversion_sbox)
-from tbaudit.specfile import cipher_to_spec, load_cipher, parse_cipher
+from tbaudit.presets import (BUILTIN_BRICKS, BUILTIN_LAYERS, aes_sr_mc_layer,
+                             present_sbox, inversion_sbox)
+from tbaudit.specfile import (MAX_JSON_DEPTH, cipher_to_spec, load_cipher,
+                              parse_cipher, read_json)
+
+from oracles import build_linear_toy_cipher
 
 SPEC_DIR = Path(__file__).parent.parent / "specs"
 
@@ -230,6 +233,23 @@ def test_load_bad_json(tmp_path):
         load_cipher(p)
 
 
+def test_json_nesting_bound_is_exact(tmp_path):
+    p = tmp_path / "deep.json"
+    nested = "[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH
+    p.write_text(nested)
+    doc = read_json(p)
+    for _ in range(MAX_JSON_DEPTH - 1):
+        doc, = doc
+    assert doc == []
+    p.write_text('{"a": ' + nested + "}")
+    with pytest.raises(SpecError, match="nested too deeply"):
+        read_json(p)
+    # brackets inside strings open nothing, after escaped quotes too
+    doc = ["[" * 1000, '\\"{' * 1000, {"[" * 1000: '\\"'}]
+    p.write_text(json.dumps(doc))
+    assert read_json(p) == doc
+
+
 # ---------------------------------------------------------------------------
 # Round trip.
 
@@ -244,3 +264,18 @@ def test_cipher_to_spec_roundtrip(tmp_path):
     # tables serialize in hex
     assert obj["rounds"][0]["bricks"][0].split()[0] == format(
         present_sbox().table[0], "x")
+
+
+def test_cipher_to_spec_roundtrip_at_full_width():
+    # d = 128, the widest ambient: a rotation cipher on 8-bit bricks and an
+    # AES-shaped one come back equal, and the rotation cipher's audit chain
+    # re-verifies on the parsed copy
+    box = inversion_sbox(8)
+    rotation = build_rotation_cipher(8, 16, 3)
+    aes = TbCipher((Round((box,) * 16, aes_sr_mc_layer()),) * 2)
+    for cipher in (rotation, aes):
+        assert cipher.layout.d == 128
+        assert parse_cipher(cipher_to_spec(cipher)) == cipher
+    verdict = audit(rotation)
+    assert verdict.status == "vulnerable"
+    assert verify_chain(parse_cipher(cipher_to_spec(rotation)), verdict.chain)
