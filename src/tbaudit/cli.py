@@ -60,9 +60,12 @@ def _fmt_subspace(s: Subspace, layout: BrickLayout | None = None) -> str:
 
 def _read_values_file(path: str) -> list[int]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path} is not UTF-8: byte "
+                        f"{exc.object[exc.start]:#04x} at offset {exc.start}")
     parts = text.replace(",", " ").split()
     if not parts:
         raise SpecError(f"{path} is empty")

@@ -110,21 +110,6 @@ class Perm:
     def __call__(self, x: int) -> int:
         return int(self.images[x])
 
-    def compose(self, other: "Perm") -> "Perm":
-        """self followed by other: x -> other(self(x))."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Perm(other.images[self.images])
-
-    def inverse(self) -> "Perm":
-        inv = np.empty(self.degree, dtype=np.int64)
-        inv[self.images] = np.arange(self.degree, dtype=np.int64)
-        return Perm(inv)
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(np.arange(n, dtype=np.int64))
-
     @classmethod
     def translation(cls, d: int, c: int) -> "Perm":
         """x -> x XOR c on {0,...,2^d - 1}."""

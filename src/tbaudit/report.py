@@ -29,7 +29,8 @@ from .cipher import (DEFAULT_CHAIN_CAP, MAX_TABLE_D, SEMANTICS,
                      TbCipher, audit, brick_condition, chain_holds_under_key,
                      find_trapdoor_chains, verify_chain)
 from .errors import CapExceeded, SpecError
-from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, _mask_bricks, rref
+from .gf2 import (BitMatrix, BrickLayout, Subspace, Wall, _mask_bricks,
+                  subspace_image)
 from .mixing import (WALL_CAP, FamilyReport, LayerFamily, MixingLayer,
                      family_strongly_proper, is_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, analyze_sbox,
@@ -348,16 +349,14 @@ def _verify_mixing(report: dict, problems: list[str]) -> None:
     witness = report["proper"]["witness"]
     if witness is not None:
         sub = Wall(layout, frozenset(witness)).subspace()
-        image_rows = [layer.matrix.apply(r) for r in sub.basis]
-        if rref(image_rows, layout.d) != sub:
+        if subspace_image(sub, layer.matrix) != sub:
             problems.append("proper-violation witness wall is not fixed by "
                             "the layer")
     strong = report["strongly_proper"]["witness"]
     if strong is not None:
         wall = Wall(layout, frozenset(strong["bricks"]))
         target = Wall(layout, frozenset(strong["image_bricks"]))
-        image_rows = [layer.matrix.apply(r) for r in wall.subspace().basis]
-        if rref(image_rows, layout.d) != target.subspace():
+        if subspace_image(wall.subspace(), layer.matrix) != target.subspace():
             problems.append("strongly-proper witness image is not the "
                             "claimed wall")
 

@@ -222,10 +222,10 @@ def _nesting_depth(text: str) -> int:
 
 def read_json(path: str | Path) -> Any:
     """Read a JSON file given to the program (a spec or a report); a file
-    that cannot be read or parsed, is larger than MAX_JSON_BYTES or nests
-    deeper than MAX_JSON_DEPTH is a SpecError.  Both bounds are checked
-    before the parser runs, so the answer does not depend on the caller's
-    stack depth."""
+    that cannot be read, decoded as UTF-8 or parsed, is larger than
+    MAX_JSON_BYTES or nests deeper than MAX_JSON_DEPTH is a SpecError.  Both
+    bounds are checked before the parser runs, so the answer does not depend
+    on the caller's stack depth."""
     p = Path(path)
     try:
         with p.open("rb") as f:
@@ -235,7 +235,11 @@ def read_json(path: str | Path) -> Any:
     if len(data) > MAX_JSON_BYTES:
         raise SpecError(f"file larger than {MAX_JSON_BYTES} bytes",
                         path=str(p))
-    text = data.decode()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"not UTF-8: byte {data[exc.start]:#04x} at offset "
+                        f"{exc.start}", path=str(p))
     if _nesting_depth(text) > MAX_JSON_DEPTH:
         raise SpecError(f"JSON nested too deeply (more than "
                         f"{MAX_JSON_DEPTH} levels)", path=str(p))

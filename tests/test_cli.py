@@ -120,6 +120,19 @@ def test_audit_missing_spec_file(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_input_is_a_spec_error_naming_its_file(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b"\xff{}")
+    table = tmp_path / "table.hex"
+    table.write_bytes(b"\xff 1 2 3")
+    for argv in (["audit", str(spec)], ["verify-report", str(spec)],
+                 ["analyze-sbox", str(table)],
+                 ["analyze-mixing", str(table), "--m", "2", "--b", "2"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 64, argv
+        assert argv[1] in err and "not UTF-8" in err, err
+
+
 # ---------------------------------------------------------------------------
 # find-trapdoor
 
