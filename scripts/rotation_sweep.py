@@ -12,19 +12,17 @@ import argparse
 import time
 
 from tbaudit.cipher import audit, build_rotation_cipher, find_trapdoor_chains
-from tbaudit.gf2 import as_wall
+from tbaudit.gf2 import wall_brick_mask
 
 
 def chain_kind(chain, layout):
-    bricks = []
-    for s in chain.spaces:
-        w = as_wall(s, layout)
-        if w is None:
-            return "non-wall"
-        bricks.append(tuple(w.sorted_bricks()))
-    label = "invariant" if bricks[0] == bricks[-1] else "moving"
-    return label + " " + "->".join("{%s}" % ",".join(map(str, bs))
-                                   for bs in bricks)
+    masks = [wall_brick_mask(s, layout) for s in chain.spaces]
+    if None in masks:
+        return "non-wall"
+    label = "invariant" if masks[0] == masks[-1] else "moving"
+    return label + " " + "->".join(
+        "{%s}" % ",".join(str(i + 1) for i in range(layout.b) if mask >> i & 1)
+        for mask in masks)
 
 
 def main() -> int:

@@ -47,8 +47,9 @@ import numpy as np
 
 from .errors import CapExceeded, SpecError
 from .gf2 import (BrickLayout, Subspace, _iter_rref_blocks, _joins,
-                  _maps_cosets, _mask_wall, _reduced_rows, _span_elements,
-                  count_proper_subspaces, subspace_image, wall_brick_mask)
+                  _maps_cosets, _reduced_rows, _span_elements,
+                  count_proper_subspaces, subspace_image, wall_brick_mask,
+                  wall_subspace)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _popcount,
                      _wall_table, family_strongly_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, DerivativeImage, SBox,
@@ -62,7 +63,6 @@ __all__ = [
     "SEMANTICS",
     "Round",
     "TbCipher",
-    "LinearPartition",
     "PartitionChain",
     "BrickConditionReport",
     "RoundConditionReport",
@@ -306,21 +306,15 @@ def _span_kernel(rnd: Round, inverse: bool) -> Callable[[int], list[int]]:
 # Linear partitions and their images.
 
 
-@dataclass(frozen=True)
-class LinearPartition:
-    """The partition of (F_2)^d into cosets of a subspace."""
+def partition_image(table, u: Subspace) -> Subspace | None:
+    """Image of the linear partition into cosets of u under an arbitrary
+    permutation table.
 
-    subspace: Subspace
-
-
-def partition_image(table, part: LinearPartition) -> LinearPartition | None:
-    """Image of a linear partition under an arbitrary permutation table.
-
-    Returns L(W) when the image partition is again linear, else None.  The
-    block U holds 0, so f(U) must be the coset f(0) + W and W the span of
-    f(U) + f(0).  The scan checks that this span has dimension dim U (a
-    table that is not a bijection may shrink it) and then that every block
-    lands inside a single W-coset.
+    Returns W when the image partition is again linear, the cosets of W,
+    else None.  The block U holds 0, so f(U) must be the coset f(0) + W and
+    W the span of f(U) + f(0).  The scan checks that this span has
+    dimension dim U (a table that is not a bijection may shrink it) and then
+    that every block lands inside a single W-coset.
     """
     arr = np.asarray(table)
     n = len(arr)
@@ -328,18 +322,17 @@ def partition_image(table, part: LinearPartition) -> LinearPartition | None:
     if n != 1 << d:
         raise ValueError("table length is not a power of two")
     _require_table_width(d)
-    u = part.subspace
     if u.ambient != d:
         raise ValueError("partition ambient does not match table width")
     k = u.dim
     if k == 0 or k == d:
-        return part
+        return u
     zero_block = arr[_span_elements(u.basis)] ^ arr[0]
     w_rows = _reduced_rows(zero_block.tolist(), limit=k)
     if (w_rows is None or len(w_rows) != k
             or not _maps_cosets(arr, u.basis, w_rows)):
         return None
-    return LinearPartition(Subspace(w_rows, d))
+    return Subspace(w_rows, d)
 
 
 def check_lemma_containment(table, u: Subspace, w: Subspace) -> bool:
@@ -403,7 +396,7 @@ def _walk_chains(cipher: TbCipher, walk: np.ndarray) -> list[PartitionChain]:
     last = cipher.rounds[-1].layer.matrix
     # A wall recurs as the image of other walls: build each subspace once.
     wall_space = lru_cache(maxsize=1 << layout.b)(
-        lambda mask: _mask_wall(layout, mask).subspace())
+        partial(wall_subspace, layout))
     ends_in_wall = _popcount(walk[:, -1]) == _popcount(walk[:, 0])
     chains = []
     for masks, is_wall in zip(walk.tolist(), ends_in_wall.tolist()):
@@ -529,11 +522,12 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
 def verify_chain(cipher: TbCipher, chain: PartitionChain) -> bool:
     """Re-derive every link of a chain against the cipher.
 
-    Every link needs dim U = dim V.  Wall links are verified structurally:
-    a bricklayer of bijective bricks maps every coset of a wall U onto a
-    coset of U, so the round maps the cosets of U onto those of lambda(U),
-    lambda its mixing layer.  The link holds iff lambda(U) = V; lambda is
-    invertible, so that is lambda(U) in V, checked on the basis rows of U.
+    Every link needs dim U = dim V.  Links from a wall are verified
+    structurally: a bricklayer of bijective bricks maps every coset of a
+    wall U onto a coset of U, so the round maps the cosets of U onto those
+    of lambda(U), lambda its mixing layer.  The link holds iff lambda(U) =
+    V; lambda is invertible, so that is lambda(U) in V, checked on the
+    basis rows of U.
     A non-wall link is one coset test on the full-codebook round table, so
     it requires d <= MAX_TABLE_D: the round is a bijection, so mapping each
     coset of U into a coset of V of the same size maps it onto one.

@@ -19,19 +19,20 @@ import sys
 from pathlib import Path
 
 from . import presets
-from .cipher import (DEFAULT_CHAIN_CAP, LinearPartition, audit,
-                     build_rotation_cipher, encryption_table,
-                     find_trapdoor_chains, partition_image)
+from .cipher import (DEFAULT_CHAIN_CAP, audit, build_rotation_cipher,
+                     encryption_table, find_trapdoor_chains, partition_image)
 from .errors import CapExceeded, SingularMatrixError, SpecError
-from .gf2 import BitMatrix, BrickLayout, Subspace, Wall, as_wall
+from .gf2 import (BitMatrix, BrickLayout, Subspace, _mask_bricks,
+                  wall_brick_mask, wall_subspace)
 from .groups import (invariant_linear_partition_search, is_primitive,
                      minimal_block, minimal_invariant_partitions,
                      sample_ind_generators, sample_round_generators)
-from .mixing import LayerFamily, MixingLayer, wall_trace
+from .mixing import (LayerFamily, MixingLayer, family_strongly_proper,
+                     wall_trace)
 from .report import (audit_report, chains_report, completeness, dumps_report,
                      mixing_report, sbox_report, verify_report)
 from .sbox import ANTI_INVARIANCE_BUDGET, SBox
-from .specfile import load_cipher, read_json
+from .specfile import load_cipher, parse_cipher, read_json
 
 EXIT_OK = 0
 EXIT_VULNERABLE = 2
@@ -49,12 +50,14 @@ def _hexes(values) -> str:
     return " ".join(format(v, "x") for v in values)
 
 
-def _fmt_subspace(s: Subspace, layout: BrickLayout | None = None) -> str:
-    if layout is not None:
-        wall = as_wall(s, layout)
-        if wall is not None:
-            inner = ",".join(str(i) for i in wall.sorted_bricks())
-            return f"wall{{{inner}}}"
+def _fmt_wall(mask: int) -> str:
+    return "wall{" + ",".join(map(str, _mask_bricks(mask))) + "}"
+
+
+def _fmt_subspace(s: Subspace, layout: BrickLayout) -> str:
+    mask = wall_brick_mask(s, layout)
+    if mask is not None:
+        return _fmt_wall(mask)
     return f"span[{_hexes(s.basis)}] (dim {s.dim})"
 
 
@@ -245,15 +248,14 @@ def _demo_weak_cipher(rounds: int, seed: int, samples: int) -> int:
     shift = rounds % 3
     ok_all = True
     for i in range(1, 4):
-        src = Wall(layout, frozenset([i])).subspace()
+        src = wall_subspace(layout, 1 << (i - 1))
         tgt_brick = (i - 1 + shift) % 3 + 1
-        tgt = Wall(layout, frozenset([tgt_brick])).subspace()
+        tgt = wall_subspace(layout, 1 << (tgt_brick - 1))
         ok = True
         for _ in range(samples):
             keys = tuple(rng.randrange(1 << d) for _ in range(rounds))
             table = encryption_table(cipher, keys)
-            img = partition_image(table, LinearPartition(src))
-            if img is None or img.subspace != tgt:
+            if partition_image(table, src) != tgt:
                 ok = False
                 break
         ok_all = ok_all and ok
@@ -306,25 +308,21 @@ def _demo_aes_wall() -> int:
     layout = presets.aes_layout()
     sr = presets.aes_shift_rows_layer()
     mc = presets.aes_mix_columns_layer()
-    wall = Wall(layout, frozenset([1, 6, 11, 16]))
+    diagonal = sum(1 << (i - 1) for i in (1, 6, 11, 16))
     print("AES-shaped layout: 16 bytes, brick i = byte i (row-major)")
     print("tracing the diagonal wall through one ShiftRows + MixColumns:")
-    trace = wall_trace(wall, LayerFamily((sr, mc)))
-    cur = "{1,6,11,16}"
-    print(f"  start:       wall{cur} (a diagonal)")
+    trace = wall_trace(diagonal, LayerFamily((sr, mc)))
+    print(f"  start:       {_fmt_wall(diagonal)} (a diagonal)")
     labels = ["after SR:   ", "after SR+MC:"]
-    for (sub, as_w), label in zip(trace, labels):
-        if as_w is not None:
-            inner = ",".join(str(i) for i in as_w.sorted_bricks())
-            print(f"  {label} wall{{{inner}}}")
+    for (sub, mask), label in zip(trace, labels):
+        if mask is not None:
+            print(f"  {label} {_fmt_wall(mask)}")
         else:
             print(f"  {label} not a wall (dim {sub.dim})")
     print("ShiftRows sends the diagonal onto column {1,5,9,13}; MixColumns "
           "fixes every union of columns, so the wall survives the full "
           "round: this layer pair is not strongly proper")
     fam = LayerFamily((presets.aes_sr_mc_layer(),) * 10)
-    from .mixing import family_strongly_proper
-
     famrep = family_strongly_proper(fam)
     print(f"ten copies of the combined layer, all 65534 proper walls: "
           f"family strongly proper: "
@@ -350,8 +348,6 @@ def _cmd_verify_report(args) -> int:
     report = read_json(args.report)
     if args.spec is not None:
         cipher = load_cipher(args.spec)
-        from .specfile import parse_cipher
-
         # A report that is not an object is left to verify_report, which
         # calls it malformed.
         if isinstance(report, dict):

@@ -28,7 +28,7 @@ only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -39,12 +39,11 @@ __all__ = [
     "BitMatrix",
     "Subspace",
     "BrickLayout",
-    "Wall",
     "rref",
     "subspace_image",
     "gaussian_binomial",
     "count_proper_subspaces",
-    "as_wall",
+    "wall_subspace",
     "wall_brick_mask",
 ]
 
@@ -353,26 +352,15 @@ class BrickLayout:
         return self.m * self.b
 
 
-@dataclass(frozen=True)
-class Wall(object):
-    """Direct sum of a subset of bricks: the subspace spanned by their bits."""
-
-    layout: BrickLayout
-    bricks: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        for i in self.bricks:
-            if not 1 <= i <= self.layout.b:
-                raise ValueError(f"brick index {i} out of range")
-
-    def sorted_bricks(self) -> tuple[int, ...]:
-        return tuple(sorted(self.bricks))
-
-    def subspace(self) -> Subspace:
-        m = self.layout.m
-        rows = [1 << ((i - 1) * m + j)
-                for i in self.sorted_bricks() for j in range(m)]
-        return Subspace(tuple(rows), self.layout.d)
+def wall_subspace(layout: BrickLayout, mask: int) -> Subspace:
+    """The wall whose bricks are the set bits of a b-bit brick mask (bit
+    i - 1 for brick i): the direct sum of those bricks."""
+    if not 0 <= mask < 1 << layout.b:
+        raise ValueError(f"brick mask {mask:#x} out of range for b={layout.b}")
+    m = layout.m
+    rows = [1 << (i * m + j)
+            for i in range(layout.b) if mask >> i & 1 for j in range(m)]
+    return Subspace(tuple(rows), layout.d)
 
 
 def wall_brick_mask(s: Subspace, layout: BrickLayout) -> int | None:
@@ -407,14 +395,3 @@ def _brick_support(v: int, m: int) -> int:
 def _mask_bricks(mask: int) -> tuple[int, ...]:
     """The sorted 1-based bricks of a brick mask."""
     return tuple(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
-
-
-def _mask_wall(layout: BrickLayout, mask: int) -> Wall:
-    """The wall whose bricks are the set bits of a b-bit brick mask."""
-    return Wall(layout, frozenset(_mask_bricks(mask)))
-
-
-def as_wall(s: Subspace, layout: BrickLayout) -> Wall | None:
-    """Recognize a subspace as a wall, or return None."""
-    mask = wall_brick_mask(s, layout)
-    return None if mask is None else _mask_wall(layout, mask)

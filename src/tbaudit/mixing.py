@@ -1,11 +1,12 @@
-"""Wall behaviour of mixing layers.
+"""The wall behaviour of mixing layers.
 
-A wall is a direct sum of bricks.  A mixing layer is *proper* when no proper
-wall is invariant under it, and *strongly proper* when the image of every
-proper wall fails to be a wall at all (same or different).  A family of
-layers (lambda_1, ..., lambda_l) is strongly proper when every proper wall W
-has some prefix product W * lambda_1 ... lambda_j, 1 <= j <= l-1, that is
-not a wall.
+A wall is a direct sum of bricks, and every signature here takes and
+returns it as its b-bit brick mask (bit i - 1 for brick i).  A mixing layer
+is *proper* when no proper wall is invariant under it, and *strongly
+proper* when the image of every proper wall fails to be a wall at all (same
+or different).  A family of layers (lambda_1, ..., lambda_l) is strongly
+proper when every proper wall W has some prefix product
+W * lambda_1 ... lambda_j, 1 <= j <= l-1, that is not a wall.
 
 Because a mixing layer is invertible, the image of a wall with brick set I
 has dimension m*|I| and sits inside the direct sum of the bricks J it
@@ -30,15 +31,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceeded, SingularMatrixError
-from .gf2 import (BitMatrix, BrickLayout, Subspace, Wall, _brick_support,
-                  _mask_bricks, _mask_wall, as_wall, subspace_image)
+from .gf2 import (BitMatrix, BrickLayout, Subspace, _brick_support,
+                  subspace_image, wall_brick_mask, wall_subspace)
 
 __all__ = [
     "WALL_CAP",
     "MixingLayer",
     "LayerFamily",
     "FamilyReport",
-    "WallSteps",
     "is_proper",
     "is_strongly_proper",
     "family_strongly_proper",
@@ -178,78 +178,52 @@ def _escape_steps(supports: Sequence[tuple[int, ...]], b: int
     return masks, steps
 
 
-def is_proper(layer: MixingLayer) -> tuple[bool, Wall | None]:
-    """No proper wall is mapped to itself.  Returns the first invariant wall
-    as witness otherwise."""
+def is_proper(layer: MixingLayer) -> tuple[bool, int | None]:
+    """No proper wall is mapped to itself.  Returns the brick mask of the
+    first invariant wall as witness otherwise."""
     masks = _lex_proper_masks(layer.layout.b)
     hits = np.flatnonzero(_wall_table(layer.brick_supports())[masks] == masks)
     if not len(hits):
         return (True, None)
-    return (False, _mask_wall(layer.layout, int(masks[hits[0]])))
+    return (False, int(masks[hits[0]]))
 
 
-def is_strongly_proper(layer: MixingLayer) -> tuple[bool, tuple[Wall, Wall] | None]:
-    """The image of every proper wall is not a wall.  Returns the first
-    (wall, image wall) pair as witness otherwise."""
+def is_strongly_proper(layer: MixingLayer
+                       ) -> tuple[bool, tuple[int, int] | None]:
+    """The image of every proper wall is not a wall.  Returns the brick
+    masks of the first (wall, image wall) pair as witness otherwise."""
     supports = layer.brick_supports()
     masks, steps = _escape_steps((supports,), layer.layout.b)
     hits = np.flatnonzero(steps == 0)
     if not len(hits):
         return (True, None)
     mask = int(masks[hits[0]])
-    return (False, (_mask_wall(layer.layout, mask),
-                    _mask_wall(layer.layout, int(_wall_table(supports)[mask]))))
+    return (False, (mask, int(_wall_table(supports)[mask])))
 
 
-class WallSteps(Sequence):
-    """(sorted brick tuple, escape step or None) per wall, kept as two
-    arrays: the brick masks, and the steps with 0 for None."""
-
-    __slots__ = ("masks", "steps")
-
-    def __init__(self, masks: np.ndarray, steps: np.ndarray) -> None:
-        self.masks = masks
-        self.steps = steps
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __getitem__(self, i: int) -> tuple[tuple[int, ...], int | None]:
-        step = int(self.steps[i])
-        return (_mask_bricks(int(self.masks[i])), step or None)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WallSteps):
-            return NotImplemented
-        return (np.array_equal(self.masks, other.masks)
-                and np.array_equal(self.steps, other.steps))
-
-    def __hash__(self) -> int:
-        return hash((self.masks.tobytes(), self.steps.tobytes()))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyReport:
     """Per-wall escape steps for a layer family.
 
-    ``escape`` pairs each proper wall (as its sorted brick tuple, in
-    enumeration order) with the smallest j such that the image under the
-    first j layers stops being a wall, or None if the wall survives every
+    ``walls`` holds the brick masks of the proper walls in enumeration
+    order, and ``escape`` the smallest j for each such that its image under
+    the first j layers stops being a wall, or 0 if the wall survives every
     checked prefix.  The family is strongly proper iff no wall survives.
     """
 
     ell: int
     max_prefix: int
-    escape: WallSteps
+    walls: np.ndarray
+    escape: np.ndarray
     note: str = ""
 
     @property
     def strongly_proper(self) -> bool:
-        return bool(self.escape.steps.all())
+        return bool(self.escape.all())
 
     def surviving_masks(self) -> np.ndarray:
         """Brick masks of the surviving walls, in enumeration order."""
-        return self.escape.masks[self.escape.steps == 0]
+        return self.walls[self.escape == 0]
 
 
 def family_strongly_proper(family: LayerFamily) -> FamilyReport:
@@ -267,21 +241,21 @@ def family_strongly_proper(family: LayerFamily) -> FamilyReport:
         note = ("single-layer family: no prefix j < 1 exists, so every wall "
                 "survives vacuously")
     masks, steps = _escape_steps(supports, family.layout.b)
-    return FamilyReport(ell=family.ell, max_prefix=max_prefix,
-                        escape=WallSteps(masks, steps), note=note)
+    return FamilyReport(ell=family.ell, max_prefix=max_prefix, walls=masks,
+                        escape=steps, note=note)
 
 
-def wall_trace(wall: Wall, family: LayerFamily) -> list[tuple[Subspace, Wall | None]]:
-    """Images of a wall under every prefix product of the family, j = 1..l.
+def wall_trace(wall: int, family: LayerFamily
+               ) -> list[tuple[Subspace, int | None]]:
+    """Images of a wall, given by its brick mask, under every prefix
+    product of the family, j = 1..l.
 
-    Each entry is the actual image subspace plus its wall recognition (None
-    once the image stops being brick-aligned).
+    Each entry is the actual image subspace plus its brick mask when it is
+    a wall (None once the image stops being brick-aligned).
     """
-    if wall.layout != family.layout:
-        raise ValueError("wall layout does not match family layout")
     out = []
-    cur = wall.subspace()
+    cur = wall_subspace(family.layout, wall)
     for layer in family.layers:
         cur = subspace_image(cur, layer.matrix)
-        out.append((cur, as_wall(cur, family.layout)))
+        out.append((cur, wall_brick_mask(cur, family.layout)))
     return out

@@ -29,8 +29,8 @@ from .cipher import (DEFAULT_CHAIN_CAP, MAX_TABLE_D, SEMANTICS,
                      TbCipher, audit, brick_condition, chain_holds_under_key,
                      find_trapdoor_chains, verify_chain)
 from .errors import CapExceeded, SpecError
-from .gf2 import (BitMatrix, BrickLayout, Subspace, Wall, _mask_bricks,
-                  subspace_image)
+from .gf2 import (BitMatrix, BrickLayout, Subspace, _mask_bricks,
+                  subspace_image, wall_subspace)
 from .mixing import (WALL_CAP, FamilyReport, LayerFamily, MixingLayer,
                      family_strongly_proper, is_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, analyze_sbox,
@@ -72,8 +72,20 @@ def subspace_from_json(obj: dict) -> Subspace:
     return Subspace(tuple(int(r, 16) for r in obj["basis"]), obj["ambient"])
 
 
-def _wall_json(w: Wall) -> list[int]:
-    return list(w.sorted_bricks())
+def _wall_json(mask: int) -> list[int]:
+    return list(_mask_bricks(mask))
+
+
+def _wall_from_json(layout: BrickLayout, bricks: list) -> Subspace:
+    """The wall whose 1-based bricks a report lists; an entry that is not a
+    brick of the layout is malformed."""
+    mask = 0
+    for i in bricks:
+        if type(i) is not int or not 1 <= i <= layout.b:
+            raise ValueError(
+                f"brick {reprlib.repr(i)} is not in 1..{layout.b}")
+        mask |= 1 << (i - 1)
+    return wall_subspace(layout, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +136,7 @@ def _brick_condition_json(rep: BrickConditionReport) -> dict:
 
 
 def _family_json(fam: FamilyReport) -> dict:
-    steps, counts = np.unique(fam.escape.steps, return_counts=True)
+    steps, counts = np.unique(fam.escape, return_counts=True)
     histogram = {str(step) if step else "none": count
                  for step, count in zip(steps.tolist(), counts.tolist())}
     return {
@@ -134,7 +146,7 @@ def _family_json(fam: FamilyReport) -> dict:
         "wall_count": len(fam.escape),
         "escape_histogram": histogram,
         "surviving_walls": [
-            list(_mask_bricks(mask))
+            _wall_json(mask)
             for mask in fam.surviving_masks()[:_EMBED_WALL_CAP].tolist()],
         "note": fam.note,
     }
@@ -280,9 +292,10 @@ def _diff_paths(a: Any, b: Any, path: str, out: list[str]) -> None:
 
 
 def _recorded_int(field: str, value) -> int:
-    """A cap or budget read from a report.  The writer records plain ints;
-    anything else is malformed, since NaN fails every comparison with a
-    ceiling and a float or bool would reach the search as a bound."""
+    """A cap, budget, family length or exponent read from a report.  The
+    writer records plain ints; anything else is malformed, since NaN fails
+    every comparison with a ceiling and a float or bool would reach the
+    analysis as a bound."""
     if type(value) is not int:
         raise ValueError(f"{field}={value!r} is not an integer")
     return value
@@ -312,9 +325,10 @@ def _verify_sbox(report: dict, problems: list[str]) -> None:
     flags = report.get("flags", {})
     budget = _recorded_int("budget", report["anti_invariance"]["budget"])
     _check_budget("budget", budget, box.m)
-    fresh = sbox_report(box, requested_r=flags.get("r"),
-                        use_condition1prime=bool(flags.get("condition1prime")),
-                        budget=budget)
+    r = flags.get("r")
+    fresh = sbox_report(
+        box, requested_r=None if r is None else _recorded_int("r", r),
+        use_condition1prime=bool(flags.get("condition1prime")), budget=budget)
     _diff_paths(_strip_timestamp(fresh), _strip_timestamp(report), "$", problems)
     violation = report["anti_invariance"]["violation"]
     if violation is not None:
@@ -344,19 +358,21 @@ def _verify_mixing(report: dict, problems: list[str]) -> None:
     layout = BrickLayout(report["layout"]["m"], report["layout"]["b"])
     rows = tuple(int(r, 16) for r in report["rows"])
     layer = MixingLayer(BitMatrix(rows, layout.d), layout)
-    fresh = mixing_report(layer, family_ell=report.get("flags", {}).get("family"))
+    ell = report.get("flags", {}).get("family")
+    fresh = mixing_report(layer, family_ell=None if ell is None
+                          else _recorded_int("family", ell))
     _diff_paths(_strip_timestamp(fresh), _strip_timestamp(report), "$", problems)
     witness = report["proper"]["witness"]
     if witness is not None:
-        sub = Wall(layout, frozenset(witness)).subspace()
+        sub = _wall_from_json(layout, witness)
         if subspace_image(sub, layer.matrix) != sub:
             problems.append("proper-violation witness wall is not fixed by "
                             "the layer")
     strong = report["strongly_proper"]["witness"]
     if strong is not None:
-        wall = Wall(layout, frozenset(strong["bricks"]))
-        target = Wall(layout, frozenset(strong["image_bricks"]))
-        if subspace_image(wall.subspace(), layer.matrix) != target.subspace():
+        wall = _wall_from_json(layout, strong["bricks"])
+        target = _wall_from_json(layout, strong["image_bricks"])
+        if subspace_image(wall, layer.matrix) != target:
             problems.append("strongly-proper witness image is not the "
                             "claimed wall")
 

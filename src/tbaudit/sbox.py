@@ -217,7 +217,7 @@ def is_strongly_anti_invariant(box: SBox, r: int, *,
         raise ValueError(f"r={r} out of range [1, {m - 1}]")
     # Refuse on the whole scan's cost up front: _violation_scan spends its
     # budget dimension by dimension, so alone it could return a violation
-    # found before the budget ran out.
+    # found before the budget ran out.  Within this cost it never runs out.
     cost = anti_invariance_scan_cost(m, r)
     if cost > budget:
         raise CapExceeded(
@@ -227,14 +227,13 @@ def is_strongly_anti_invariant(box: SBox, r: int, *,
     return (pair is None, pair)
 
 
-def _violation_scan(table: Sequence[int], m: int, k_lo: int, budget: int,
-                    refuse: bool = True):
+def _violation_scan(table: Sequence[int], m: int, k_lo: int, budget: int):
     """Scan dims m-1 down to k_lo for a subspace mapped onto a subspace.
 
     Returns (k*, pair, k_done): the first violating dimension and witness
     pair (or None, None), plus the lowest dimension the scan completed.
-    When the budget runs out first, either raises CapExceeded (refuse=True)
-    or returns early with k_done reflecting the progress made.
+    When the budget runs out first, it returns early with k_done reflecting
+    the progress made; the callers decide whether that is a refusal.
 
     Each dimension's subspaces come in canonical order, a block of RREF
     bases at a time, and numpy discards almost all of them before any scalar
@@ -255,10 +254,6 @@ def _violation_scan(table: Sequence[int], m: int, k_lo: int, budget: int,
     for k in range(m - 1, k_lo - 1, -1):
         spent += gaussian_binomial(m, k)
         if spent > budget:
-            if refuse:
-                raise CapExceeded(
-                    f"anti-invariance scan at m={m} refused at dimension {k}",
-                    estimate=spent, limit=budget)
             return None, None, k_done
         pairs = list(combinations(range(k), 2))
         for bases in _iter_rref_blocks(m, k):
@@ -288,10 +283,17 @@ def anti_invariance_order(box: SBox, *,
 
     The answer is determined by the largest violating dimension k*: the
     order is m-1-k*, or m-1 when no dimension violates (the property is
-    monotone: the dim window [m-r, m) only grows with r).
+    monotone: the dim window [m-r, m) only grows with r).  Refuses with
+    CapExceeded when the budget stops the scan before an answer.
     """
-    k_star, _, _ = _violation_scan(box.normalized(), box.m, 1, budget)
-    return box.m - 1 - (k_star or 0)
+    m = box.m
+    k_star, _, k_done = _violation_scan(box.normalized(), m, 1, budget)
+    if k_star is None and k_done > 1:
+        k = k_done - 1
+        raise CapExceeded(
+            f"anti-invariance scan at m={m} refused at dimension {k}",
+            estimate=anti_invariance_scan_cost(m, m - k), limit=budget)
+    return m - 1 - (k_star or 0)
 
 
 @dataclass(frozen=True)
@@ -316,8 +318,7 @@ def analyze_sbox(box: SBox, *,
     delta = differential_uniformity(box, table)
     mini = min_derivative_image(box, table)
     extrema = walsh_row_extrema(box)
-    k_star, pair, k_done = _violation_scan(box.normalized(), m, 1, budget,
-                                           refuse=False)
+    k_star, pair, k_done = _violation_scan(box.normalized(), m, 1, budget)
     order: int | None
     if k_star is not None:
         order = m - 1 - k_star

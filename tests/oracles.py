@@ -646,8 +646,7 @@ def table_scan_chains(cipher):
     round's table is pruned on its image-span rank, coset-tested, and pushed
     through the later rounds' tables by ``partition_image``.  The chains come
     in scan order (dim U, then the enumeration order of U)."""
-    from tbaudit.cipher import (LinearPartition, PartitionChain,
-                                partition_image, round_table)
+    from tbaudit.cipher import PartitionChain, partition_image, round_table
     from tbaudit.gf2 import Subspace, _maps_cosets, _reduced_rows
     d = cipher.layout.d
     tab = round_table(cipher.rounds[0])
@@ -662,10 +661,10 @@ def table_scan_chains(cipher):
                 continue
             spaces = [Subspace(rows, d), Subspace(_reduced_rows(w_rows), d)]
             for tab_h in later_tables:
-                nxt = partition_image(tab_h, LinearPartition(spaces[-1]))
+                nxt = partition_image(tab_h, spaces[-1])
                 if nxt is None:
                     break
-                spaces.append(nxt.subspace)
+                spaces.append(nxt)
             else:
                 chains.append(PartitionChain(tuple(spaces)))
     return chains
@@ -675,12 +674,11 @@ def table_verify_chain(cipher, chain):
     """Whether every link of a chain holds by the full-codebook route: the
     partition image of U_h under round h's table is the coset partition of
     U_{h+1}.  ``verify_chain`` takes this route only for non-wall links."""
-    from tbaudit.cipher import LinearPartition, partition_image, round_table
+    from tbaudit.cipher import partition_image, round_table
     if len(chain.spaces) != cipher.ell + 1:
         return False
     for rnd, cur, nxt in zip(cipher.rounds, chain.spaces, chain.spaces[1:]):
-        img = partition_image(round_table(rnd), LinearPartition(cur))
-        if img is None or img.subspace != nxt:
+        if partition_image(round_table(rnd), cur) != nxt:
             return False
     return True
 

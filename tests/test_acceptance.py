@@ -10,15 +10,15 @@ import time
 
 import pytest
 
-from tbaudit.cipher import (LinearPartition, Round, TbCipher, audit,
+from tbaudit.cipher import (Round, TbCipher, audit,
                             build_present_toy_cipher, build_rotation_cipher,
                             build_secure_toy_cipher, chain_holds_under_key,
                             check_lemma_containment, encryption_table,
                             find_trapdoor_chains, partition_image,
                             substitution_table, verify_chain)
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import (BrickLayout, Subspace, Wall, count_proper_subspaces,
-                         random_invertible, rref)
+from tbaudit.gf2 import (BrickLayout, Subspace, count_proper_subspaces,
+                         random_invertible, rref, wall_subspace)
 from tbaudit.groups import (invariant_linear_partition_search, is_primitive,
                             minimal_block, minimal_invariant_partitions,
                             sample_ind_generators, sample_round_generators)
@@ -163,15 +163,17 @@ def test_criterion_4_layer_zoo(capsys):
 
     combined = aes_sr_mc_layer()
     layout = combined.layout
-    diagonal = Wall(layout, frozenset([1, 6, 11, 16]))
-    column = Wall(layout, frozenset([1, 5, 9, 13]))
+    diagonal = sum(1 << (i - 1) for i in (1, 6, 11, 16))
+    column_bricks = (1, 5, 9, 13)
+    column = sum(1 << (i - 1) for i in column_bricks)
     trace = wall_trace(diagonal, LayerFamily((combined,)))
     assert trace[0][1] == column
     # independent check: each mapped basis vector stays inside the column
     # mask and the images stay full rank
-    images = [combined.matrix.apply(r) for r in diagonal.subspace().basis]
+    images = [combined.matrix.apply(r)
+              for r in wall_subspace(layout, diagonal).basis]
     column_bits = sum(((1 << layout.m) - 1) << (layout.m * (i - 1))
-                      for i in column.bricks)
+                      for i in column_bricks)
     assert all(v & ~column_bits == 0 for v in images)
     assert span_rank(images) == 32
     strong, _ = is_strongly_proper(combined)
@@ -180,7 +182,7 @@ def test_criterion_4_layer_zoo(capsys):
     fam = family_strongly_proper(LayerFamily((combined,) * 10))
     assert len(fam.escape) == 65534
     assert fam.strongly_proper
-    steps = sorted({step for _, step in fam.escape})
+    steps = sorted(set(fam.escape.tolist()))
     assert steps == [1, 2]
 
     report(capsys, 4,
@@ -194,7 +196,7 @@ def test_criterion_4_layer_zoo(capsys):
 def test_criterion_5_weak_cipher_lab(capsys):
     start = time.monotonic()
     layout = BrickLayout(3, 3)
-    walls = [Wall(layout, frozenset([i])).subspace() for i in (1, 2, 3)]
+    walls = [wall_subspace(layout, 1 << (i - 1)) for i in (1, 2, 3)]
     rng = random.Random(0xC5)
 
     cipher3 = build_rotation_cipher(3, 3, 3)
@@ -202,8 +204,8 @@ def test_criterion_5_weak_cipher_lab(capsys):
         keys = tuple(rng.randrange(1 << 9) for _ in range(3))
         table = encryption_table(cipher3, keys)
         for v in walls:
-            img = partition_image(table, LinearPartition(v))
-            assert img is not None and img.subspace == v
+            img = partition_image(table, v)
+            assert img is not None and img == v
 
     ind = sample_ind_generators(cipher3)
     system = minimal_block(ind, [(0, 1)])
@@ -222,8 +224,8 @@ def test_criterion_5_weak_cipher_lab(capsys):
         keys = tuple(rng.randrange(1 << 9) for _ in range(4))
         table = encryption_table(cipher4, keys)
         for i, v in enumerate(walls):
-            img = partition_image(table, LinearPartition(v))
-            assert img is not None and img.subspace == walls[(i + 1) % 3]
+            img = partition_image(table, v)
+            assert img is not None and img == walls[(i + 1) % 3]
     verdict = audit(cipher4)
     assert verdict.status == "vulnerable"
     assert verify_chain(cipher4, verdict.chain)
@@ -315,25 +317,23 @@ def test_criterion_8_image_partitions_satisfy_containment(capsys):
         sub = substitution_table(bricks, layout)
         table = sub.tolist()
         for mask in range(1, (1 << layout.b) - 1):
-            bset = frozenset(i + 1 for i in range(layout.b)
-                             if mask >> i & 1)
-            u = Wall(layout, bset).subspace()
-            img = partition_image(sub, LinearPartition(u))
-            assert img is not None and img.subspace == u
-            assert check_lemma_containment(sub, u, img.subspace)
+            u = wall_subspace(layout, mask)
+            img = partition_image(sub, u)
+            assert img is not None and img == u
+            assert check_lemma_containment(sub, u, img)
             assert brute_derivative_containment(
-                table, u.elements(), set(img.subspace.elements()))
+                table, u.elements(), set(img.elements()))
             wall_hits += 1
         for _ in range(50):
             k = rng.randrange(1, layout.d)
             u = rref([rng.getrandbits(layout.d) for _ in range(k)], layout.d)
             if u.dim in (0, layout.d):
                 continue
-            img = partition_image(sub, LinearPartition(u))
+            img = partition_image(sub, u)
             if img is not None:
-                assert check_lemma_containment(sub, u, img.subspace)
+                assert check_lemma_containment(sub, u, img)
                 assert brute_derivative_containment(
-                    table, u.elements(), set(img.subspace.elements()))
+                    table, u.elements(), set(img.elements()))
                 random_hits += 1
     assert wall_hits == 2 + 2 + 2 + 6
     report(capsys, 8,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import tbaudit.mixing as mixing_mod
 from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
-                            SEMANTICS, LinearPartition, PartitionChain,
+                            SEMANTICS, PartitionChain,
                             Round, TbCipher, _brick_conditions,
                             _proper_heads, _push_head, _seed_atoms,
                             _span_kernel, _wall_walk, audit,
@@ -23,9 +23,9 @@ from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             partition_image, round_table, substitution_table,
                             verify_chain)
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _joins, _reduced_rows,
-                         as_wall, count_proper_subspaces, random_invertible,
-                         rref)
+from tbaudit.gf2 import (BitMatrix, BrickLayout, _joins, _reduced_rows,
+                         count_proper_subspaces, random_invertible, rref,
+                         wall_brick_mask, wall_subspace)
 from tbaudit.mixing import LayerFamily, MixingLayer, family_strongly_proper
 from tbaudit.presets import (identity_sbox, inversion_sbox, identity_layer,
                              present_sbox, rotation_layer)
@@ -173,11 +173,11 @@ def test_substitution_table_fixes_wall_partitions():
     layout = BrickLayout(2, 3)
     bricks = tuple(random_cipher(5, 2, 3, 1).rounds[0].bricks)
     sub = substitution_table(bricks, layout)
-    for wall_bricks in ([1], [2], [1, 3]):
-        w = Wall(layout, frozenset(wall_bricks)).subspace()
-        img = partition_image(sub, LinearPartition(w))
+    for wall in (0b001, 0b010, 0b101):
+        w = wall_subspace(layout, wall)
+        img = partition_image(sub, w)
         assert img is not None
-        assert img.subspace == w
+        assert img == w
 
 
 def test_table_caches_are_bounded():
@@ -219,20 +219,19 @@ def test_partition_image_matches_brute_force(seed):
     rng.shuffle(table)
     for _ in range(12):
         u = rref([rng.getrandbits(d) for _ in range(rng.randrange(1, 3))], d)
-        got = partition_image(table, LinearPartition(u))
+        got = partition_image(table, u)
         want = brute_partition_image(table, set(u.elements()))
         if want is None:
             assert got is None
         else:
             assert got is not None
-            assert set(got.subspace.elements()) == want
+            assert set(got.elements()) == want
 
 
 def test_partition_image_trivial_partitions_pass_through():
     table = list(range(8))
     for u in (rref([], 3), rref([1, 2, 4], 3)):
-        part = LinearPartition(u)
-        assert partition_image(table, part) == part
+        assert partition_image(table, u) == u
 
 
 def test_partition_image_is_key_blind():
@@ -242,21 +241,21 @@ def test_partition_image_is_key_blind():
     table = list(range(16))
     rng.shuffle(table)
     u = rref([3, 12], 4)
-    base = partition_image(table, LinearPartition(u))
+    base = partition_image(table, u)
     for c in (1, 7, 15):
         shifted = [y ^ c for y in table]
-        got = partition_image(shifted, LinearPartition(u))
+        got = partition_image(shifted, u)
         if base is None:
             assert got is None
         else:
-            assert got.subspace == base.subspace
+            assert got == base
 
 
 def test_partition_image_validation():
     with pytest.raises(ValueError, match="power of two"):
-        partition_image([0, 1, 2], LinearPartition(rref([1], 2)))
+        partition_image([0, 1, 2], rref([1], 2))
     with pytest.raises(ValueError, match="ambient"):
-        partition_image(list(range(8)), LinearPartition(rref([1], 4)))
+        partition_image(list(range(8)), rref([1], 4))
 
 
 def test_lemma_containment_requires_normalization():
@@ -574,11 +573,11 @@ def test_verify_chain_rejects_tampering():
 
 
 def _other_wall(rng, layout, wall):
-    """A proper wall with as many bricks as ``wall`` but not equal to it."""
-    others = [w for bricks in combinations(range(1, layout.b + 1),
-                                           len(wall.bricks))
-              if (w := Wall(layout, frozenset(bricks))) != wall]
-    return rng.choice(others).subspace()
+    """A proper wall with as many bricks as the brick mask ``wall`` but not
+    equal to it."""
+    others = [w for bricks in combinations(range(layout.b), wall.bit_count())
+              if (w := sum(1 << i for i in bricks)) != wall]
+    return wall_subspace(layout, rng.choice(others))
 
 
 def _grown(space):
@@ -611,7 +610,7 @@ def test_verify_chain_wall_links_agree_with_the_tables(seed):
         assert table_verify_chain(cipher, chain)
         h = rng.randrange(ell)
         nxt = chain.spaces[h + 1]
-        wall = as_wall(nxt, layout)
+        wall = wall_brick_mask(nxt, layout)
         mutants = [_grown(nxt)]
         if wall is not None:
             mutants.append(_other_wall(rng, layout, wall))

@@ -17,8 +17,9 @@ from tbaudit import presets, specfile
 from tbaudit.cipher import audit
 from tbaudit.cli import _build_parser, main
 from tbaudit.errors import SpecError
+from tbaudit.gf2 import BrickLayout
 from tbaudit.report import (audit_report, chains_report, dumps_report,
-                            sbox_report, verify_report)
+                            mixing_report, sbox_report, verify_report)
 from tbaudit.specfile import parse_cipher
 
 SPEC_DIR = Path(__file__).parent.parent / "specs"
@@ -53,7 +54,7 @@ def run_cli_bounded(*argv):
               "print(time.perf_counter() - t)\n"
               "sys.exit(code)\n")
     src = str(Path(tbaudit.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-c", script, *argv],
+    proc = subprocess.run([sys.executable, "-B", "-c", script, *argv],
                           capture_output=True, text=True, timeout=60,
                           preexec_fn=limit, env={"PYTHONPATH": src})
     seconds = float(proc.stdout.split()[-1]) if proc.stdout else None
@@ -398,6 +399,7 @@ def test_demo_weak_cipher_four_rounds(capsys):
 def test_demo_aes_wall(capsys):
     code, out, _ = run_cli(capsys, "demo", "aes-wall")
     assert code == 0
+    assert "start:       wall{1,6,11,16} (a diagonal)" in out
     assert "after SR:    wall{1,5,9,13}" in out
     assert "after SR+MC: wall{1,5,9,13}" in out
     assert "family strongly proper: yes" in out
@@ -527,10 +529,14 @@ def test_verify_report_refuses_recorded_bounds_that_are_not_ints(capsys,
     sbox = sbox_report(presets.present_sbox())
     sbox["table"] = " ".join(
         format(v, "x") for v in random.Random(12).sample(range(4096), 4096))
+    # a family length or exponent of true would reach the analysis as 1
+    mixing = mixing_report(presets.aes_sr_mc_layer(), family_ell=10)
     fields = ((chains, ("flags", "cap")),
               (audited, ("flags", "exhaustive_cap")),
               (audited, ("flags", "anti_budget")),
-              (sbox, ("anti_invariance", "budget")))
+              (sbox, ("anti_invariance", "budget")),
+              (sbox, ("flags", "r")),
+              (mixing, ("flags", "family")))
     rep_path = tmp_path / "bounds.json"
     for rep, (outer, field) in fields:
         for value in ("NaN", "Infinity", "9.5", "true"):
@@ -542,6 +548,25 @@ def test_verify_report_refuses_recorded_bounds_that_are_not_ints(capsys,
             assert time.monotonic() - start < 2.0, (field, value)
             assert code == 1 and "malformed report" in err, (field, value)
             assert f"{field}=" in err and "not an integer" in err
+
+
+@pytest.mark.parametrize("bricks", ["[0]", "[4]", '["1"]', "[1.5]", "[[1]]"])
+def test_verify_report_refuses_witness_bricks_outside_the_layout(
+        capsys, tmp_path, bricks):
+    # the identity layer on three bricks fixes every wall, so its report
+    # names a witness wall in each of these three places
+    layer = presets.identity_layer(BrickLayout(2, 3))
+    rep_path = tmp_path / "witness.json"
+    for outer, inner in (("proper", None), ("strongly_proper", "bricks"),
+                         ("strongly_proper", "image_bricks")):
+        rep = mixing_report(layer)
+        if inner is None:
+            rep[outer]["witness"] = "@"
+        else:
+            rep[outer]["witness"][inner] = "@"
+        rep_path.write_text(json.dumps(rep).replace('"@"', bricks))
+        code, _, err = run_cli(capsys, "verify-report", str(rep_path))
+        assert code == 1 and "malformed report" in err, (outer, inner)
 
 
 def _tampered_verdict(tmp_path, depth):

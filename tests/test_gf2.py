@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tbaudit.gf2 import (_BLOCK_CHUNK, BitMatrix, BrickLayout, Subspace, Wall,
+from tbaudit.gf2 import (_BLOCK_CHUNK, BitMatrix, BrickLayout, Subspace,
                          _brick_support, _iter_rref_blocks, _joins,
-                         _maps_cosets, _reduced_rows, as_wall,
+                         _maps_cosets, _reduced_rows,
                          count_proper_subspaces, gaussian_binomial,
                          identity_matrix, random_invertible, rref,
-                         subspace_image, wall_brick_mask)
+                         subspace_image, wall_brick_mask, wall_subspace)
 
 from oracles import (all_subspaces, brute_derivative_containment,
                      canonical_rref_bases, gaussian_recurrence,
@@ -372,28 +372,30 @@ def test_layout_masks_and_support():
 def test_wall_subspace_elements(m, b, data):
     lay = BrickLayout(m, b)
     bricks = data.draw(st.sets(st.integers(1, b), min_size=0, max_size=b))
-    w = Wall(lay, frozenset(bricks))
-    assert set(w.subspace().elements()) == wall_elements(m, b, bricks)
+    w = wall_subspace(lay, sum(1 << (i - 1) for i in bricks))
+    assert set(w.elements()) == wall_elements(m, b, bricks)
 
 
 def test_wall_index_validation():
     with pytest.raises(ValueError):
-        Wall(BrickLayout(2, 2), frozenset([3]))
+        wall_subspace(BrickLayout(2, 2), 1 << 2)  # brick 3
+    with pytest.raises(ValueError):
+        wall_subspace(BrickLayout(2, 2), -1)
 
 
-def test_as_wall_recognition():
+def test_wall_brick_mask_recognition():
     lay = BrickLayout(2, 2)
-    w = Wall(lay, frozenset([2]))
-    assert as_wall(w.subspace(), lay) == w
+    w = wall_subspace(lay, 0b10)
+    assert wall_brick_mask(w, lay) == 0b10
     # a diagonally embedded line touches both bricks but has dimension 1
     diag = rref([0b0101], 4)
-    assert as_wall(diag, lay) is None
+    assert wall_brick_mask(diag, lay) is None
     with pytest.raises(ValueError):
-        as_wall(rref([1], 3), lay)
+        wall_brick_mask(rref([1], 3), lay)
 
 
 @given(st.data())
-def test_as_wall_vs_elementwise_definition(data):
+def test_wall_brick_mask_vs_elementwise_definition(data):
     m, b = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
     lay = BrickLayout(m, b)
     # unit vectors make walls likely, other vectors near-misses
@@ -406,4 +408,4 @@ def test_as_wall_vs_elementwise_definition(data):
              for mask in range(1 << b)}
     mask = walls.get(frozenset(s.elements()))
     assert wall_brick_mask(s, lay) == mask
-    assert (as_wall(s, lay) is not None) == (mask is not None)
+    assert mask is None or wall_subspace(lay, mask) == s

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from tbaudit import groups
 from tbaudit.cipher import TbCipher, Round, build_rotation_cipher
 from tbaudit.errors import CapExceeded, IntransitiveError
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Subspace, Wall, _joins,
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Subspace, _joins,
                          _reduced_rows, count_proper_subspaces,
-                         random_invertible, rref)
+                         random_invertible, rref, wall_subspace)
 from tbaudit.groups import (MAX_PARTITIONS, BlockSystem, GeneratorSet, Perm,
                             is_primitive, invariant_linear_partition_search,
                             minimal_block, minimal_invariant_partitions,
@@ -63,7 +63,7 @@ def as_partition(system):
 
 def wall_subspaces(m, b):
     layout = BrickLayout(m, b)
-    return [Wall(layout, frozenset([i])).subspace() for i in range(1, b + 1)]
+    return [wall_subspace(layout, 1 << i) for i in range(b)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Wall behaviour of mixing layers, cross-checked against actual subspace
-images instead of the support-mask arithmetic the module uses internally."""
+"""The wall behaviour of mixing layers, cross-checked against actual
+subspace images instead of the support-mask arithmetic the module uses
+internally."""
 
 import random
 
@@ -8,10 +9,10 @@ import pytest
 
 import tbaudit.mixing as mixing_mod
 from tbaudit.errors import SingularMatrixError
-from tbaudit.gf2 import (BitMatrix, BrickLayout, Wall, _mask_bricks,
-                         _mask_wall, as_wall, identity_matrix,
-                         random_invertible, subspace_image)
-from tbaudit.mixing import (FamilyReport, LayerFamily, MixingLayer, WallSteps,
+from tbaudit.gf2 import (BitMatrix, BrickLayout, _mask_bricks, identity_matrix,
+                         random_invertible, subspace_image, wall_brick_mask,
+                         wall_subspace)
+from tbaudit.mixing import (FamilyReport, LayerFamily, MixingLayer,
                             _lex_proper_masks, family_strongly_proper,
                             is_proper, is_strongly_proper, wall_trace)
 from tbaudit.presets import (aes_layout, aes_mix_columns_layer,
@@ -30,15 +31,15 @@ def random_layer(seed, m=2, b=3):
 
 
 def enumerate_proper_walls(layout):
-    """The proper walls in the order witnesses are reported."""
-    return [_mask_wall(layout, mask)
-            for mask in _lex_proper_masks(layout.b).tolist()]
+    """The brick masks of the proper walls in the order witnesses are
+    reported."""
+    return _lex_proper_masks(layout.b).tolist()
 
 
 def brute_proper(layer):
     """Proper check via honest subspace images."""
     for wall in enumerate_proper_walls(layer.layout):
-        sub = wall.subspace()
+        sub = wall_subspace(layer.layout, wall)
         if subspace_image(sub, layer.matrix) == sub:
             return False, wall
     return True, None
@@ -46,8 +47,8 @@ def brute_proper(layer):
 
 def brute_strongly_proper(layer):
     for wall in enumerate_proper_walls(layer.layout):
-        img = subspace_image(wall.subspace(), layer.matrix)
-        hit = as_wall(img, layer.layout)
+        img = subspace_image(wall_subspace(layer.layout, wall), layer.matrix)
+        hit = wall_brick_mask(img, layer.layout)
         if hit is not None:
             return False, (wall, hit)
     return True, None
@@ -92,7 +93,7 @@ def test_brick_supports_via_basis_images():
 
 
 # ---------------------------------------------------------------------------
-# Wall enumeration.
+# Enumerating the walls.
 
 
 @pytest.mark.parametrize("b", [2, 3, 4, 5])
@@ -101,8 +102,8 @@ def test_proper_wall_enumeration(b):
     walls = list(enumerate_proper_walls(layout))
     assert len(walls) == (1 << b) - 2
     assert len(set(walls)) == len(walls)
-    assert all(0 < len(w.bricks) < b for w in walls)
-    bricksets = [w.sorted_bricks() for w in walls]
+    assert all(0 < len(_mask_bricks(w)) < b for w in walls)
+    bricksets = [_mask_bricks(w) for w in walls]
     assert bricksets == sorted(bricksets)
 
 
@@ -139,15 +140,15 @@ def test_rotation_layer_wall_behaviour():
     ok, pair = is_strongly_proper(layer)
     assert not ok
     src, dst = pair
-    assert src.sorted_bricks() == (1,)
-    assert dst.sorted_bricks() == (2,)
+    assert _mask_bricks(src) == (1,)
+    assert _mask_bricks(dst) == (2,)
 
 
 def test_identity_layer_fixes_every_wall():
     layer = identity_layer(BrickLayout(2, 3))
     ok, witness = is_proper(layer)
     assert not ok
-    assert witness.sorted_bricks() == (1,)
+    assert _mask_bricks(witness) == (1,)
 
 
 def test_strongly_proper_search_result_is_strongly_proper():
@@ -186,11 +187,11 @@ def assert_kernel_matches_walker(layers):
     for layer in layers:
         supports = layer.brick_supports()
         ok, wall = is_proper(layer)
-        assert (ok, None if wall is None else wall.sorted_bricks()) == \
+        assert (ok, None if wall is None else _mask_bricks(wall)) == \
             retired_is_proper(supports, b)
         ok, pair = is_strongly_proper(layer)
         assert (ok, None if pair is None else tuple(
-            w.sorted_bricks() for w in pair)) == \
+            _mask_bricks(w) for w in pair)) == \
             retired_is_strongly_proper(supports, b)
     assert_family_matches_walker(LayerFamily(tuple(layers)))
 
@@ -201,7 +202,8 @@ def assert_family_matches_walker(fam):
     expected = retired_family_escape(
         [layer.brick_supports() for layer in fam.layers[:-1]], fam.layout.b)
     assert len(rep.escape) == len(expected)
-    assert list(rep.escape) == expected
+    assert [(_mask_bricks(wall), step or None) for wall, step in
+            zip(rep.walls.tolist(), rep.escape.tolist())] == expected
     assert [_mask_bricks(mask) for mask in rep.surviving_masks().tolist()] \
         == [w for w, step in expected if step is None]
     assert rep.strongly_proper == all(step for _, step in expected)
@@ -211,7 +213,7 @@ def assert_family_matches_walker(fam):
 @pytest.mark.parametrize("b", range(2, 13))
 def test_wall_kernel_matches_the_retired_walker(b):
     layout = BrickLayout(2, b)
-    assert [w.sorted_bricks() for w in enumerate_proper_walls(layout)] == \
+    assert [_mask_bricks(w) for w in enumerate_proper_walls(layout)] == \
         [bricks for bricks, _ in retired_lex_proper_masks(b)]
     rng = random.Random(1705 + b)
     for ell in (1, 2, 3):
@@ -228,7 +230,7 @@ def test_wall_kernel_matches_the_retired_walker(b):
 def test_wall_kernel_matches_the_retired_walker_on_the_aes_layout():
     sr, mc, sr_mc = (aes_shift_rows_layer(), aes_mix_columns_layer(),
                      aes_sr_mc_layer())
-    assert [w.sorted_bricks() for w in enumerate_proper_walls(aes_layout())] \
+    assert [_mask_bricks(w) for w in enumerate_proper_walls(aes_layout())] \
         == [bricks for bricks, _ in retired_lex_proper_masks(16)]
     assert_kernel_matches_walker([sr, mc, sr_mc])
 
@@ -243,7 +245,7 @@ def test_rotation_family_never_escapes():
     rep = family_strongly_proper(fam)
     assert not rep.strongly_proper
     assert rep.max_prefix == 3
-    assert all(step is None for _, step in rep.escape)
+    assert not rep.escape.any()
     assert len(rep.surviving_masks()) == 6
 
 
@@ -253,7 +255,7 @@ def test_single_layer_family_is_vacuously_stuck():
     assert rep.max_prefix == 0
     assert not rep.strongly_proper
     assert "single-layer" in rep.note
-    assert all(step is None for _, step in rep.escape)
+    assert not rep.escape.any()
 
 
 def test_family_escape_steps_match_prefix_traces():
@@ -264,12 +266,12 @@ def test_family_escape_steps_match_prefix_traces():
         for _ in range(3))
     fam = LayerFamily(layers)
     rep = family_strongly_proper(fam)
-    for (bricks, step), wall in zip(rep.escape,
-                                    enumerate_proper_walls(layout)):
-        assert wall.sorted_bricks() == bricks
+    for mask, step, wall in zip(rep.walls.tolist(), rep.escape.tolist(),
+                                enumerate_proper_walls(layout)):
+        assert wall == mask
         trace = wall_trace(wall, fam)
         wallness = [w is not None for _, w in trace[:rep.max_prefix]]
-        if step is None:
+        if step == 0:
             assert all(wallness)
         else:
             assert wallness[step - 1] is False
@@ -277,7 +279,8 @@ def test_family_escape_steps_match_prefix_traces():
 
 
 def test_wall_trace_layout_mismatch():
-    wall = Wall(BrickLayout(2, 2), frozenset([1]))
+    # brick 4 of a four-brick layout is no brick of the family's three
+    wall = 1 << 3
     fam = LayerFamily((identity_layer(BrickLayout(2, 3)),))
     with pytest.raises(ValueError):
         wall_trace(wall, fam)
@@ -285,7 +288,7 @@ def test_wall_trace_layout_mismatch():
 
 def test_wall_trace_identity():
     layout = BrickLayout(2, 3)
-    wall = Wall(layout, frozenset([2]))
+    wall = 0b010
     trace = wall_trace(wall, LayerFamily((identity_layer(layout),) * 2))
     assert [w for _, w in trace] == [wall, wall]
 
@@ -299,13 +302,13 @@ def test_wall_trace_identity():
 def test_aes_diagonal_wall_trace():
     sr = aes_shift_rows_layer()
     mc = aes_mix_columns_layer()
-    diagonal = Wall(aes_layout(), frozenset([1, 6, 11, 16]))
+    diagonal = sum(1 << (i - 1) for i in (1, 6, 11, 16))
     trace = wall_trace(diagonal, LayerFamily((sr, mc)))
     after_sr, after_mc = trace
     assert after_sr[1] is not None
-    assert after_sr[1].sorted_bricks() == (1, 5, 9, 13)
+    assert _mask_bricks(after_sr[1]) == (1, 5, 9, 13)
     assert after_mc[1] is not None
-    assert after_mc[1].sorted_bricks() == (1, 5, 9, 13)
+    assert _mask_bricks(after_mc[1]) == (1, 5, 9, 13)
 
 
 def test_aes_combined_layer_matches_sr_then_mc():
@@ -316,8 +319,8 @@ def test_aes_combined_layer_matches_sr_then_mc():
     ok, pair = is_strongly_proper(combined)
     assert not ok
     src, dst = pair
-    img = subspace_image(src.subspace(), combined.matrix)
-    assert as_wall(img, aes_layout()) == dst
+    img = subspace_image(wall_subspace(aes_layout(), src), combined.matrix)
+    assert wall_brick_mask(img, aes_layout()) == dst
 
 
 def test_aes_family_of_ten_is_strongly_proper():
@@ -326,16 +329,17 @@ def test_aes_family_of_ten_is_strongly_proper():
     assert rep.strongly_proper
     assert len(rep.escape) == 65534
     steps = {}
-    for _, step in rep.escape:
+    for step in rep.escape.tolist():
         steps[step] = steps.get(step, 0) + 1
     assert steps == {1: 65520, 2: 14}
 
 
 def test_family_report_shape():
-    rep = FamilyReport(ell=2, max_prefix=1, escape=WallSteps(
-        np.array([1, 2], dtype=np.uint16), np.array([1, 0])))
+    rep = FamilyReport(ell=2, max_prefix=1,
+                       walls=np.array([1, 2], dtype=np.uint16),
+                       escape=np.array([1, 0]))
     assert not rep.strongly_proper
-    assert list(rep.escape) == [((1,), 1), ((2,), None)]
+    assert len(rep.escape) == 2  # one step per wall: len counts the walls
     assert rep.surviving_masks().tolist() == [2]
 
 

@@ -248,7 +248,8 @@ def test_keep_list_is_short_and_still_needed():
     p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
 def test_each_module_imports_first_in_a_fresh_interpreter(module):
     # the package imports nothing, so no fixed import order hides a cycle
-    proc = subprocess.run([sys.executable, "-c", f"import tbaudit.{module}"],
+    proc = subprocess.run([sys.executable, "-B", "-c",
+                           f"import tbaudit.{module}"],
                           capture_output=True, text=True, timeout=60,
                           env={"PYTHONPATH": str(PACKAGE.parent)})
     assert proc.returncode == 0, proc.stderr

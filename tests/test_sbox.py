@@ -285,17 +285,31 @@ def half_identity_box(seed, m):
     return SBox(tuple((x & low) | g[x >> h] << h for x in range(1 << m)))
 
 
-def _scan_or_refusal(scan, box, k_lo, budget, refuse):
+def _refusal(exc):
+    return ("refused", str(exc), exc.estimate, exc.limit)
+
+
+def _scan_or_refusal(scan, box, k_lo, budget, *refuse):
     try:
-        return scan(box.normalized(), box.m, k_lo, budget, refuse)
+        return scan(box.normalized(), box.m, k_lo, budget, *refuse)
     except CapExceeded as exc:
-        return ("refused", str(exc), exc.estimate, exc.limit)
+        return _refusal(exc)
+
+
+def _order_or_refusal(box, budget):
+    """anti_invariance_order as the oracle scan from k = 1 reports it: the
+    first violating dimension, or the refusal."""
+    try:
+        order = anti_invariance_order(box, budget=budget)
+    except CapExceeded as exc:
+        return _refusal(exc)
+    return box.m - 1 - order or None
 
 
 def _budget_cases(box):
     # Budgets that run out exactly at a dimension boundary or one short of
-    # it, so the scan stops partway: analyze_sbox's lower-bound path when
-    # refuse is False.
+    # it, so the scan stops partway: analyze_sbox's lower-bound path, and
+    # with refuse set anti_invariance_order's refusal.
     m, spent = box.m, 0
     for k in range(m - 1, 1, -1):
         spent += gaussian_binomial(m, k)
@@ -327,14 +341,21 @@ def _oracle_scan_cases():
 
 def test_violation_scan_matches_the_scalar_oracle():
     # The retired scan took the image-span rank of every subspace; the new
-    # one must give the same (k*, pair, k_done), refusals included.
+    # one must give the same (k*, pair, k_done) when the budget stops it
+    # partway, and anti_invariance_order must refuse where the oracle does.
     found = 0
     for box, k_lo, budget, refuse in _oracle_scan_cases():
-        got = _scan_or_refusal(_violation_scan, box, k_lo, budget, refuse)
+        got = _scan_or_refusal(_violation_scan, box, k_lo, budget)
         want = _scan_or_refusal(scalar_violation_scan, box, k_lo, budget,
-                                refuse)
+                                False)
         assert got == want, (box.table, k_lo, budget, refuse)
-        found += got[0] not in (None, "refused")
+        found += got[0] is not None
+        if refuse and k_lo == 1:
+            want = _scan_or_refusal(scalar_violation_scan, box, 1, budget,
+                                    True)
+            if want[0] != "refused":
+                want = want[0]
+            assert _order_or_refusal(box, budget) == want, (box.table, budget)
     assert found > 100
 
 

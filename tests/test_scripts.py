@@ -22,3 +22,12 @@ def test_sweep_script_runs_clean(argv):
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    if argv[0] == "scripts/rotation_sweep.py":
+        # b, ell, verdict, chain count, then the first chain per row
+        rows = {tuple(line.split()[:2]): line
+                for line in proc.stdout.splitlines()
+                if line.split()[:1] and line.split()[0].isdigit()}
+        assert sorted(rows) == [("2", "2"), ("2", "3"), ("3", "2"),
+                                ("3", "3")]
+        assert all(row.split()[2] == "vulnerable" for row in rows.values())
+        assert "invariant {1}->{2}->{3}->{1}" in rows["3", "3"]
