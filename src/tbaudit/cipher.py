@@ -443,17 +443,34 @@ def _seed_atoms(cipher: TbCipher) -> list[tuple[int, ...]]:
     or the whole space once any position reaches rank d.  Each new echelon
     row is pushed both ways once; D_{u+u'}f(x) = D_u f(x+u') + D_u' f(x), so
     the rows' derivative spans carry the whole space's.
+
+    A closure stops early on a point already shown full.  If w lies in V_1
+    of C(v), then C(w) lies in C(v), so C(v) is full once V_1 picks up a
+    seed w < v whose closure came out full; one flag per point records
+    those.  Both a vector pushed to V_1 and its reduced form lie in V_1, so
+    both are checked, and the V_1 vectors are taken before the deeper
+    positions' so that a full point shows up early.  A proper closure holds
+    no full point, so it is never cut short, and its spaces are the least
+    fixpoint whatever the order; a full seed gives no atom either way.  The
+    atoms, and their order of first seed, are therefore unchanged.
     """
     d = cipher.layout.d
     ell = cipher.ell
     fwd = [_span_kernel(rnd, False) for rnd in cipher.rounds]
     bwd = [_span_kernel(rnd, True) for rnd in cipher.rounds]
+    full = bytearray(1 << d)
     atoms: dict[tuple[int, ...], None] = {}
     for seed in range(1, 1 << d):
         spaces: list[dict[int, int]] = [{} for _ in range(ell + 1)]
-        todo = [(0, seed)]
-        while todo:
-            h, v = todo.pop()
+        head = [seed]
+        deep: list[tuple[int, int]] = []
+        while head or deep:
+            if head:
+                h, v = 0, head.pop()
+                if full[v]:
+                    break
+            else:
+                h, v = deep.pop()
             rows = spaces[h]
             while v:
                 p = v & -v
@@ -463,15 +480,21 @@ def _seed_atoms(cipher: TbCipher) -> list[tuple[int, ...]]:
                 v ^= q
             if not v:
                 continue
+            if not h and full[v]:
+                break
             rows[p] = v
             if len(rows) == d:
                 break
             if h < ell:
-                todo += [(h + 1, w) for w in fwd[h](v)]
-            if h:
-                todo += [(h - 1, w) for w in bwd[h - 1](v)]
+                deep += [(h + 1, w) for w in fwd[h](v)]
+            if h == 1:
+                head += bwd[0](v)
+            elif h:
+                deep += [(h - 1, w) for w in bwd[h - 1](v)]
         else:
             atoms[_reduced_rows(spaces[0].values())] = None
+            continue
+        full[seed] = 1
     return list(atoms)
 
 
@@ -506,8 +529,8 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
     n = count_proper_subspaces(d)
     if d > cap:
         raise CapExceeded(
-            f"exhaustive chain search at d={d} refused",
-            estimate=n, limit=cap)
+            f"exhaustive chain search at d={d} refused: above the {cap}-bit"
+            f" cap; a cap of {d} admits it", estimate=n, limit=cap)
     atoms = _seed_atoms(cipher)
     dense = min((1 << len(atoms)) - 1, n) * len(atoms) > n
     heads = (_proper_heads(d) if dense

@@ -670,6 +670,43 @@ def table_scan_chains(cipher):
     return chains
 
 
+def retired_seed_atoms(cipher):
+    """The distinct U_1 bases of the proper seed closures by the seed pass
+    that the full-point pass replaced: every one of the 2^d - 1 closures
+    runs to its fixpoint, or to rank d, in plain stack order."""
+    from tbaudit.cipher import _span_kernel
+    from tbaudit.gf2 import _reduced_rows
+    d = cipher.layout.d
+    ell = cipher.ell
+    fwd = [_span_kernel(rnd, False) for rnd in cipher.rounds]
+    bwd = [_span_kernel(rnd, True) for rnd in cipher.rounds]
+    atoms = {}
+    for seed in range(1, 1 << d):
+        spaces = [{} for _ in range(ell + 1)]
+        todo = [(0, seed)]
+        while todo:
+            h, v = todo.pop()
+            rows = spaces[h]
+            while v:
+                p = v & -v
+                q = rows.get(p)
+                if q is None:
+                    break
+                v ^= q
+            if not v:
+                continue
+            rows[p] = v
+            if len(rows) == d:
+                break
+            if h < ell:
+                todo += [(h + 1, w) for w in fwd[h](v)]
+            if h:
+                todo += [(h - 1, w) for w in bwd[h - 1](v)]
+        else:
+            atoms[_reduced_rows(spaces[0].values())] = None
+    return list(atoms)
+
+
 def table_verify_chain(cipher, chain):
     """Whether every link of a chain holds by the full-codebook route: the
     partition image of U_h under round h's table is the coset partition of

@@ -35,8 +35,9 @@ from tbaudit.specfile import load_cipher
 from oracles import (brute_derivative_containment, brute_partition_image,
                      build_linear_toy_cipher, matrix_apply_by_columns,
                      retired_encryption_table, retired_round_table,
-                     retired_substitution_table, retired_walls_audit_chains,
-                     span_rank, table_scan_chains, table_verify_chain,
+                     retired_seed_atoms, retired_substitution_table,
+                     retired_walls_audit_chains, span_rank,
+                     table_scan_chains, table_verify_chain,
                      wall_walk_links_hold, walls_mode_masks, xor_span)
 
 SPEC_DIR = Path(__file__).parent.parent / "specs"
@@ -415,21 +416,17 @@ def _chain_order(chains):
                                           ch.spaces[0].basis))
 
 
-def test_closure_search_matches_the_subspace_scan():
-    # both exhaustive routes against the retired table scan, on every brick
-    # kind at d = 4; random and mixed bricks at d = 6, whose
-    # affine rounds make every subspace a chain, as every 2-bit brick does;
-    # random bricks at d = 8, where a dense lattice has 417,197 chains
+def _closure_test_ciphers():
+    """216 seeded ciphers: every brick kind at d = 4; random and mixed
+    bricks at d = 6, whose affine rounds make every subspace a chain, as
+    every 2-bit brick does; random bricks at d = 8."""
     rng = random.Random(1999)
-    tally = {"none": 0, "some": 0, "dense": 0, "d8": 0}
-    full_joins = 0
     for n in range(216):
         m, b = (4, 2) if n % 54 == 53 else (2, 3) if n % 36 == 17 else (
             (2, 2), (3, 2))[n % 2]
         layout = BrickLayout(m, b)
-        d = layout.d
-        kind = rng.choice(("random", "random", "mixed") if d == 6 else
-                          ("random",) if d == 8 else
+        kind = rng.choice(("random", "random", "mixed") if layout.d == 6 else
+                          ("random",) if layout.d == 8 else
                           ("random", "mixed", "affine", "identity"))
         rounds = []
         for _ in range(1 + n % 3):
@@ -439,7 +436,16 @@ def test_closure_search_matches_the_subspace_scan():
                 rng.choice(("random", "rotation", "permuting")), rng, layout)
             rounds.append(Round(
                 tuple(_oracle_test_brick(k, rng, m) for k in kinds), layer))
-        cipher = TbCipher(tuple(rounds))
+        yield TbCipher(tuple(rounds))
+
+
+def test_closure_search_matches_the_subspace_scan():
+    # both exhaustive routes against the retired table scan, on the closure
+    # test ciphers; at d = 8 a dense lattice has 417,197 chains
+    tally = {"none": 0, "some": 0, "dense": 0, "d8": 0}
+    full_joins = 0
+    for cipher in _closure_test_ciphers():
+        d = cipher.layout.d
         kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
         atoms = _seed_atoms(cipher)
         oracle = table_scan_chains(cipher)
@@ -466,6 +472,49 @@ def test_closure_search_matches_the_subspace_scan():
         tally["d8" if d == 8 else "dense" if dense else
               "some" if expected else "none"] += 1
     assert min(tally.values()) >= 4 and full_joins, tally
+
+
+def _rotation_random_cipher(seed, m, b, ell):
+    rng = random.Random(seed)
+    layout = BrickLayout(m, b)
+    return TbCipher(tuple(
+        Round(tuple(_oracle_test_brick("random", rng, m) for _ in range(b)),
+              rotation_layer(layout)) for _ in range(ell)))
+
+
+def test_seed_pass_matches_the_retired_pass():
+    # the same atoms in the same order: the full-point stop cuts short only
+    # closures that were going to be full
+    ciphers = list(_closure_test_ciphers())
+    for seed in range(3):
+        for m, b in ((3, 3), (4, 3)):
+            ciphers += [random_cipher(seed, m, b, 3),
+                        _rotation_random_cipher(seed, m, b, 3)]
+    ciphers.append(build_rotation_cipher(4, 3, 3))
+    some = 0
+    for cipher in ciphers:
+        atoms = _seed_atoms(cipher)
+        assert atoms == retired_seed_atoms(cipher)
+        some += len(atoms) > 1
+    assert some >= 10, some
+
+
+def test_seed_pass_stops_on_full_points(monkeypatch):
+    # a chains-sparse-shaped random cipher: the retired pass makes about
+    # 5,400 span-kernel calls, the full-point pass about 1,050
+    import tbaudit.cipher as cipher_mod
+    calls = []
+    kernel = cipher_mod._span_kernel
+
+    def counted(rnd, inverse):
+        spanning = kernel(rnd, inverse)
+        return lambda u: calls.append(u) or spanning(u)
+
+    cipher = random_cipher(1, 4, 2, 2)
+    kernel.cache_clear()
+    monkeypatch.setattr(cipher_mod, "_span_kernel", counted)
+    assert _seed_atoms(cipher) == []
+    assert 0 < len(calls) <= 2000, len(calls)
 
 
 def test_exhaustive_search_takes_the_scan_on_a_dense_lattice(monkeypatch):

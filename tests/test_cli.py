@@ -167,6 +167,21 @@ def test_find_trapdoor_exhaustive_cap_refusal(capsys, tmp_path):
     assert "134732283882873635909" in err  # proper subspaces of F_2^16
 
 
+def test_find_trapdoor_exhaustive_refusal_names_the_cap_that_admits_it(
+        capsys, tmp_path):
+    spec = tmp_path / "d12.json"
+    spec.write_text(json.dumps({
+        "layout": {"m": 4, "b": 3},
+        "rounds": [{"bricks": "inverse_gf2m", "layer": "rotation"}] * 3,
+    }))
+    code, out, err = run_cli(capsys, "find-trapdoor", str(spec),
+                             "--mode", "exhaustive")
+    assert code == 66 and out == ""
+    assert ("exhaustive chain search at d=12 refused: above the 9-bit cap;"
+            " a cap of 12 admits it") in err
+    assert "limit: 9)" in err
+
+
 def test_find_trapdoor_json(capsys):
     code, rep, _ = json_out(capsys, "find-trapdoor", WEAK_L4, "--json")
     assert code == 2
