@@ -18,8 +18,10 @@ joins the distinct proper closures' first positions U_1 by ``gf2._joins``,
 the join the group checks' partition search uses too; where the chain
 lattice is so dense that the join would cost more than visiting every
 subspace, it tries every nontrivial subspace of (F_2)^d as U_1 instead.
-Either way one routine (``_push_head``) pushes each U_1 through the rounds
-by the same spans to its chain.  No route builds a full-codebook table.
+Either way one routine (``_push_heads``) pushes the U_1, a block of one
+dimension at a time, through the rounds by the same spans to their chains:
+one numpy echelon pass per block and round (``gf2._reduced_blocks``).  No
+route builds a full-codebook table.
 
 Derivative spans come from ``_span_kernel``, brick by brick and without a
 table; its per-(brick, u_i) pieces sit in a cache bounded at
@@ -41,15 +43,16 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, SpecError
-from .gf2 import (BrickLayout, Subspace, _iter_rref_blocks, _joins,
-                  _maps_cosets, _reduced_rows, _span_elements,
-                  count_proper_subspaces, subspace_image, wall_brick_mask,
-                  wall_subspace)
+from .gf2 import (_BLOCK_CHUNK, BrickLayout, Subspace, _iter_rref_blocks,
+                  _joins, _maps_cosets, _reduced_blocks, _reduced_rows,
+                  _span_elements, count_proper_subspaces, subspace_image,
+                  wall_brick_mask, wall_subspace)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _popcount,
                      _wall_table, family_strongly_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, DerivativeImage, SBox,
@@ -85,6 +88,9 @@ __all__ = [
 
 MAX_TABLE_D = 20
 DEFAULT_CHAIN_CAP = 9
+# The exhaustive search holds vectors in int64 arrays (``_iter_rref_blocks``,
+# ``_push_heads``): below the sign bit, with one bit to spare.
+_MAX_EXHAUSTIVE_D = 62
 
 # Memo cache bounds: 16 round tables, one per round (4 MiB each at
 # d = MAX_TABLE_D), cover every round that one audit touches.
@@ -407,29 +413,109 @@ def _walk_chains(cipher: TbCipher, walk: np.ndarray) -> list[PartitionChain]:
     return chains
 
 
-def _push_head(kernels: Sequence[Callable[[int], list[int]]],
-               head: tuple[int, ...], d: int) -> PartitionChain | None:
-    """The chain with U_1 = span(head), or None when there is none: push U_1
-    through the rounds by derivative spans, dropping it once a span W
-    outranks it.  f is a bijection, so |W| >= |f(x + U)| = |U|, with
-    equality exactly when (U, W) is a link (``_span_kernel``); a chain's
-    U_1 therefore fixes the rest of it."""
-    spaces = [head]
-    for spanning in kernels:
-        rows = _reduced_rows((v for u in spaces[-1] for v in spanning(u)),
-                             limit=len(head))
-        if rows is None:
-            return None
-        spaces.append(rows)
-    return PartitionChain(tuple(Subspace(s, d) for s in spaces))
+def _block_spanning(spanning: Callable[[int], list[int]],
+                    layout: BrickLayout) -> Callable[[np.ndarray], np.ndarray]:
+    """A forward span kernel on every row of a block of heads at once:
+    heads (n, k) -> the (n, k(d + 1)) vectors that ``spanning`` gives for
+    their rows, each row's m zero-padded piece rows per brick and then its
+    corner.  A row's pieces are those of its brick parts u_i, and its
+    corner is the XOR of theirs (``_span_kernel``).  They are read from
+    per-brick tables filled by single-brick calls ``spanning(u_i << i*m)``,
+    each the first time a head needs it: at most b * 2^m calls, and no 2^d
+    table."""
+    m, b = layout.m, layout.b
+    rows = np.zeros((b, 1 << m, m), dtype=np.int64)
+    corners = np.zeros((b, 1 << m), dtype=np.int64)
+    filled = np.zeros((b, 1 << m), dtype=bool)
+    filled[:, 0] = True  # a zero part spans nothing
+    bricks = np.arange(b)
+
+    def spans(heads: np.ndarray) -> np.ndarray:
+        n, k = heads.shape
+        parts = (heads[:, :, None] >> bricks * m) & ((1 << m) - 1)
+        needed = np.zeros_like(filled)
+        needed[bricks, parts] = True
+        for i, part in np.argwhere(needed & ~filled).tolist():
+            *piece, corners[i, part] = spanning(part << (i * m))
+            rows[i, part, :len(piece)] = piece
+        filled[needed] = True
+        corner = np.bitwise_xor.reduce(corners[bricks, parts], axis=2)
+        return np.concatenate(
+            [rows[bricks, parts].reshape(n, k, b * m), corner[:, :, None]],
+            axis=2).reshape(n, k * (b * m + 1))
+
+    return spans
 
 
-def _proper_heads(d: int) -> Iterator[tuple[int, ...]]:
-    """The dense route: the basis of every proper subspace, by dimension and
-    then in the walk's order (``_iter_rref_blocks``)."""
+def _push_block(steps: Sequence[Callable[[np.ndarray], np.ndarray]],
+                heads: np.ndarray) -> np.ndarray:
+    """The chains with U_1 = span(head) for a block of heads, the (n, k)
+    int64 RREF bases of k-dimensional subspaces, in the heads' order: an
+    array holding each chain as (l + 1, k) reduced rows.
+
+    Each round pushes the block's last positions by their derivative spans
+    (``_block_spanning``) and drops a head once a span W outranks its U.  f
+    is a bijection, so |W| >= |f(x + U)| = |U|, with equality exactly when
+    (U, W) is a link (``_span_kernel``); a chain's U_1 therefore fixes the
+    rest of it, and a head keeps its chain iff every span has rank k.
+    """
+    k = heads.shape[1]
+    spaces = [heads]
+    for spans in steps:
+        rows, rank = _reduced_blocks(spans(spaces[-1]), k)
+        link = rank == k
+        spaces = [s[link] for s in spaces] + [rows[link]]
+    return np.stack(spaces, axis=1)
+
+
+def _push_heads(cipher: TbCipher,
+                blocks: Iterable[np.ndarray]) -> list[PartitionChain]:
+    """Every chain whose U_1 is a head of ``blocks``, in (dim U_1, basis)
+    order.  The blocks come grouped by dimension, ascending.  A group's
+    blocks are joined until they hold ``_BLOCK_CHUNK`` heads and pushed
+    together, and its chains are built as soon as it ends, each distinct
+    subspace once."""
+    layout = cipher.layout
+    steps = [_block_spanning(_span_kernel(rnd, False), layout)
+             for rnd in cipher.rounds]
+    # A subspace recurs at other positions of other chains: build it once.
+    space = lru_cache(maxsize=None)(partial(Subspace, ambient=layout.d))
+    chains = []
+    for _, group in groupby(blocks, key=lambda heads: heads.shape[1]):
+        pushed = []
+        batch: list[np.ndarray] = []
+        for heads in group:
+            batch.append(heads)
+            if sum(map(len, batch)) >= _BLOCK_CHUNK:
+                pushed.append(_push_block(steps, np.concatenate(batch)))
+                batch = []
+        if batch:
+            pushed.append(_push_block(steps, np.concatenate(batch)))
+        found = np.concatenate(pushed)
+        # lexsort's last key is its first: sort by U_1's rows in order
+        for spaces in found[np.lexsort(found[:, 0, ::-1].T)].tolist():
+            chains.append(
+                PartitionChain(tuple(map(space, map(tuple, spaces)))))
+    return chains
+
+
+def _proper_heads(d: int) -> Iterator[np.ndarray]:
+    """The dense route: the RREF bases of every proper subspace as (n, k)
+    int64 blocks, by dimension and then in the walk's order
+    (``_iter_rref_blocks``)."""
     for k in range(1, d):
-        for bases in _iter_rref_blocks(d, k):
-            yield from map(tuple, bases.tolist())
+        yield from _iter_rref_blocks(d, k)
+
+
+def _join_heads(atoms: Sequence[tuple[int, ...]],
+                d: int) -> Iterator[np.ndarray]:
+    """The join route: every proper sum of the atoms (``gf2._joins``) as one
+    (n, k) int64 block per dimension k, ascending, in the join's order."""
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for rows in _joins(atoms, lambda rows: rows, d):
+        by_dim.setdefault(len(rows), []).append(rows)
+    for k in sorted(by_dim):
+        yield np.array(by_dim[k], dtype=np.int64)
 
 
 def _seed_atoms(cipher: TbCipher) -> list[tuple[int, ...]]:
@@ -507,18 +593,22 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
     that exist whenever the layer family is not strongly proper.  One chain
     per surviving wall, in lexicographic order of the starting wall.
 
-    exhaustive mode: complete, but refused above ``cap`` ambient bits.  It
-    closes every nonzero seed (``_seed_atoms``) and joins the U_1 of the A
-    distinct proper closures (``gf2._joins``) with no closing step:
-    componentwise sums of chains are chains (the pair conditions are closed
-    under sums), U_1 fixes the rest of a chain, and a chain is the sum of
-    the closures of its U_1's vectors, so the chains' U_1 are exactly the
-    proper sums of the atoms.  The join costs about min(2^A - 1, N) * A span
-    reductions against the N proper subspaces a scan visits, so when that
-    estimate exceeds N (dense chain lattices, such as affine bricks) every
-    proper subspace (``_proper_heads``) is tried instead.  Either route
-    hands its U_1 bases to ``_push_head``, which builds each chain without a
-    table; the chains are sorted by (dim U_1, basis).
+    exhaustive mode: complete, but refused above ``cap`` ambient bits, and
+    above ``_MAX_EXHAUSTIVE_D`` bits whatever the cap.  It closes every
+    nonzero seed (``_seed_atoms``) and joins the U_1 of the A distinct
+    proper closures (``gf2._joins``) with no closing step: componentwise
+    sums of chains are chains (the pair conditions are closed under sums),
+    U_1 fixes the rest of a chain, and a chain is the sum of the closures
+    of its U_1's vectors, so the chains' U_1 are exactly the proper sums of
+    the atoms.  The join costs about min(2^A - 1, N) * A span reductions
+    against the N proper subspaces a scan visits, so when that estimate
+    exceeds N (dense chain lattices, such as affine bricks) every proper
+    subspace (``_proper_heads``) is tried instead.  Either route hands its
+    U_1 bases, in int64 blocks of one dimension, to ``_push_heads``, which
+    reduces each block's derivative spans round by round in one numpy
+    echelon pass (``gf2._reduced_blocks``) and builds each distinct
+    subspace once, without a table; the chains come in (dim U_1, basis)
+    order.
     """
     if mode == "walls":
         family = family_strongly_proper(LayerFamily(cipher.layers()))
@@ -527,19 +617,21 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
         raise ValueError(f"unknown mode {mode!r}")
     d = cipher.layout.d
     n = count_proper_subspaces(d)
+    if d > _MAX_EXHAUSTIVE_D:
+        raise CapExceeded(
+            f"exhaustive chain search at d={d} refused: its int64 vectors"
+            f" hold at most {_MAX_EXHAUSTIVE_D} bits", estimate=n,
+            limit=_MAX_EXHAUSTIVE_D)
     if d > cap:
         raise CapExceeded(
             f"exhaustive chain search at d={d} refused: above the {cap}-bit"
             f" cap; a cap of {d} admits it", estimate=n, limit=cap)
     atoms = _seed_atoms(cipher)
+    if not atoms:  # every chain's U_1 is a sum of atoms
+        return []
     dense = min((1 << len(atoms)) - 1, n) * len(atoms) > n
-    heads = (_proper_heads(d) if dense
-             else _joins(atoms, lambda rows: rows, d))
-    kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
-    chains = [ch for head in heads
-              if (ch := _push_head(kernels, head, d)) is not None]
-    chains.sort(key=lambda ch: (ch.spaces[0].dim, ch.spaces[0].basis))
-    return chains
+    return _push_heads(cipher, _proper_heads(d) if dense
+                       else _join_heads(atoms, d))
 
 
 def verify_chain(cipher: TbCipher, chain: PartitionChain) -> bool:

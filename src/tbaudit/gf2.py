@@ -17,11 +17,12 @@ at a time; every scan of subspaces (the S-box anti-invariance scan, the chain
 search's dense fallback) iterates its blocks.
 
 The rest of the package shares one kernel from here: ``_reduced_rows`` is the
-echelon routine (spans, ranks, inverses and rank-bounded spans alike),
-``_span_elements`` lists every element of a span as a numpy array (and
-``Subspace.elements`` as a list), and ``_maps_cosets`` tests whether a lookup
-table sends each coset of U into a coset of W, checking the basis rows of U
-only.
+echelon routine (spans, ranks, inverses and rank-bounded spans alike), and
+``_reduced_blocks`` its numpy form for many spans at once (the chain search's
+push, the groups seed pass); ``_span_elements`` lists every element of a span
+as a numpy array (and ``Subspace.elements`` as a list), and ``_maps_cosets``
+tests whether a lookup table sends each coset of U into a coset of W,
+checking the basis rows of U only.
 ``Subspace`` checks that a basis is canonical in O(k), without re-reducing it.
 """
 
@@ -78,6 +79,37 @@ def _reduced_rows(vectors: Iterable[int],
                 v ^= w
         reduced[p] = v
     return tuple(reduced[p] for p in sorted(reduced))
+
+
+def _reduced_blocks(vectors: np.ndarray,
+                    limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_reduced_rows(row, limit)`` of every row of an (n, N) array of
+    vectors at once: the (n, limit) array of each row's reduced echelon
+    basis, zero-padded after its rank, and the (n,) array of ranks.  Where
+    a rank exceeds ``limit`` (``_reduced_rows`` gives None), the basis is
+    cut short and means nothing.  The result keeps the vectors' dtype.
+
+    Pivot bits are taken in ascending order.  Every vector left then has
+    no bit below p set, so the first one with bit p set becomes the pivot
+    row of p: it leaves the vectors, and is added to every vector and every
+    earlier pivot row that has bit p set.  So each pivot bit ends up in its
+    own row only, the canonical form.
+    """
+    vecs = vectors.copy()
+    at = np.arange(len(vecs))
+    width = int(np.bitwise_or.reduce(vecs, axis=None)).bit_length()
+    cols = np.zeros((len(vecs), max(width, limit)), dtype=vecs.dtype)
+    for p in range(width):
+        bit = vecs.dtype.type(1 << p)
+        has = (vecs & bit) != 0
+        pivot = vecs[at, has.argmax(axis=1)]
+        pivot = np.where(pivot & bit, pivot, 0)[:, None]
+        vecs ^= has * pivot
+        cols ^= ((cols & bit) != 0) * pivot
+        cols[:, p:p + 1] = pivot
+    order = np.argsort(cols == 0, axis=1, kind="stable")[:, :limit]
+    return (np.take_along_axis(cols, order, axis=1),
+            np.count_nonzero(cols, axis=1))
 
 
 def _span_elements(rows: Iterable[int], dtype=np.int64) -> np.ndarray:
@@ -196,7 +228,7 @@ class Subspace:
         return _span_elements(self.basis).tolist()
 
     def is_trivial(self) -> bool:
-        return self.dim == 0 or self.dim == self.ambient
+        return not 0 < len(self.basis) < self.ambient
 
 
 def rref(vectors: Iterable[int], ambient: int) -> Subspace:

@@ -49,8 +49,8 @@ import numpy as np
 
 from .cipher import TbCipher, encryption_table, round_table
 from .errors import CapExceeded, IntransitiveError
-from .gf2 import (Subspace, _joins, _maps_cosets, _reduced_rows,
-                  _span_elements)
+from .gf2 import (Subspace, _joins, _maps_cosets, _reduced_blocks,
+                  _reduced_rows, _span_elements)
 
 __all__ = [
     "MAX_DEGREE",
@@ -467,13 +467,10 @@ def _phi_closure(phi: np.ndarray, seed_rows: Iterable[int], d: int,
 def _first_spans(phi: np.ndarray, d: int) -> np.ndarray:
     """U1(v), the span of v and every phi_g(v), for each seed v in 1..2^d - 1.
 
-    Row v - 1 of the (2^d - 1, d) result holds, in column p, the row of
-    U1(v)'s reduced echelon basis whose pivot (lowest set bit) is p, or 0
-    when p is no pivot; its nonzero entries are ``_reduced_rows`` of the
-    span, and it has no zero exactly when U1(v) is the full space.  Every
-    chunk of seeds is reduced at once, pivot bits ascending: a vector whose
-    lowest set bit is p becomes the pivot of p, and is added to every other
-    vector with bit p set.
+    Row v - 1 of the (2^d - 1, d) result holds ``_reduced_rows`` of U1(v),
+    zero-padded after its rank, so it has no zero exactly when U1(v) is the
+    full space.  Every chunk of seeds is reduced at once
+    (``gf2._reduced_blocks``).
     """
     n = 1 << d
     out = np.zeros((n - 1, d), dtype=phi.dtype)
@@ -481,19 +478,7 @@ def _first_spans(phi: np.ndarray, d: int) -> np.ndarray:
     for s0 in range(1, n, step):
         seeds = np.arange(s0, min(s0 + step, n), dtype=phi.dtype)
         vecs = np.concatenate([seeds[:, None], phi[seeds]], axis=1)
-        at = np.arange(len(seeds))
-        cols = np.zeros((len(seeds), d), dtype=np.int64)
-        found = np.zeros((len(seeds), d), dtype=bool)
-        for p in range(d):
-            lowest = (vecs & ((2 << p) - 1)) == 1 << p
-            found[:, p] = lowest.any(axis=1)
-            cols[:, p] = lowest.argmax(axis=1)
-            pivot = vecs[at, cols[:, p]] * found[:, p]
-            clear = (vecs >> p) & 1 == 1
-            clear[at, cols[:, p]] = False
-            vecs ^= clear * pivot[:, None]
-        out[s0 - 1:s0 - 1 + len(seeds)] = (
-            np.take_along_axis(vecs, cols, axis=1) * found)
+        out[s0 - 1:s0 - 1 + len(seeds)] = _reduced_blocks(vecs, d)[0]
     return out
 
 
@@ -508,8 +493,7 @@ def _span_elements_chunks(spans: np.ndarray, ids: np.ndarray):
         step = max(1, _SEED_CHUNK >> r)
         for i0 in range(0, len(same), step):
             chunk = same[i0:i0 + step]
-            rows = spans[chunk]
-            rows = rows[rows != 0].reshape(len(chunk), r)
+            rows = spans[chunk, :r]
             els = np.zeros((len(chunk), 1), dtype=spans.dtype)
             for j in range(r):
                 els = np.concatenate([els, els ^ rows[:, j:j + 1]], axis=1)

@@ -707,6 +707,22 @@ def retired_seed_atoms(cipher):
     return list(atoms)
 
 
+def retired_push_head(kernels, head, d):
+    """The chain with U_1 = span(head), or None, by the scalar push that the
+    batched block push replaced: each round reduces the derivative spans of
+    the last position's rows under the rank bound dim U_1."""
+    from tbaudit.cipher import PartitionChain
+    from tbaudit.gf2 import Subspace, _reduced_rows
+    spaces = [head]
+    for spanning in kernels:
+        rows = _reduced_rows((v for u in spaces[-1] for v in spanning(u)),
+                             limit=len(head))
+        if rows is None:
+            return None
+        spaces.append(rows)
+    return PartitionChain(tuple(Subspace(s, d) for s in spaces))
+
+
 def table_verify_chain(cipher, chain):
     """Whether every link of a chain holds by the full-codebook route: the
     partition image of U_h under round h's table is the coset partition of

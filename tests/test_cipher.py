@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import tbaudit.mixing as mixing_mod
 from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             SEMANTICS, PartitionChain,
-                            Round, TbCipher, _brick_conditions,
-                            _proper_heads, _push_head, _seed_atoms,
+                            Round, TbCipher, _block_spanning,
+                            _brick_conditions, _join_heads, _proper_heads,
+                            _push_block, _push_heads, _seed_atoms,
                             _span_kernel, _wall_walk, audit,
                             build_present_toy_cipher, build_rotation_cipher,
                             build_secure_toy_cipher, chain_holds_under_key,
@@ -23,9 +24,10 @@ from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             partition_image, round_table, substitution_table,
                             verify_chain)
 from tbaudit.errors import CapExceeded
-from tbaudit.gf2 import (BitMatrix, BrickLayout, _joins, _reduced_rows,
-                         count_proper_subspaces, random_invertible, rref,
-                         wall_brick_mask, wall_subspace)
+from tbaudit.gf2 import (BitMatrix, BrickLayout, Subspace, _joins,
+                         _reduced_rows, count_proper_subspaces,
+                         random_invertible, rref, wall_brick_mask,
+                         wall_subspace)
 from tbaudit.mixing import LayerFamily, MixingLayer, family_strongly_proper
 from tbaudit.presets import (identity_sbox, inversion_sbox, identity_layer,
                              present_sbox, rotation_layer)
@@ -34,8 +36,9 @@ from tbaudit.specfile import load_cipher
 
 from oracles import (brute_derivative_containment, brute_partition_image,
                      build_linear_toy_cipher, matrix_apply_by_columns,
-                     retired_encryption_table, retired_round_table,
-                     retired_seed_atoms, retired_substitution_table,
+                     retired_encryption_table, retired_push_head,
+                     retired_round_table, retired_seed_atoms,
+                     retired_substitution_table,
                      retired_walls_audit_chains, span_rank,
                      table_scan_chains, table_verify_chain,
                      wall_walk_links_hold, walls_mode_masks, xor_span)
@@ -439,6 +442,25 @@ def _closure_test_ciphers():
         yield TbCipher(tuple(rounds))
 
 
+def _block_pusher(cipher):
+    """The batched push of one block of heads, head by head: each head's
+    chain spaces, or None where the head was dropped."""
+    d = cipher.layout.d
+    steps = [_block_spanning(_span_kernel(rnd, False), cipher.layout)
+             for rnd in cipher.rounds]
+
+    def push(block):
+        heads = list(map(tuple, block.tolist()))
+        chains = {tuple(spaces[0]): spaces
+                  for spaces in _push_block(steps, block).tolist()}
+        # the chains come in the order of their heads
+        assert list(chains) == [head for head in heads if head in chains]
+        return [tuple(Subspace(tuple(rows), d) for rows in chains[head])
+                if head in chains else None for head in heads]
+
+    return push
+
+
 def test_closure_search_matches_the_subspace_scan():
     # both exhaustive routes against the retired table scan, on the closure
     # test ciphers; at d = 8 a dense lattice has 417,197 chains
@@ -446,12 +468,13 @@ def test_closure_search_matches_the_subspace_scan():
     full_joins = 0
     for cipher in _closure_test_ciphers():
         d = cipher.layout.d
-        kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
         atoms = _seed_atoms(cipher)
         oracle = table_scan_chains(cipher)
         # pushing every proper subspace visits them in the same order
-        scanned = [_push_head(kernels, head, d) for head in _proper_heads(d)]
-        assert ([ch.spaces for ch in scanned if ch is not None]
+        push = _block_pusher(cipher)
+        scanned = [spaces for heads in _proper_heads(d)
+                   for spaces in push(heads)]
+        assert ([spaces for spaces in scanned if spaces is not None]
                 == [ch.spaces for ch in oracle])
         expected = [ch.spaces for ch in _chain_order(oracle)]
         n_sub = count_proper_subspaces(d)
@@ -462,16 +485,60 @@ def test_closure_search_matches_the_subspace_scan():
         if not slowest or not full_joins:
             full_joins += slowest
             # every joined U_1 pushes to a chain: no head is dropped
-            got = [_push_head(kernels, head, d)
-                   for head in _joins(atoms, lambda rows: rows, d)]
-            assert None not in got
-            assert [ch.spaces for ch in _chain_order(got)] == expected
+            got = _push_heads(cipher, _join_heads(atoms, d))
+            assert len(got) == len(list(_joins(atoms, lambda rows: rows, d)))
+            assert [ch.spaces for ch in got] == expected
         if not dense or d <= 4:
             found = find_trapdoor_chains(cipher, "exhaustive")
             assert [ch.spaces for ch in found] == expected
         tally["d8" if d == 8 else "dense" if dense else
               "some" if expected else "none"] += 1
     assert min(tally.values()) >= 4 and full_joins, tally
+
+
+def test_batched_push_matches_the_retired_push():
+    # the same chains and the same drops, head by head, for the scan's
+    # blocks and, where the search takes the join, the join's; at d = 8 the
+    # scan's blocks are cut to every 8th head, which bounds the scalar
+    # push's time (the closure test above pushes every head there against
+    # the table scan)
+    dropped = kept = joined = 0
+    for cipher in _closure_test_ciphers():
+        d = cipher.layout.d
+        kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
+        push = _block_pusher(cipher)
+        stride = 8 if d == 8 else 1
+        blocks = [heads[::stride] for heads in _proper_heads(d)]
+        atoms = _seed_atoms(cipher)
+        n_sub = count_proper_subspaces(d)
+        if min((1 << len(atoms)) - 1, n_sub) * len(atoms) <= n_sub:
+            blocks += _join_heads(atoms, d)
+            joined += bool(atoms)
+        for heads in blocks:
+            expected = [retired_push_head(kernels, tuple(head), d)
+                        for head in heads.tolist()]
+            assert push(heads) == [None if ch is None else ch.spaces
+                                   for ch in expected]
+            dropped += expected.count(None)
+            kept += len(expected) - expected.count(None)
+    assert dropped and kept and joined, (dropped, kept, joined)
+
+
+def test_exhaustive_search_refuses_past_the_int64_width_at_once(
+        monkeypatch):
+    # d = 64 vectors do not fit int64: refused before any seed, whatever
+    # the cap
+    import tbaudit.cipher as cipher_mod
+
+    def seed_pass(cipher):
+        raise AssertionError("the seed pass started")
+
+    monkeypatch.setattr(cipher_mod, "_seed_atoms", seed_pass)
+    for cap in (64, 1000):
+        with pytest.raises(CapExceeded, match="d=64 refused") as exc:
+            find_trapdoor_chains(build_rotation_cipher(8, 8, 2),
+                                 "exhaustive", cap=cap)
+        assert exc.value.limit == 62
 
 
 def _rotation_random_cipher(seed, m, b, ell):

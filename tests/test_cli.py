@@ -182,6 +182,21 @@ def test_find_trapdoor_exhaustive_refusal_names_the_cap_that_admits_it(
     assert "limit: 9)" in err
 
 
+def test_find_trapdoor_exhaustive_refuses_past_the_int64_width(
+        capsys, tmp_path):
+    # no cap admits d = 64: the search's vectors are int64
+    spec = tmp_path / "d64.json"
+    spec.write_text(json.dumps({
+        "layout": {"m": 8, "b": 8},
+        "rounds": [{"bricks": "inverse_gf2m", "layer": "rotation"}] * 2,
+    }))
+    code, out, err = run_cli(capsys, "find-trapdoor", str(spec),
+                             "--mode", "exhaustive", "--exhaustive-cap", "64")
+    assert code == 66 and out == ""
+    assert ("exhaustive chain search at d=64 refused: its int64 vectors hold"
+            " at most 62 bits") in err
+
+
 def test_find_trapdoor_json(capsys):
     code, rep, _ = json_out(capsys, "find-trapdoor", WEAK_L4, "--json")
     assert code == 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tbaudit.gf2 import (_BLOCK_CHUNK, BitMatrix, BrickLayout, Subspace,
                          _brick_support, _iter_rref_blocks, _joins,
-                         _maps_cosets, _reduced_rows,
+                         _maps_cosets, _reduced_blocks, _reduced_rows,
                          count_proper_subspaces, gaussian_binomial,
                          identity_matrix, random_invertible, rref,
                          subspace_image, wall_brick_mask, wall_subspace)
@@ -202,6 +202,51 @@ def test_rref_blocks_flatten_to_the_canonical_order():
                    and 0 < len(b) <= _BLOCK_CHUNK for b in blocks)
         flat = [tuple(row) for b in blocks for row in b.tolist()]
         assert flat == list(canonical_rref_bases(d, k))
+
+
+@st.composite
+def vector_blocks(draw):
+    """(d, k, dtype, vectors): an (n, N) array of vectors in (F_2)^d, d <=
+    12, each row of a chosen rank around k (0, k, k + 1 or any), made of
+    independent rows, sums of them, zeros and repeats."""
+    d = draw(st.integers(2, 12))
+    k = draw(st.sampled_from((1, d - 1)) | st.integers(1, d - 1))
+    width = draw(st.integers(1, 3 * d))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        rank = min(draw(st.sampled_from((0, k, k + 1)) | st.integers(0, d)),
+                   width)
+        pivots = draw(st.permutations(range(d)))[:rank]
+        basis = [(1 << p) | (draw(st.integers(0, (1 << d) - 1)) & -(2 << p))
+                 for p in pivots]
+        vecs = basis[:]
+        while len(vecs) < width:
+            kind = draw(st.sampled_from(("zero", "repeat", "sum")))
+            if kind == "zero" or not basis:
+                vecs.append(0)
+            elif kind == "repeat":
+                vecs.append(draw(st.sampled_from(vecs)))
+            else:
+                picks = draw(st.lists(st.sampled_from(basis), min_size=1))
+                vecs.append(int(np.bitwise_xor.reduce(picks)))
+        rows.append(draw(st.permutations(vecs)))
+    dtype = draw(st.sampled_from((np.int64, np.uint16)))
+    return d, k, dtype, np.array(rows, dtype=dtype)
+
+
+@given(vector_blocks())
+def test_reduced_blocks_match_the_reduced_rows_row_by_row(case):
+    # rank above k is None from _reduced_rows: the rank says so, and the
+    # rows are then left unchecked
+    d, k, dtype, vectors = case
+    rows, rank = _reduced_blocks(vectors, k)
+    assert rows.dtype == dtype and rows.shape == (len(vectors), k)
+    for got, r, vecs in zip(rows.tolist(), rank.tolist(), vectors.tolist()):
+        assert r == len(_reduced_rows(vecs))
+        bounded = _reduced_rows(vecs, limit=k)
+        assert (bounded is None) == (r > k)
+        if bounded is not None:
+            assert tuple(got) == bounded + (0,) * (k - r)
 
 
 # ---------------------------------------------------------------------------
