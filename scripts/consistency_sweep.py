@@ -7,7 +7,11 @@ rotation layers), audits each, and validates the verdict the hard way:
   * secure      -> the exhaustive subspace search must come back empty
   * vulnerable  -> the certificate chain must hold under sampled key tuples,
                    and the audit's chain count must be the walls search's
-  * always      -> walls-mode chains must be a subset of the exhaustive set
+  * always      -> walls-mode chains must be a subset of the exhaustive set,
+                   and (d <= 16) the invariant partitions of the group the
+                   sampled encryption maps generate must be the U_1 of the
+                   exhaustive chains with U_{l+1} = U_1, wherever the
+                   partition search does not refuse
 
 Inconclusive verdicts are counted but carry no claim to check.  This is the
 long-running relative of the sanity sweep in the test suite; crank --count
@@ -20,7 +24,10 @@ import time
 
 from tbaudit.cipher import (Round, TbCipher, audit, chain_holds_under_key,
                             find_trapdoor_chains, verify_chain)
+from tbaudit.errors import CapExceeded
 from tbaudit.gf2 import BrickLayout, random_invertible
+from tbaudit.groups import (invariant_linear_partition_search,
+                            sample_ind_generators)
 from tbaudit.mixing import MixingLayer
 from tbaudit.presets import rotation_layer
 from tbaudit.sbox import SBox
@@ -62,6 +69,7 @@ def main() -> int:
               if m * b <= args.max_d]
     rng = random.Random(args.seed)
     tally = {"secure": 0, "vulnerable": 0, "inconclusive": 0}
+    groups = {"agree": 0, "nonempty": 0, "refused": 0}
     t0 = time.monotonic()
     for i in range(args.count):
         cipher = random_cipher(rng, shapes, args.rotation_share)
@@ -73,6 +81,21 @@ def main() -> int:
         walls = find_trapdoor_chains(cipher, "walls")
         assert {c.spaces for c in walls} <= {c.spaces for c in full}, \
             f"cipher {i}: walls-mode found a chain the full search missed"
+        if layout.d <= 16:
+            try:
+                invariant = invariant_linear_partition_search(
+                    sample_ind_generators(cipher))
+            except CapExceeded:
+                groups["refused"] += 1
+            else:
+                cyclic = {c.spaces[0] for c in full
+                          if c.spaces[-1] == c.spaces[0]}
+                assert invariant == sorted(
+                    cyclic, key=lambda s: (s.dim, s.basis)), \
+                    f"cipher {i}: the group's invariant partitions are " \
+                    f"not the cyclic chains' U_1"
+                groups["agree"] += 1
+                groups["nonempty"] += bool(invariant)
         if verdict.status == "secure":
             assert not full, f"cipher {i}: secure verdict but chains exist"
         if verdict.status == "vulnerable":
@@ -93,6 +116,8 @@ def main() -> int:
     print()
     print(f"{args.count} ciphers in {dt:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in tally.items()))
+    print("group cross-check: "
+          + ", ".join(f"{k}={v}" for k, v in groups.items()))
     print("no verdict contradicted the exhaustive search")
     return 0
 

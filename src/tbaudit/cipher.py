@@ -20,11 +20,13 @@ lattice is so dense that the join would cost more than visiting every
 subspace, it tries every nontrivial subspace of (F_2)^d as U_1 instead.
 Either way one routine (``_push_heads``) pushes the U_1, a block of one
 dimension at a time, through the rounds by the same spans to their chains:
-one numpy echelon pass per block and round (``gf2._reduced_blocks``).  No
-route builds a full-codebook table.
+per block and round, one ``_span_kernel`` call per distinct vector of the
+block and one numpy echelon pass (``gf2._reduced_blocks``).  No route
+builds a full-codebook table.
 
-Derivative spans come from ``_span_kernel``, brick by brick and without a
-table; its per-(brick, u_i) pieces sit in a cache bounded at
+Derivative spans come from ``_span_kernel`` alone, the one routine that
+splits a vector into its brick parts; it works brick by brick and without a
+table, and its per-(brick, u_i) pieces sit in a cache bounded at
 ``_ROUND_TABLE_CACHE`` rounds.
 Every full-codebook table is an XOR of per-brick pieces of 2^m entries and
 is built from them brick by brick, in one pass over the 2^d points
@@ -413,56 +415,40 @@ def _walk_chains(cipher: TbCipher, walk: np.ndarray) -> list[PartitionChain]:
     return chains
 
 
-def _block_spanning(spanning: Callable[[int], list[int]],
-                    layout: BrickLayout) -> Callable[[np.ndarray], np.ndarray]:
-    """A forward span kernel on every row of a block of heads at once:
-    heads (n, k) -> the (n, k(d + 1)) vectors that ``spanning`` gives for
-    their rows, each row's m zero-padded piece rows per brick and then its
-    corner.  A row's pieces are those of its brick parts u_i, and its
-    corner is the XOR of theirs (``_span_kernel``).  They are read from
-    per-brick tables filled by single-brick calls ``spanning(u_i << i*m)``,
-    each the first time a head needs it: at most b * 2^m calls, and no 2^d
-    table."""
-    m, b = layout.m, layout.b
-    rows = np.zeros((b, 1 << m, m), dtype=np.int64)
-    corners = np.zeros((b, 1 << m), dtype=np.int64)
-    filled = np.zeros((b, 1 << m), dtype=bool)
-    filled[:, 0] = True  # a zero part spans nothing
-    bricks = np.arange(b)
-
-    def spans(heads: np.ndarray) -> np.ndarray:
-        n, k = heads.shape
-        parts = (heads[:, :, None] >> bricks * m) & ((1 << m) - 1)
-        needed = np.zeros_like(filled)
-        needed[bricks, parts] = True
-        for i, part in np.argwhere(needed & ~filled).tolist():
-            *piece, corners[i, part] = spanning(part << (i * m))
-            rows[i, part, :len(piece)] = piece
-        filled[needed] = True
-        corner = np.bitwise_xor.reduce(corners[bricks, parts], axis=2)
-        return np.concatenate(
-            [rows[bricks, parts].reshape(n, k, b * m), corner[:, :, None]],
-            axis=2).reshape(n, k * (b * m + 1))
-
-    return spans
+def _block_spans(spanning: Callable[[int], list[int]],
+                 heads: np.ndarray) -> np.ndarray:
+    """``spanning`` on every row of a block of heads at once: heads (n, k)
+    -> (n, k * w), each head's rows' lists side by side, each list
+    zero-padded to w, the longest.  ``spanning`` is called once per
+    distinct vector of the block; a zero pad spans nothing."""
+    n, k = heads.shape
+    values, inverse = np.unique(heads, return_inverse=True)
+    lists = [spanning(v) for v in values.tolist()]
+    width = max(map(len, lists), default=0)
+    padded = np.zeros((len(lists), width), dtype=np.int64)
+    for row, vectors in zip(padded, lists):
+        row[:len(vectors)] = vectors
+    # inverse is flat on older numpy and shaped like heads on newer
+    return padded[inverse].reshape(n, k * width)
 
 
-def _push_block(steps: Sequence[Callable[[np.ndarray], np.ndarray]],
+def _push_block(kernels: Sequence[Callable[[int], list[int]]],
                 heads: np.ndarray) -> np.ndarray:
     """The chains with U_1 = span(head) for a block of heads, the (n, k)
     int64 RREF bases of k-dimensional subspaces, in the heads' order: an
     array holding each chain as (l + 1, k) reduced rows.
 
     Each round pushes the block's last positions by their derivative spans
-    (``_block_spanning``) and drops a head once a span W outranks its U.  f
-    is a bijection, so |W| >= |f(x + U)| = |U|, with equality exactly when
-    (U, W) is a link (``_span_kernel``); a chain's U_1 therefore fixes the
-    rest of it, and a head keeps its chain iff every span has rank k.
+    (the round's forward ``_span_kernel``, gathered by ``_block_spans``) and
+    drops a head once a span W outranks its U.  f is a bijection, so
+    |W| >= |f(x + U)| = |U|, with equality exactly when (U, W) is a link
+    (``_span_kernel``); a chain's U_1 therefore fixes the rest of it, and a
+    head keeps its chain iff every span has rank k.
     """
     k = heads.shape[1]
     spaces = [heads]
-    for spans in steps:
-        rows, rank = _reduced_blocks(spans(spaces[-1]), k)
+    for spanning in kernels:
+        rows, rank = _reduced_blocks(_block_spans(spanning, spaces[-1]), k)
         link = rank == k
         spaces = [s[link] for s in spaces] + [rows[link]]
     return np.stack(spaces, axis=1)
@@ -473,13 +459,11 @@ def _push_heads(cipher: TbCipher,
     """Every chain whose U_1 is a head of ``blocks``, in (dim U_1, basis)
     order.  The blocks come grouped by dimension, ascending.  A group's
     blocks are joined until they hold ``_BLOCK_CHUNK`` heads and pushed
-    together, and its chains are built as soon as it ends, each distinct
-    subspace once."""
-    layout = cipher.layout
-    steps = [_block_spanning(_span_kernel(rnd, False), layout)
-             for rnd in cipher.rounds]
+    together by the rounds' forward ``_span_kernel``s, and its chains are
+    built as soon as it ends, each distinct subspace once."""
+    kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
     # A subspace recurs at other positions of other chains: build it once.
-    space = lru_cache(maxsize=None)(partial(Subspace, ambient=layout.d))
+    space = lru_cache(maxsize=None)(partial(Subspace, ambient=cipher.layout.d))
     chains = []
     for _, group in groupby(blocks, key=lambda heads: heads.shape[1]):
         pushed = []
@@ -487,10 +471,10 @@ def _push_heads(cipher: TbCipher,
         for heads in group:
             batch.append(heads)
             if sum(map(len, batch)) >= _BLOCK_CHUNK:
-                pushed.append(_push_block(steps, np.concatenate(batch)))
+                pushed.append(_push_block(kernels, np.concatenate(batch)))
                 batch = []
         if batch:
-            pushed.append(_push_block(steps, np.concatenate(batch)))
+            pushed.append(_push_block(kernels, np.concatenate(batch)))
         found = np.concatenate(pushed)
         # lexsort's last key is its first: sort by U_1's rows in order
         for spaces in found[np.lexsort(found[:, 0, ::-1].T)].tolist():
@@ -604,11 +588,11 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
     against the N proper subspaces a scan visits, so when that estimate
     exceeds N (dense chain lattices, such as affine bricks) every proper
     subspace (``_proper_heads``) is tried instead.  Either route hands its
-    U_1 bases, in int64 blocks of one dimension, to ``_push_heads``, which
-    reduces each block's derivative spans round by round in one numpy
-    echelon pass (``gf2._reduced_blocks``) and builds each distinct
-    subspace once, without a table; the chains come in (dim U_1, basis)
-    order.
+    U_1 bases, in int64 blocks of one dimension, to ``_push_heads``.  Round
+    by round it gathers each block's derivative spans from ``_span_kernel``,
+    one call per distinct vector, reduces them in one numpy echelon pass
+    (``gf2._reduced_blocks``), and builds each distinct subspace once,
+    without a table; the chains come in (dim U_1, basis) order.
     """
     if mode == "walls":
         family = family_strongly_proper(LayerFamily(cipher.layers()))

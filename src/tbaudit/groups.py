@@ -9,12 +9,27 @@ generated by the individual keyed rounds, and offers block-system machinery
 (minimal block systems, primitivity, exact search for invariant linear
 partitions) to compare against the chains the cipher-level search finds.
 
-Soundness works one way round: the sampled group H sits inside (for the
-per-round generators: equals) the group of interest G.  A partition
-invariant under G is invariant under H, and H primitive forces G primitive,
-but an invariant partition of H need not extend to G.  Both sampled sets
-include all translations x -> x + c, which is what restricts the search for
-invariant partitions to linear ones.
+Both sampled sets generate their group of interest exactly.  The round set
+generates the group of all keyed round maps.  The encryption-map set
+generates Gamma_enc, the group of all keyed encryptions with independent
+round keys.  Proof: let f_i be the keyless round i, G_i = f_l o ... o
+f_{i+1} (G_l = id, G_0 = E_0) and T_c the translation x -> x + c.  Then
+G_{i-1} = G_i o f_i, so the keyed encryption
+E_k = T_{k_l} o f_l o ... o T_{k_1} o f_1 is
+[G_l T_{k_l} G_l^-1 o ... o G_1 T_{k_1} G_1^-1] o E_0.  Translations
+compose by XOR, so G_i T_c G_i^-1 is a product of the G_i T_{e_j} G_i^-1,
+and each of those is E_{i,j} o E_0^-1, where E_{i,j} is the sampled map
+with bit j of round key i set.  So every keyed encryption lies in the
+sampled group, which lies in Gamma_enc.  Both sets hold every translation
+(i = l for the encryption maps), so every invariant partition is linear.
+
+The invariant linear partitions L(U) of Gamma_enc are exactly the U_1 of
+the chains with U_{l+1} = U_1.  Key addition keeps a linear partition, so
+such a chain is invariant under every E_k.  Conversely, let L(U) be
+invariant.  G_i T_c G_i^-1 keeps L(U) for every c, so G_i^-1(L(U)) is a
+partition kept by every translation, which is linear: L(U_{i+1}).  f_i
+maps L(U_i) onto L(U_{i+1}); U_{l+1} = U as G_l = id, and U_1 = U as E_0
+keeps L(U).
 
 Primitivity is Atkinson's block test (Math. Comp. 29, 1975) with one cut:
 an element h fixing 0 maps every block system onto itself, so the minimal
@@ -388,10 +403,11 @@ def sample_ind_generators(cipher: TbCipher) -> GeneratorSet:
     """Encryption maps for the zero key tuple and for every single-round
     single-bit perturbation of it.
 
-    The generated group contains every translation (compose the zero-key map
-    inverse with a last-round perturbed map), so each of its invariant
-    partitions is linear, and it sits inside the group generated by all
-    independent-key encryption maps.
+    They generate exactly the group of all keyed encryptions with
+    independent round keys (see the module docstring).  It contains every
+    translation (compose the zero-key map inverse with a last-round
+    perturbed map), so each of its invariant partitions is linear, and
+    those are exactly the U_1 of the chains with U_{l+1} = U_1.
     """
     d = cipher.layout.d
     ell = cipher.ell

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import tbaudit.mixing as mixing_mod
 from tbaudit.cipher import (_ROUND_TABLE_CACHE, DEFAULT_CHAIN_CAP, MAX_TABLE_D,
                             SEMANTICS, PartitionChain,
-                            Round, TbCipher, _block_spanning,
+                            Round, TbCipher, _block_spans,
                             _brick_conditions, _join_heads, _proper_heads,
                             _push_block, _push_heads, _seed_atoms,
                             _span_kernel, _wall_walk, audit,
@@ -446,13 +446,12 @@ def _block_pusher(cipher):
     """The batched push of one block of heads, head by head: each head's
     chain spaces, or None where the head was dropped."""
     d = cipher.layout.d
-    steps = [_block_spanning(_span_kernel(rnd, False), cipher.layout)
-             for rnd in cipher.rounds]
+    kernels = [_span_kernel(rnd, False) for rnd in cipher.rounds]
 
     def push(block):
         heads = list(map(tuple, block.tolist()))
         chains = {tuple(spaces[0]): spaces
-                  for spaces in _push_block(steps, block).tolist()}
+                  for spaces in _push_block(kernels, block).tolist()}
         # the chains come in the order of their heads
         assert list(chains) == [head for head in heads if head in chains]
         return [tuple(Subspace(tuple(rows), d) for rows in chains[head])
@@ -522,6 +521,46 @@ def test_batched_push_matches_the_retired_push():
             dropped += expected.count(None)
             kept += len(expected) - expected.count(None)
     assert dropped and kept and joined, (dropped, kept, joined)
+
+
+def test_block_spans_gathers_each_heads_kernel_lists():
+    # one kernel call per distinct vector of a block, and each head's row
+    # spans the union of its rows' lists; rows touching one brick give
+    # shorter lists than rows touching all three, so the lists are ragged
+    cipher = random_cipher(3, 4, 3, 1)
+    d = cipher.layout.d
+    kernel = _span_kernel(cipher.rounds[0], False)
+    rng = random.Random(31)
+    one_brick = [rng.randrange(1, 16) << 4 * i for i in range(3)
+                 for _ in range(2)]
+    every_brick = [v for v in rng.sample(range(1 << d), 40)
+                   if all(v >> 4 * i & 15 for i in range(3))][:6]
+    pool = one_brick + every_brick
+    assert len({len(kernel(v)) for v in pool}) > 1
+    calls = []
+
+    def spanning(u):
+        calls.append(u)
+        return kernel(u)
+
+    for k in (1, 2, d - 1):
+        heads = np.array([[rng.choice(pool) for _ in range(k)]
+                          for _ in range(24)], dtype=np.int64)
+        calls.clear()
+        got = _block_spans(spanning, heads)
+        values = heads.ravel().tolist()
+        # values repeat across heads, and each is asked for once
+        assert len(set(values)) < len(values)
+        assert sorted(calls) == sorted(set(values))
+        assert len(got) == len(heads)
+        for row, head in zip(got.tolist(), heads.tolist()):
+            assert _reduced_rows(row) == _reduced_rows(
+                w for u in head for w in kernel(u))
+    calls.clear()
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert _block_spans(spanning, empty).shape == (0, 0) and not calls
+    # a block that loses every head keeps its (n, l + 1, k) shape
+    assert _push_block([kernel] * 2, empty).shape == (0, 3, 3)
 
 
 def test_exhaustive_search_refuses_past_the_int64_width_at_once(

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbaudit import groups
-from tbaudit.cipher import TbCipher, Round, build_rotation_cipher
+from tbaudit.cipher import (TbCipher, Round, build_rotation_cipher,
+                            find_trapdoor_chains)
 from tbaudit.errors import CapExceeded, IntransitiveError
 from tbaudit.gf2 import (BitMatrix, BrickLayout, Subspace, _joins,
                          _reduced_rows, count_proper_subspaces,
@@ -26,7 +27,7 @@ from tbaudit.presets import identity_sbox, rotation_layer
 from oracles import (all_points_is_primitive, brute_block_systems_transitive,
                      canonical_rref_bases, cosets_of, finest_containing_pair,
                      partition_invariant, phi_closure_partition_search)
-from test_cipher import _oracle_test_brick
+from test_cipher import _closure_test_ciphers, _oracle_test_brick
 
 
 def cycle(n):
@@ -347,6 +348,28 @@ def test_invariant_search_full_cross_check_d6():
                 expected.append(s)
     assert found == sorted(expected, key=lambda s: (s.dim, s.basis))
     assert set(found) == set(wall_subspaces(3, 2))
+
+
+def test_invariant_search_finds_the_cyclic_chains():
+    # the sampled encryption maps generate every keyed encryption (see the
+    # module docstring), so the partitions they leave invariant are exactly
+    # the U_1 of the exhaustive search's chains with U_{l+1} = U_1
+    ciphers = list(_closure_test_ciphers())
+    ciphers += [build_rotation_cipher(3, 3, 3), build_rotation_cipher(4, 2, 4)]
+    answered = nonempty = 0
+    for cipher in ciphers:
+        try:
+            found = invariant_linear_partition_search(
+                sample_ind_generators(cipher))
+        except CapExceeded:
+            continue
+        cyclic = {ch.spaces[0]
+                  for ch in find_trapdoor_chains(cipher, "exhaustive")
+                  if ch.spaces[-1] == ch.spaces[0]}
+        assert found == sorted(cyclic, key=lambda s: (s.dim, s.basis))
+        answered += 1
+        nonempty += bool(found)
+    assert answered >= 200 and nonempty >= 100, (answered, nonempty)
 
 
 def test_invariant_search_empty_on_odd_rotation_depth():

@@ -22,6 +22,9 @@ def test_sweep_script_runs_clean(argv):
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    if argv[0] == "scripts/consistency_sweep.py":
+        # every cipher is d <= 9, so the group cross-check covers all 12
+        assert "group cross-check: agree=12," in proc.stdout
     if argv[0] == "scripts/rotation_sweep.py":
         # b, ell, verdict, chain count, then the first chain per row
         rows = {tuple(line.split()[:2]): line
