@@ -13,9 +13,10 @@ through the mixing layers' wall tables (``mixing._wall_table``) at once
 (complete for the family-not-strongly-proper case, where chains through
 walls always exist).
 The exhaustive mode is complete and capped at ``cap`` bits.  It closes every
-nonzero seed under the rounds' forward and backward derivative spans and
-joins the distinct proper closures' first positions U_1 by ``gf2._joins``,
-the join the group checks' partition search uses too; where the chain
+nonzero seed under the rounds' forward and backward derivative spans, by
+``gf2._seed_closure`` on a path of positions, and joins the distinct proper
+closures' first positions U_1 by ``gf2._joins``; the group checks'
+partition search uses the same engine and join.  Where the chain
 lattice is so dense that the join would cost more than visiting every
 subspace, it tries every nontrivial subspace of (F_2)^d as U_1 instead.
 Either way one routine (``_push_heads``) pushes the U_1, a block of one
@@ -53,8 +54,8 @@ import numpy as np
 from .errors import CapExceeded, SpecError
 from .gf2 import (_BLOCK_CHUNK, BrickLayout, Subspace, _iter_rref_blocks,
                   _joins, _maps_cosets, _reduced_blocks, _reduced_rows,
-                  _span_elements, count_proper_subspaces, subspace_image,
-                  wall_brick_mask, wall_subspace)
+                  _seed_closure, _span_elements, count_proper_subspaces,
+                  subspace_image, wall_brick_mask, wall_subspace)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _popcount,
                      _wall_table, family_strongly_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, DerivativeImage, SBox,
@@ -496,75 +497,36 @@ def _join_heads(atoms: Sequence[tuple[int, ...]],
     """The join route: every proper sum of the atoms (``gf2._joins``) as one
     (n, k) int64 block per dimension k, ascending, in the join's order."""
     by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for rows in _joins(atoms, lambda rows: rows, d):
+    for rows in _joins(atoms, d):
         by_dim.setdefault(len(rows), []).append(rows)
     for k in sorted(by_dim):
         yield np.array(by_dim[k], dtype=np.int64)
 
 
 def _seed_atoms(cipher: TbCipher) -> list[tuple[int, ...]]:
-    """The distinct U_1 bases of the proper seed closures.
+    """The distinct U_1 bases of the proper seed closures, in the order of
+    their least seeds.
 
-    The closure of a seed v is the least family of spaces V_1, ..., V_{l+1}
-    with v in V_1, span(D_u f_h) in V_{h+1} for u in V_h and span(D_w f_h^-1)
-    in V_h for w in V_{h+1}.  At the fixpoint each pair (V_h, V_{h+1}) has
-    f_h(x + V_h) in f_h(x) + V_{h+1} and f_h^-1(y + V_{h+1}) in
+    The closure of a seed v is ``gf2._seed_closure`` on the path of
+    positions V_1, ..., V_{l+1}, with edges h -> h+1 by round h's forward
+    ``_span_kernel`` and h+1 -> h by its backward one.  At the fixpoint
+    f_h(x + V_h) lies in f_h(x) + V_{h+1} and f_h^-1(y + V_{h+1}) in
     f_h^-1(y) + V_h, so |V_h| = |V_{h+1}|: it is the least chain through v,
-    or the whole space once any position reaches rank d.  Each new echelon
-    row is pushed both ways once; D_{u+u'}f(x) = D_u f(x+u') + D_u' f(x), so
-    the rows' derivative spans carry the whole space's.
-
-    A closure stops early on a point already shown full.  If w lies in V_1
-    of C(v), then C(w) lies in C(v), so C(v) is full once V_1 picks up a
-    seed w < v whose closure came out full; one flag per point records
-    those.  Both a vector pushed to V_1 and its reduced form lie in V_1, so
-    both are checked, and the V_1 vectors are taken before the deeper
-    positions' so that a full point shows up early.  A proper closure holds
-    no full point, so it is never cut short, and its spaces are the least
-    fixpoint whatever the order; a full seed gives no atom either way.  The
-    atoms, and their order of first seed, are therefore unchanged.
+    or full.  A flag per point records the seeds whose closure was full.
     """
     d = cipher.layout.d
-    ell = cipher.ell
-    fwd = [_span_kernel(rnd, False) for rnd in cipher.rounds]
-    bwd = [_span_kernel(rnd, True) for rnd in cipher.rounds]
+    edges = [[(h + 1, _span_kernel(rnd, False))]
+             for h, rnd in enumerate(cipher.rounds)] + [[]]
+    for h, rnd in enumerate(cipher.rounds):
+        edges[h + 1].append((h, _span_kernel(rnd, True)))
     full = bytearray(1 << d)
     atoms: dict[tuple[int, ...], None] = {}
     for seed in range(1, 1 << d):
-        spaces: list[dict[int, int]] = [{} for _ in range(ell + 1)]
-        head = [seed]
-        deep: list[tuple[int, int]] = []
-        while head or deep:
-            if head:
-                h, v = 0, head.pop()
-                if full[v]:
-                    break
-            else:
-                h, v = deep.pop()
-            rows = spaces[h]
-            while v:
-                p = v & -v
-                q = rows.get(p)
-                if q is None:
-                    break
-                v ^= q
-            if not v:
-                continue
-            if not h and full[v]:
-                break
-            rows[p] = v
-            if len(rows) == d:
-                break
-            if h < ell:
-                deep += [(h + 1, w) for w in fwd[h](v)]
-            if h == 1:
-                head += bwd[0](v)
-            elif h:
-                deep += [(h - 1, w) for w in bwd[h - 1](v)]
+        rows = _seed_closure((seed,), edges, full, d)
+        if rows is None:
+            full[seed] = 1
         else:
-            atoms[_reduced_rows(spaces[0].values())] = None
-            continue
-        full[seed] = 1
+            atoms[rows] = None
     return list(atoms)
 
 
@@ -579,8 +541,9 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
 
     exhaustive mode: complete, but refused above ``cap`` ambient bits, and
     above ``_MAX_EXHAUSTIVE_D`` bits whatever the cap.  It closes every
-    nonzero seed (``_seed_atoms``) and joins the U_1 of the A distinct
-    proper closures (``gf2._joins``) with no closing step: componentwise
+    nonzero seed (``_seed_atoms``: ``gf2._seed_closure`` on the path of
+    rounds) and joins the U_1 of the A distinct proper closures
+    (``gf2._joins``), which needs no closing step: componentwise
     sums of chains are chains (the pair conditions are closed under sums),
     U_1 fixes the rest of a chain, and a chain is the sum of the closures
     of its U_1's vectors, so the chains' U_1 are exactly the proper sums of

@@ -24,6 +24,10 @@ as a numpy array (and ``Subspace.elements`` as a list), and ``_maps_cosets``
 tests whether a lookup table sends each coset of U into a coset of W,
 checking the basis rows of U only.
 ``Subspace`` checks that a basis is canonical in O(k), without re-reducing it.
+
+``_seed_closure`` is the one closure engine, over a graph of positions: the
+chain search runs it on a path of rounds, the group checks on one position.
+Sums of closed families are closed, so ``_joins`` needs no closing step.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,17 +143,65 @@ def _maps_cosets(table: np.ndarray, u_rows: Iterable[int],
     return all(in_w[table[idx ^ u] ^ table].all() for u in u_rows)
 
 
+def _seed_closure(seeds: Iterable[int],
+                  edges: Sequence[list[tuple[int, Callable]]],
+                  full, d: int) -> tuple[int, ...] | None:
+    """The least closed family through the seeds (in position 0) on a graph
+    of positions, as position 0's reduced rows, or None when it is full.
+
+    ``edges[h]`` lists (target, kernel) pairs: u in position h puts kernel(u)
+    into the target.  Each new echelon row is pushed along its edges once;
+    the kernels give derivative spans, and D_{u+u'}f(x) = D_u f(x+u') +
+    D_u' f(x), so the rows' spans carry the whole space's.  Rank d anywhere
+    makes the family full.  So does a point of position 0 that ``full``
+    flags (a bytearray or numpy bool array, only read) as having a full
+    closure, since that closure lies in the family; a vector pushed there
+    and its reduced form are both checked, and position 0 is served first.
+    A proper family holds no flagged point, so it is never cut short, and
+    it is the least fixpoint whatever the order.
+    """
+    spaces: list[dict[int, int]] = [{} for _ in edges]
+    head = list(seeds)
+    deep: list[tuple[int, int]] = []
+    while head or deep:
+        if head:
+            h, v = 0, head.pop()
+            if full[v]:
+                return None
+        else:
+            h, v = deep.pop()
+        rows = spaces[h]
+        while v:
+            p = v & -v
+            q = rows.get(p)
+            if q is None:
+                break
+            v ^= q
+        if not v:
+            continue
+        if not h and full[v]:
+            return None
+        rows[p] = v
+        if len(rows) == d:
+            return None
+        for target, kernel in edges[h]:
+            if target:
+                deep += [(target, w) for w in kernel(v)]
+            else:
+                head += kernel(v)
+    return _reduced_rows(spaces[0].values())
+
+
 def _joins(atoms: Iterable[tuple[int, ...]],
-           close: Callable[[tuple[int, ...]], tuple[int, ...] | None],
            d: int) -> Iterator[tuple[int, ...]]:
-    """The atoms, then every other proper join of them, each once, as
+    """The atoms, then every other proper sum of them, each once, as
     reduced rows.
 
     A join adds one atom to a set already found, skipping an atom that set
-    holds or that holds it, and passes the sum to ``close``, which returns
-    the closed reduced rows, or None for the full space.  Every proper
-    closed set is the closure of the atoms it holds, reached one atom at a
-    time through closed sets inside it, so the search misses none of them.
+    holds or that holds it.  Sums of closed families are closed (each
+    closure's pair conditions are closed under sums), so there is no
+    closing step: every proper sum is reached one atom at a time through
+    sums inside it, and the search misses none of them.
     """
     found = list(dict.fromkeys(atoms))
     atoms = found[:]
@@ -158,10 +210,8 @@ def _joins(atoms: Iterable[tuple[int, ...]],
     for key in found:  # grows as joins are found
         for atom in atoms:
             rows = _reduced_rows(key + atom, limit=d - 1)
-            if rows is None or len(rows) == max(len(key), len(atom)):
-                continue
-            rows = close(rows)
-            if rows is not None and rows not in seen:
+            if (rows is not None and len(rows) > max(len(key), len(atom))
+                    and rows not in seen):
                 seen.add(rows)
                 found.append(rows)
                 yield rows

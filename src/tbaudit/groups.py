@@ -41,31 +41,32 @@ tree; on round groups it leaves one to three orbits out of 255 or 511
 points.  The tree is built once per ``is_primitive``: the block tests it
 runs skip ``minimal_block``'s own transitivity check.
 
-The invariant-partition search closes seeds under the maps
-phi_g(u) = g(u) + g(0).  A generator g + c has the same phi and the same
-derivatives as g, so it adds nothing and one generator per such class is
-kept.  Three facts make the seed pass exact without one scalar closure per
-seed.  The first step of the closure C(v) is U1(v), the span of v and every
-phi_g(v), and one numpy echelon reduction takes it for every seed at once.
-C(w) lies in C(v) for every w in C(v), so a seed whose U1 holds a point with
-a full closure has a full closure too.  And C(v) = C(U1(v)), so one scalar
-closure per distinct U1 settles the seeds left.  The proper closures are
-then joined and closed by ``gf2._joins``, the join the cipher's exhaustive
-chain search uses too, and the search refuses on the closed subspace past
-``MAX_PARTITIONS``.
+The invariant-partition search runs the chain search's closure engine,
+``gf2._seed_closure``, on one position: L(U) is invariant under g exactly
+when D_u g(x) = g(x + u) + g(x) lies in U for every x and every basis row
+u of U, so the closed sets are the invariant subspaces, and their sums are
+too.  A generator g + c has the derivatives of g, so one generator per
+such class is kept.  Three facts spare one closure per seed.  C(v) holds
+U1(v), the span of v and every phi_g(v) = g(v) + g(0) = D_v g(0), which one
+numpy echelon reduction takes for every seed at once.  C(w) lies in C(v)
+for every w in C(v), so a seed whose U1 holds a point with a full closure
+is full too.  And C(v) = C(U1(v)), so one closure per distinct U1 settles
+the seeds left.  ``gf2._joins`` then sums the closures, with no closing
+step or test afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .cipher import TbCipher, encryption_table, round_table
 from .errors import CapExceeded, IntransitiveError
-from .gf2 import (Subspace, _joins, _maps_cosets, _reduced_blocks,
-                  _reduced_rows, _span_elements)
+from .gf2 import (Subspace, _joins, _reduced_blocks, _reduced_rows,
+                  _seed_closure, _span_elements)
 
 __all__ = [
     "MAX_DEGREE",
@@ -84,8 +85,8 @@ __all__ = [
 
 MAX_DEGREE = 1 << 16
 
-# The most closed subspaces the invariant-partition search builds before it
-# refuses with CapExceeded.
+# The most invariant subspaces the partition search lists before it refuses
+# with CapExceeded; every join it builds is one.
 MAX_PARTITIONS = 512
 
 # How many points of the breadth-first tree give is_primitive the Schreier
@@ -458,28 +459,6 @@ def partition_block_system(s: Subspace) -> BlockSystem:
     return BlockSystem(block_of)
 
 
-def _phi_closure(phi: np.ndarray, seed_rows: Iterable[int], d: int,
-                 full: np.ndarray) -> tuple[int, ...] | None:
-    """Smallest subspace containing the seeds and closed under every map
-    u -> phi_g(u), for the table ``phi`` whose row u lists every phi_g(u);
-    None when the closure is the full space.  That is known as soon as a
-    step's span reaches rank d or holds a point that ``full`` marks: a point
-    whose own closure is the full space, which the closure then contains."""
-    rows = _reduced_rows(seed_rows, limit=d - 1)
-    while rows is not None:
-        els = _span_elements(rows)
-        if full[els].any():
-            return None
-        ind = np.zeros(1 << d, dtype=bool)
-        ind[els] = True
-        mapped = phi[els].ravel()
-        outside = np.unique(mapped[~ind[mapped]])
-        if not len(outside):
-            return rows
-        rows = _reduced_rows(rows + tuple(outside.tolist()), limit=d - 1)
-    return None
-
-
 def _first_spans(phi: np.ndarray, d: int) -> np.ndarray:
     """U1(v), the span of v and every phi_g(v), for each seed v in 1..2^d - 1.
 
@@ -532,29 +511,26 @@ def _spread_full(spans: np.ndarray, full: np.ndarray) -> None:
 
 def invariant_linear_partition_search(gens: GeneratorSet) -> list[Subspace]:
     """All proper nonzero subspaces U with L(U) invariant under every
-    generator, exactly.
+    generator, exactly, sorted by (dim, basis).
 
-    Any invariant subspace is closed under every phi_g: u -> g(u) + g(0),
-    and is a join of the minimal such closures C(v) of its own elements.
-    The search takes the closure of every nonzero seed, closes every join of
-    those atoms by the shared join (``gf2._joins``, which skips an atom a
-    set holds or that holds it), then keeps the candidates that pass the
-    full derivative test (which the closure step, anchored at x = 0 only,
-    does not imply).  Generators that differ by a translation share phi and
-    the derivatives, so one of each is kept for both steps.  The search
-    refuses with CapExceeded on the closed subspace past
+    The invariant subspaces are the closed sets of ``gf2._seed_closure`` on
+    one position whose self-loop gives span{D_u g(x)} over every x and every
+    generator kept, memoised per u within the search.  Each is the sum of
+    the closures C(v) of its own vectors, and each such sum is invariant, so
+    the answer is the proper sums of the proper closures (``gf2._joins``).
+    The search refuses with CapExceeded on the invariant subspace past
     ``MAX_PARTITIONS``, before it builds any more.
 
-    The seed pass rests on three exact facts, so it finds the closures, in
-    the order of their least seeds, that a closure of each seed would:
-    - the first step of C(v) is U1(v), the span of v and every phi_g(v),
+    The seed pass rests on three exact facts, so it finds the atoms, in the
+    order of their least seeds, that a closure of each seed would:
+    - C(v) holds U1(v), the span of v and every phi_g(v) = D_v g(0),
       taken for every seed in one batched reduction; rank d means a full
       closure;
     - C(w) lies in C(v) for w in C(v), so a seed is full once its U1 holds a
       full point; this is repeated over the spans until nothing changes,
       and the closures themselves stop early on a full point;
-    - C(v) = C(U1(v)), so one scalar closure per distinct U1 of the seeds
-      left is enough.
+    - C(v) = C(U1(v)), so one closure per distinct U1 of the seeds left is
+      enough.
     """
     n = gens.degree
     d = n.bit_length() - 1
@@ -564,6 +540,15 @@ def invariant_linear_partition_search(gens: GeneratorSet) -> list[Subspace]:
     stack = np.stack([p.images for p in gens.perms]).astype(np.uint16)
     phi = np.stack(list({row.tobytes(): row
                          for row in stack ^ stack[:, :1]}.values()), axis=1)
+    points = np.arange(n, dtype=phi.dtype)
+
+    @lru_cache(maxsize=None)
+    def derivative_span(u: int) -> tuple[int, ...]:
+        hit = np.zeros(n, dtype=bool)
+        hit[phi[points ^ u] ^ phi] = True
+        return _reduced_rows(np.flatnonzero(hit).tolist())
+
+    edges = [[(0, derivative_span)]]
     spans = _first_spans(phi, d)
     full = np.zeros(n, dtype=bool)
     full[1:] = np.count_nonzero(spans, axis=1) == d
@@ -575,22 +560,19 @@ def invariant_linear_partition_search(gens: GeneratorSet) -> list[Subspace]:
             continue
         u1 = tuple(row for row in spans[seed - 1].tolist() if row)
         if u1 not in memo:
-            memo[u1] = _phi_closure(phi, u1, d, full)
+            memo[u1] = _seed_closure(u1, edges, full, d)
         if memo[u1] is None:
             full[seed] = True
             _spread_full(spans, full)
         else:
             atoms.setdefault(memo[u1], None)
-    closures = []
-    for rows in _joins(atoms, lambda rows: _phi_closure(phi, rows, d, full),
-                       d):
-        if len(closures) == MAX_PARTITIONS:
+    out = []
+    for rows in _joins(atoms, d):
+        if len(out) == MAX_PARTITIONS:
             raise CapExceeded("too many closed subspaces",
                               estimate=MAX_PARTITIONS + 1,
                               limit=MAX_PARTITIONS)
-        closures.append(rows)
-    out = [Subspace(rows, d) for rows in closures
-           if _maps_cosets(phi, rows, rows)]
+        out.append(Subspace(rows, d))
     out.sort(key=lambda s: (s.dim, s.basis))
     return out
 

@@ -485,7 +485,7 @@ def test_closure_search_matches_the_subspace_scan():
             full_joins += slowest
             # every joined U_1 pushes to a chain: no head is dropped
             got = _push_heads(cipher, _join_heads(atoms, d))
-            assert len(got) == len(list(_joins(atoms, lambda rows: rows, d)))
+            assert len(got) == len(list(_joins(atoms, d)))
             assert [ch.spaces for ch in got] == expected
         if not dense or d <= 4:
             found = find_trapdoor_chains(cipher, "exhaustive")

@@ -41,7 +41,7 @@ def test_joins_yield_every_proper_sum_of_the_atoms_once(case):
         rows for vecs in spanning
         if len(rows := _reduced_rows(vecs)) < d))
     got = [frozenset(xor_span(rows))
-           for rows in _joins(atoms, lambda rows: rows, d)]
+           for rows in _joins(atoms, d)]
     assert len(got) == len(set(got))
     want = {span for k in range(1, len(atoms) + 1)
             for subset in combinations(atoms, k)

@@ -1,7 +1,6 @@
 """Permutation-group checks: blocks, primitivity, and invariant partitions."""
 
 import random
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -14,8 +13,9 @@ from tbaudit.cipher import (TbCipher, Round, build_rotation_cipher,
                             find_trapdoor_chains)
 from tbaudit.errors import CapExceeded, IntransitiveError
 from tbaudit.gf2 import (BitMatrix, BrickLayout, Subspace, _joins,
-                         _reduced_rows, count_proper_subspaces,
-                         random_invertible, rref, wall_subspace)
+                         _maps_cosets, _reduced_rows, _seed_closure,
+                         count_proper_subspaces, random_invertible, rref,
+                         wall_subspace)
 from tbaudit.groups import (MAX_PARTITIONS, BlockSystem, GeneratorSet, Perm,
                             is_primitive, invariant_linear_partition_search,
                             minimal_block, minimal_invariant_partitions,
@@ -332,6 +332,19 @@ def test_sample_round_generators_shape():
 # Invariant linear partition search.
 
 
+def _brute_invariant_subspaces(gens):
+    """Every proper nonzero subspace whose coset partition every generator
+    maps onto itself, by a sweep over all of them, in (dim, basis) order."""
+    d = gens.degree.bit_length() - 1
+    images = [g.images.tolist() for g in gens.perms]
+    found = []
+    for k in range(1, d):
+        for s in (Subspace(basis, d) for basis in canonical_rref_bases(d, k)):
+            if partition_invariant(cosets_of(set(s.elements()), d), images):
+                found.append(s)
+    return sorted(found, key=lambda s: (s.dim, s.basis))
+
+
 def test_invariant_search_full_cross_check_d6():
     # rotation cipher at m=3, b=2, two rounds: the layer swaps the bricks
     # each round, so the full two-round map fixes both brick walls.  Check
@@ -339,14 +352,7 @@ def test_invariant_search_full_cross_check_d6():
     cipher = build_rotation_cipher(3, 2, 2)
     gens = sample_ind_generators(cipher)
     found = invariant_linear_partition_search(gens)
-    images = [g.images.tolist() for g in gens.perms]
-    expected = []
-    for k in range(1, 6):
-        for s in (Subspace(basis, 6) for basis in canonical_rref_bases(6, k)):
-            blocks = cosets_of(set(s.elements()), 6)
-            if all(partition_invariant(blocks, [img]) for img in images):
-                expected.append(s)
-    assert found == sorted(expected, key=lambda s: (s.dim, s.basis))
+    assert found == _brute_invariant_subspaces(gens)
     assert set(found) == set(wall_subspaces(3, 2))
 
 
@@ -448,7 +454,8 @@ def _phi_atoms(draw):
     """A phi table of one or two permutations of degree 2^d, d <= 6, as the
     search builds it (translations, bit permutations plus a constant, one
     of those with two points swapped, or random), and the distinct proper
-    closures of one to eight seeds."""
+    closures of one to eight seeds by ``gf2._seed_closure`` on one position
+    whose self-loop gives the derivative spans of every column."""
     d = draw(st.integers(2, 6))
     n = 1 << d
     perms = []
@@ -469,24 +476,28 @@ def _phi_atoms(draw):
         perms.append(images)
     stack = np.array(perms, dtype=np.uint16)
     phi = (stack ^ stack[:, :1]).T.copy()
+    points = np.arange(n, dtype=np.uint16)
+    edges = [[(0, lambda u: list(_reduced_rows(
+        np.unique(phi[points ^ u] ^ phi).tolist())))]]
     full = np.zeros(n, dtype=bool)
     seeds = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=8))
     atoms = dict.fromkeys(rows for v in seeds if (
-        rows := groups._phi_closure(phi, (v,), d, full)) is not None)
-    close = partial(groups._phi_closure, phi, d=d, full=full)
-    return d, close, list(atoms)
+        rows := _seed_closure((v,), edges, full, d)) is not None)
+    return d, phi, list(atoms)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_phi_atoms())
 def test_joins_close_every_join_of_the_atoms_once(case):
-    # brute force: the closure of the sum of every subset of the atoms
-    d, close, atoms = case
-    got = list(_joins(atoms, close, d))
+    # every join of closed sets is closed: each passes the full derivative
+    # test, and the joins are the proper sums of every subset of the atoms
+    d, phi, atoms = case
+    got = list(_joins(atoms, d))
     assert len(got) == len(set(got))
+    assert all(_maps_cosets(phi, rows, rows) for rows in got)
     want = {rows for k in range(1, len(atoms) + 1)
             for subset in combinations(atoms, k)
-            if (rows := close(_reduced_rows(sum(subset, ()))))
+            if (rows := _reduced_rows(sum(subset, ()), limit=d - 1))
             is not None}
     assert set(got) == want
     assert got[:len(atoms)] == atoms
@@ -494,19 +505,19 @@ def test_joins_close_every_join_of_the_atoms_once(case):
 
 def _same_as_scalar_search(gens, limit=MAX_PARTITIONS):
     """Assert the search, with ``MAX_PARTITIONS`` set to ``limit``, returns
-    the retired search's list, or raises the same refusal; return the list,
-    or None on a refusal.  The retired search counts its closed sets between
-    join levels, the search as it builds them, so only the estimate
-    differs: the search refuses on set limit + 1."""
+    the retired search's list, or refuses exactly when that list is longer
+    than ``limit``; return the list, or None on a refusal.  The retired
+    search caps the phi-closed sets it builds, and those include every
+    invariant subspace, so where it refuses it is run again uncapped."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groups, "MAX_PARTITIONS", limit)
         try:
             want = phi_closure_partition_search(gens, limit)
-        except CapExceeded as exc:
+        except CapExceeded:
+            want = phi_closure_partition_search(gens, float("inf"))
+        if len(want) > limit:
             with pytest.raises(CapExceeded) as got:
                 invariant_linear_partition_search(gens)
-            assert exc.estimate > limit
-            assert str(exc).startswith("too many closed subspaces (")
             assert str(got.value) == (
                 f"too many closed subspaces (estimated work: {limit + 1}, "
                 f"limit: {limit})")
@@ -553,6 +564,30 @@ def test_invariant_search_matches_the_scalar_search_on_generator_sets():
         tally["refused" if found is None else
               "found" if found else "empty"] += 1
     assert min(tally.values()) >= 3, tally
+
+
+def test_invariant_search_equals_brute_force_at_the_cap_boundary(
+        monkeypatch):
+    # seeded generator sets of degree 4 to 64, and single affine maps,
+    # against a sweep over every proper subspace: the search lists exactly
+    # the invariant ones, and it refuses exactly when their count exceeds
+    # the cap
+    rng = random.Random(0xB0B)
+    counts = []
+    for n in range(30):
+        d = 2 + n % 5
+        gens = (_seeded_generator_set(rng, d) if n % 2 else GeneratorSet(
+            (Perm(np.array(_affine_images(rng, d))),), ("affine",)))
+        want = _brute_invariant_subspaces(gens)
+        for cap in {len(want), max(len(want) - 1, 0), 3}:
+            monkeypatch.setattr(groups, "MAX_PARTITIONS", cap)
+            if len(want) > cap:
+                with pytest.raises(CapExceeded):
+                    invariant_linear_partition_search(gens)
+            else:
+                assert invariant_linear_partition_search(gens) == want
+        counts.append(len(want))
+    assert counts.count(0) >= 3 and sum(c > 3 for c in counts) >= 5, counts
 
 
 def _workload_shaped_cipher(rng, m, b, rotation, ell=None):
@@ -640,11 +675,12 @@ def test_invariant_search_on_degenerate_degrees(d):
 
 def test_invariant_search_runs_few_scalar_closures(monkeypatch):
     # a seeded m3b3 two-round random-layer cipher: the retired search ran
-    # the scalar closure on all 511 seeds, the batched seed pass runs one
+    # the scalar closure on all 511 seeds, the batched seed pass runs the
+    # closure engine once
     calls = []
-    closure = groups._phi_closure
-    monkeypatch.setattr(groups, "_phi_closure",
-                        lambda *args: calls.append(args) or closure(*args))
+    monkeypatch.setattr(groups, "_seed_closure",
+                        lambda *args: calls.append(args)
+                        or _seed_closure(*args))
     cipher = _workload_shaped_cipher(random.Random(9), 3, 3, rotation=False)
     gens = sample_ind_generators(cipher)
     assert invariant_linear_partition_search(gens) == \
@@ -653,16 +689,15 @@ def test_invariant_search_runs_few_scalar_closures(monkeypatch):
 
 
 def test_invariant_search_skips_joins_of_nested_closures(monkeypatch):
-    # the rotation cipher at d = 9 has six invariant partitions; a set and
-    # an atom where one holds the other join to that one, so the join skips
-    # them: 88 scalar closures (the retired pairwise join took 118, or 100
-    # with the skip)
+    # the rotation cipher at d = 9 has six invariant partitions; the seed
+    # pass closes 82 distinct U1 and the join closes nothing (the phi
+    # closure it replaced took 88 closures, joins included)
     calls = []
-    closure = groups._phi_closure
-    monkeypatch.setattr(groups, "_phi_closure",
-                        lambda *args: calls.append(args) or closure(*args))
+    monkeypatch.setattr(groups, "_seed_closure",
+                        lambda *args: calls.append(args)
+                        or _seed_closure(*args))
     gens = sample_ind_generators(build_rotation_cipher(3, 3, 3))
     found = invariant_linear_partition_search(gens)
     assert found == phi_closure_partition_search(gens)
     assert len(found) == 6
-    assert len(calls) <= 88
+    assert len(calls) <= 82

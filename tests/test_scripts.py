@@ -23,8 +23,10 @@ def test_sweep_script_runs_clean(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     if argv[0] == "scripts/consistency_sweep.py":
-        # every cipher is d <= 9, so the group cross-check covers all 12
+        # every cipher is d <= 9, so the group cross-check covers all 12,
+        # and the partition search answers on each of them
         assert "group cross-check: agree=12," in proc.stdout
+        assert ", refused=0\n" in proc.stdout
     if argv[0] == "scripts/rotation_sweep.py":
         # b, ell, verdict, chain count, then the first chain per row
         rows = {tuple(line.split()[:2]): line
