@@ -332,6 +332,9 @@ def _demo_aes_wall() -> int:
 
 def _cmd_demo(args) -> int:
     if args.name == "weak-cipher":
+        if args.samples < 1:
+            raise SpecError(f"--samples must be at least 1, not "
+                            f"{args.samples}")
         return _demo_weak_cipher(args.rounds, args.seed, args.samples)
     if args.name == "aes-wall":
         return _demo_aes_wall()

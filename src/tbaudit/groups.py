@@ -9,6 +9,13 @@ generated by the individual keyed rounds, and offers block-system machinery
 (minimal block systems, primitivity, exact search for invariant linear
 partitions) to compare against the chains the cipher-level search finds.
 
+A generator set has one form, a ``GeneratorSet``: a read-only (G, n) int64
+array whose row k lists the images of generator k, with one label per row.
+Every routine reads that array directly.  Block relabelling,
+``preserved_by`` and ``partition_block_system`` are numpy expressions over
+whole arrays; ``minimal_block``'s union-find chases pairs on the rows as
+Python lists.
+
 Both sampled sets generate their group of interest exactly.  The round set
 generates the group of all keyed round maps.  The encryption-map set
 generates Gamma_enc, the group of all keyed encryptions with independent
@@ -57,7 +64,6 @@ step or test afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -66,12 +72,11 @@ import numpy as np
 from .cipher import TbCipher, encryption_table, round_table
 from .errors import CapExceeded, IntransitiveError
 from .gf2 import (Subspace, _joins, _reduced_blocks, _reduced_rows,
-                  _seed_closure, _span_elements)
+                  _seed_closure)
 
 __all__ = [
     "MAX_DEGREE",
     "MAX_PARTITIONS",
-    "Perm",
     "GeneratorSet",
     "BlockSystem",
     "minimal_block",
@@ -100,88 +105,75 @@ _SCHREIER_POINTS = 8
 _SEED_CHUNK = 1 << 15
 
 
-class Perm:
-    """A permutation of {0, ..., n-1} stored as its image array."""
+class GeneratorSet:
+    """Permutations of {0, ..., n-1} as one read-only (G, n) int64 array.
 
-    __slots__ = ("images",)
+    Row k of ``images`` holds the images of generator k, named by
+    ``labels[k]``; applying row a and then row b is ``images[b][images[a]]``.
+    The array must be of integer dtype, with 1 <= n <= ``MAX_DEGREE`` and a
+    bijection in every row.
+    """
 
-    def __init__(self, images) -> None:
-        arr = np.array(images, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("permutation images must be one-dimensional")
-        n = len(arr)
+    __slots__ = ("images", "labels")
+
+    def __init__(self, images, labels: Sequence[str]) -> None:
+        arr = np.asarray(images)
+        if arr.ndim != 2:
+            raise ValueError("generator images must form a (G, n) array, "
+                             "one row per generator")
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"generator images must be integers, not "
+                             f"{arr.dtype}")
+        g, n = arr.shape
+        if g == 0:
+            raise ValueError("no generators")
+        if len(labels) != g:
+            raise ValueError("labels do not match generators")
         if n == 0 or n > MAX_DEGREE:
             raise ValueError(f"degree must be in [1, {MAX_DEGREE}]")
+        arr = arr.astype(np.int64)
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("permutation image out of range")
-        if not (np.bincount(arr, minlength=n) == 1).all():
-            raise ValueError("images do not form a bijection")
+        # each row hits each point once: count every (row, point) pair
+        hits = np.bincount((arr + n * np.arange(g)[:, None]).ravel(),
+                           minlength=g * n).reshape(g, n)
+        bad = np.flatnonzero((hits != 1).any(axis=1))
+        if len(bad):
+            raise ValueError(f"images of generator {bad[0]} "
+                             f"({labels[bad[0]]!r}) do not form a bijection")
         arr.setflags(write=False)
         self.images = arr
+        self.labels = tuple(labels)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return int(self.images[x])
-
-    @classmethod
-    def translation(cls, d: int, c: int) -> "Perm":
-        """x -> x XOR c on {0,...,2^d - 1}."""
-        if not 0 <= c < (1 << d):
-            raise ValueError("translation constant out of range")
-        return cls(np.arange(1 << d, dtype=np.int64) ^ c)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return self.degree == other.degree and bool(
-            (self.images == other.images).all())
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.images.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Perm(degree={self.degree})"
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    perms: tuple[Perm, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.perms:
-            raise ValueError("no generators")
-        if len(self.labels) != len(self.perms):
-            raise ValueError("labels do not match generators")
-        degrees = {p.degree for p in self.perms}
-        if len(degrees) > 1:
-            raise ValueError("generators have mixed degrees")
-
-    @property
-    def degree(self) -> int:
-        return self.perms[0].degree
+        return self.images.shape[1]
 
     def __len__(self) -> int:
-        return len(self.perms)
+        return len(self.images)
+
+    def __repr__(self) -> str:
+        return f"GeneratorSet({len(self)} generators, degree={self.degree})"
 
 
 class BlockSystem:
-    """A partition of the domain preserved by a group, as a block-id array."""
+    """A partition of the domain preserved by a group, as a block-id array.
+
+    Block ids are renumbered in the order of each block's first point.
+    """
 
     __slots__ = ("block_of", "n_blocks")
 
     def __init__(self, block_of) -> None:
         arr = np.asarray(block_of, dtype=np.int64)
-        ids: dict[int, int] = {}
-        canon = np.empty(len(arr), dtype=np.int64)
-        for x, raw in enumerate(arr.tolist()):
-            canon[x] = ids.setdefault(raw, len(ids))
+        _, first, inverse = np.unique(arr, return_index=True,
+                                      return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        canon = rank[inverse.ravel()]
         canon.setflags(write=False)
         self.block_of = canon
-        self.n_blocks = len(ids)
+        self.n_blocks = len(first)
 
     @property
     def degree(self) -> int:
@@ -213,17 +205,20 @@ class BlockSystem:
         return f"BlockSystem(degree={self.degree}, n_blocks={self.n_blocks})"
 
     def preserved_by(self, gens: GeneratorSet) -> bool:
-        """Whether every generator maps blocks onto blocks."""
-        for p in gens.perms:
-            image_block = np.full(self.n_blocks, -1, dtype=np.int64)
-            src = self.block_of
-            dst = self.block_of[p.images]
-            for s, t in zip(src.tolist(), dst.tolist()):
-                if image_block[s] < 0:
-                    image_block[s] = t
-                elif image_block[s] != t:
-                    return False
-        return True
+        """Whether every generator maps blocks onto blocks.
+
+        Every block is the block of some point, so a generator maps each
+        block into one block exactly when its (block, image block) pairs
+        number ``n_blocks``.
+        """
+        if gens.degree != self.degree:
+            raise ValueError(f"generators of degree {gens.degree} act on "
+                             f"another domain than a block system of "
+                             f"degree {self.degree}")
+        pairs = np.sort(self.block_of * self.n_blocks
+                        + self.block_of[gens.images], axis=1)
+        distinct = 1 + np.count_nonzero(np.diff(pairs, axis=1), axis=1)
+        return bool((distinct == self.n_blocks).all())
 
 
 def minimal_block(gens: GeneratorSet,
@@ -232,8 +227,14 @@ def minimal_block(gens: GeneratorSet,
 
     Union-find refinement: merging two points forces their images under
     every generator to merge too, so merged pairs are queued and chased
-    until stable.  Requires a transitive group.
+    until stable.  Requires a transitive group, and refuses a pair with a
+    point outside [0, n).
     """
+    n = gens.degree
+    for pair in pairs:
+        if not all(0 <= x < n for x in pair):
+            raise ValueError(f"pair {tuple(pair)} has a point outside "
+                             f"[0, {n})")
     _schreier_tree(gens)
     return _minimal_block(gens, pairs)
 
@@ -259,11 +260,11 @@ def _minimal_block(gens: GeneratorSet,
             parent[ra] = rb
             classes -= 1
             queue.append((a, b))
-    images = [p.images for p in gens.perms]
+    images = gens.images.tolist()
     while queue and classes > 1:
         a, b = queue.pop()
         for img in images:
-            ga, gb = int(img[a]), int(img[b])
+            ga, gb = img[a], img[b]
             ra, rb = find(ga), find(gb)
             if ra != rb:
                 parent[ra] = rb
@@ -279,12 +280,11 @@ def _schreier_tree(gens: GeneratorSet
     """Breadth-first search from 0 over the generators, as a Schreier vector.
 
     Returns (pred, via, order): point y was first reached as
-    gens.perms[via[y]](pred[y]), and ``order`` lists the points in the order
+    gens.images[via[y], pred[y]], and ``order`` lists the points in the order
     the search reached them (0 first; via[0] is -1).  Raises
     IntransitiveError when the search misses a point.
     """
     n = gens.degree
-    images = [p.images for p in gens.perms]
     pred = np.full(n, -1, dtype=np.int64)
     via = np.full(n, -1, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
@@ -293,7 +293,7 @@ def _schreier_tree(gens: GeneratorSet
     frontier = levels[0]
     while len(frontier):
         reached = []
-        for k, img in enumerate(images):
+        for k, img in enumerate(gens.images):
             imgs = img[frontier]
             fresh_mask = ~seen[imgs]
             if not fresh_mask.any():
@@ -314,7 +314,7 @@ def _schreier_tree(gens: GeneratorSet
     return pred, via, order
 
 
-def _transversal(images: list[np.ndarray], pred: np.ndarray,
+def _transversal(images: np.ndarray, pred: np.ndarray,
                  via: np.ndarray, y: int) -> np.ndarray:
     """The tree element u_y (u_y(0) = y) as an image array, built by walking
     the Schreier vector from y back to the root."""
@@ -372,7 +372,7 @@ def is_primitive(gens: GeneratorSet) -> tuple[bool, BlockSystem | None]:
     """
     pred, via, order = _schreier_tree(gens)
     n = gens.degree
-    images = [p.images for p in gens.perms]
+    images = gens.images
     identity = np.arange(n, dtype=np.int64)
     roots = identity
     for y in dict.fromkeys(order[k * n // _SCHREIER_POINTS].item()
@@ -412,16 +412,12 @@ def sample_ind_generators(cipher: TbCipher) -> GeneratorSet:
     """
     d = cipher.layout.d
     ell = cipher.ell
-    zero = (0,) * ell
-    perms = [Perm(encryption_table(cipher, zero))]
-    labels = ["enc[zero keys]"]
-    for i in range(ell):
-        for j in range(d):
-            keys = list(zero)
-            keys[i] = 1 << j
-            perms.append(Perm(encryption_table(cipher, tuple(keys))))
-            labels.append(f"enc[k{i + 1}+=bit{j}]")
-    return GeneratorSet(tuple(perms), tuple(labels))
+    keys = [(0,) * ell] + [tuple(1 << j if r == i else 0 for r in range(ell))
+                            for i in range(ell) for j in range(d)]
+    labels = ["enc[zero keys]"] + [f"enc[k{i + 1}+=bit{j}]"
+                                   for i in range(ell) for j in range(d)]
+    return GeneratorSet(np.stack([encryption_table(cipher, k) for k in keys]),
+                        labels)
 
 
 def sample_round_generators(cipher: TbCipher) -> GeneratorSet:
@@ -431,15 +427,12 @@ def sample_round_generators(cipher: TbCipher) -> GeneratorSet:
     set generates exactly the group spanned by all keyed round maps.
     """
     d = cipher.layout.d
-    perms = []
-    labels = []
-    for h, rnd in enumerate(cipher.rounds):
-        perms.append(Perm(round_table(rnd)))
-        labels.append(f"round{h + 1}[keyless]")
-    for j in range(d):
-        perms.append(Perm.translation(d, 1 << j))
-        labels.append(f"xor[bit{j}]")
-    return GeneratorSet(tuple(perms), tuple(labels))
+    points = np.arange(1 << d, dtype=np.uint32)
+    rows = ([round_table(rnd) for rnd in cipher.rounds]
+            + [points ^ (1 << j) for j in range(d)])
+    labels = ([f"round{h + 1}[keyless]" for h in range(cipher.ell)]
+              + [f"xor[bit{j}]" for j in range(d)])
+    return GeneratorSet(np.stack(rows), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +440,16 @@ def sample_round_generators(cipher: TbCipher) -> GeneratorSet:
 
 
 def partition_block_system(s: Subspace) -> BlockSystem:
-    """The coset partition of a subspace as a block system."""
-    n = 1 << s.ambient
-    els = _span_elements(s.basis)
-    block_of = np.full(n, -1, dtype=np.int64)
-    bid = 0
-    for x in range(n):
-        if block_of[x] < 0:
-            block_of[els ^ x] = bid
-            bid += 1
-    return BlockSystem(block_of)
+    """The coset partition of a subspace as a block system.
+
+    Each point goes to its coset's representative with no pivot bit set
+    (``Subspace.coset_rep``): a pivot bit lies in its own row only, so each
+    row is added to the points that have its pivot bit.
+    """
+    reps = np.arange(1 << s.ambient, dtype=np.int64)
+    for row in s.basis:
+        reps ^= np.where(reps & (row & -row), row, 0)
+    return BlockSystem(reps)
 
 
 def _first_spans(phi: np.ndarray, d: int) -> np.ndarray:
@@ -537,7 +530,7 @@ def invariant_linear_partition_search(gens: GeneratorSet) -> list[Subspace]:
     if n != 1 << d:
         raise ValueError("degree is not a power of two")
     # points fit in 16 bits, as the degree is at most MAX_DEGREE = 2^16
-    stack = np.stack([p.images for p in gens.perms]).astype(np.uint16)
+    stack = gens.images.astype(np.uint16)
     phi = np.stack(list({row.tobytes(): row
                          for row in stack ^ stack[:, :1]}.values()), axis=1)
     points = np.arange(n, dtype=phi.dtype)

@@ -803,7 +803,7 @@ def phi_closure_partition_search(gens, max_results=512):
     d = n.bit_length() - 1
     if n != 1 << d:
         raise ValueError("degree is not a power of two")
-    stack = np.stack([p.images for p in gens.perms])
+    stack = gens.images
     closures = {}
     for seed in range(1, n):
         rows = _retired_phi_closure(stack, [seed], d)

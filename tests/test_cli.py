@@ -426,6 +426,16 @@ def test_demo_weak_cipher_four_rounds(capsys):
     assert "partition pair trapdoor" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_demo_weak_cipher_refuses_fewer_than_one_sample(capsys, samples):
+    # with no key tuple sampled, every wall would read "confirmed"
+    code, out, err = run_cli(capsys, "demo", "weak-cipher", "--samples",
+                             samples)
+    assert code == 64
+    assert f"--samples must be at least 1, not {samples}" in err
+    assert "confirmed" not in out
+
+
 def test_demo_aes_wall(capsys):
     code, out, _ = run_cli(capsys, "demo", "aes-wall")
     assert code == 0

@@ -1,6 +1,7 @@
 """Permutation-group checks: blocks, primitivity, and invariant partitions."""
 
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +17,7 @@ from tbaudit.gf2 import (BitMatrix, BrickLayout, Subspace, _joins,
                          _maps_cosets, _reduced_rows, _seed_closure,
                          count_proper_subspaces, random_invertible, rref,
                          wall_subspace)
-from tbaudit.groups import (MAX_PARTITIONS, BlockSystem, GeneratorSet, Perm,
+from tbaudit.groups import (MAX_PARTITIONS, BlockSystem, GeneratorSet,
                             is_primitive, invariant_linear_partition_search,
                             minimal_block, minimal_invariant_partitions,
                             partition_block_system, sample_ind_generators,
@@ -31,22 +32,23 @@ from test_cipher import _closure_test_ciphers, _oracle_test_brick
 
 
 def cycle(n):
-    return Perm(np.roll(np.arange(n), -1))
+    return np.roll(np.arange(n), -1)
 
 
 def c8_gens():
-    return GeneratorSet((cycle(8),), ("rot",))
+    return GeneratorSet([cycle(8)], ["rot"])
 
 
 def s8_gens():
     swap = list(range(8))
     swap[0], swap[1] = 1, 0
-    return GeneratorSet((Perm(np.array(swap)), cycle(8)), ("swap", "rot"))
+    return GeneratorSet([swap, cycle(8)], ["swap", "rot"])
 
 
 def translation_group_gens(d):
-    perms = tuple(Perm.translation(d, 1 << j) for j in range(d))
-    return GeneratorSet(perms, tuple(f"t{j}" for j in range(d)))
+    # row j is x -> x XOR 2^j
+    return GeneratorSet(np.arange(1 << d) ^ (1 << np.arange(d))[:, None],
+                        [f"t{j}" for j in range(d)])
 
 
 def wreath_gens():
@@ -54,8 +56,8 @@ def wreath_gens():
     # of 0, a swap of two blocks, and a cycle of all four blocks
     inside = [4, 1, 2, 3, 0, 5, 6, 7]
     across = [1, 0, 2, 3, 5, 4, 6, 7]
-    return GeneratorSet((Perm(np.array(inside)), Perm(np.array(across)),
-                         cycle(8)), ("inside", "across", "rot"))
+    return GeneratorSet([inside, across, cycle(8)],
+                        ["inside", "across", "rot"])
 
 
 def as_partition(system):
@@ -68,65 +70,88 @@ def wall_subspaces(m, b):
 
 
 # ---------------------------------------------------------------------------
-# Permutations.
+# Generator sets.
 
 
 def test_perm_validation():
-    with pytest.raises(ValueError, match="bijection"):
-        Perm(np.array([0, 0, 1]))
+    # each row must be a permutation of range(degree), 1 <= degree <= 2^16
+    with pytest.raises(ValueError,
+                       match=r"generator 1 \('b'\) do not form a bijection"):
+        GeneratorSet([[1, 2, 0], [0, 0, 1]], ["a", "b"])
     with pytest.raises(ValueError, match="out of range"):
-        Perm(np.array([0, 3]))
-    with pytest.raises(ValueError, match="degree"):
-        Perm(np.array([], dtype=np.int64))
-    with pytest.raises(ValueError, match="degree"):
-        Perm(np.arange((1 << 16) + 1))
-    with pytest.raises(ValueError, match="one-dimensional"):
-        Perm(np.zeros((2, 2), dtype=np.int64))
-
-
-def test_compose_applies_left_then_right():
-    # a followed by b is b's image array indexed by a's
-    a = Perm(np.array([1, 2, 0, 3]))
-    b = Perm(np.array([0, 1, 3, 2]))
-    ab = Perm(b.images[a.images])
-    for x in range(4):
-        assert ab(x) == b(a(x))
-
-
-def test_inverse_and_identity():
-    # the inverse's image array sorts the images back into place
-    g = cycle(6)
-    inv = Perm(np.argsort(g.images))
-    identity = Perm(np.arange(6))
-    assert Perm(inv.images[g.images]) == identity
-    assert Perm(g.images[inv.images]) == identity
-    assert g != identity
-
-
-def test_translation_acts_by_xor():
-    t = Perm.translation(3, 5)
-    for x in range(8):
-        assert t(x) == x ^ 5
+        GeneratorSet([[0, 3]], ["a"])
     with pytest.raises(ValueError, match="out of range"):
-        Perm.translation(3, 8)
-
-
-def test_perm_equality_and_hash():
-    assert cycle(5) == cycle(5)
-    assert hash(cycle(5)) == hash(cycle(5))
-    assert cycle(5) != Perm(np.argsort(cycle(5).images))
-    assert cycle(5) != "rot"
+        GeneratorSet([[-1, 0]], ["a"])
+    with pytest.raises(ValueError, match="degree"):
+        GeneratorSet(np.zeros((1, 0), dtype=np.int64), ["a"])
+    with pytest.raises(ValueError, match="degree"):
+        GeneratorSet([np.arange((1 << 16) + 1)], ["a"])
+    with pytest.raises(ValueError, match="one row per generator"):
+        GeneratorSet(np.arange(4), ["a"])
+    with pytest.raises(ValueError, match="one row per generator"):
+        GeneratorSet(np.zeros((1, 2, 2), dtype=np.int64), ["a"])
 
 
 def test_generator_set_validation():
     with pytest.raises(ValueError, match="no generators"):
-        GeneratorSet((), ())
+        GeneratorSet(np.zeros((0, 4), dtype=np.int64), [])
     with pytest.raises(ValueError, match="labels"):
-        GeneratorSet((cycle(4),), ("a", "b"))
-    with pytest.raises(ValueError, match="mixed degrees"):
-        GeneratorSet((cycle(4), cycle(5)), ("a", "b"))
+        GeneratorSet([cycle(4)], ["a", "b"])
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        GeneratorSet([cycle(4), cycle(5)], ["a", "b"])
+    # refused, not truncated: [1.7, 0.2] would read as the swap [1, 0]
+    with pytest.raises(ValueError, match="integers, not float64"):
+        GeneratorSet([[1.7, 0.2]], ["a"])
     gens = c8_gens()
-    assert gens.degree == 8 and len(gens) == 1
+    assert gens.degree == 8 and len(gens) == 1 and gens.labels == ("rot",)
+    # the set keeps its own read-only int64 copy of the rows
+    rows = np.array([[1, 2, 0], [0, 2, 1]], dtype=np.uint32)
+    gens = GeneratorSet(rows, ("a", "b"))
+    rows[0, 0] = 0
+    assert gens.images.dtype == np.int64
+    assert gens.images.tolist() == [[1, 2, 0], [0, 2, 1]]
+    with pytest.raises(ValueError):
+        gens.images[0, 0] = 0
+
+
+def test_compose_applies_left_then_right():
+    # a followed by b is b's row indexed by a's: the tree element u_y is
+    # its path's generators composed that way, so it sends 0 to y
+    gens = wreath_gens()
+    pred, via, _ = groups._schreier_tree(gens)
+    for y in range(gens.degree):
+        assert groups._transversal(gens.images, pred, via, y)[0] == y
+
+
+def test_inverse_and_identity():
+    # the inverse of a row sorts its images back into place; every Schreier
+    # generator u_{g(y)}^-1 g u_y fixes 0, and on a tree edge it is the
+    # identity
+    gens = wreath_gens()
+    pred, via, _ = groups._schreier_tree(gens)
+    identity = np.arange(gens.degree)
+    edges = 0
+    for y in range(gens.degree):
+        u_y = groups._transversal(gens.images, pred, via, y)
+        for k, g in enumerate(gens.images):
+            z = g[y]
+            inv_u_z = np.argsort(groups._transversal(gens.images, pred, via,
+                                                     z))
+            s = inv_u_z[g[u_y]]
+            assert s[0] == 0
+            if pred[z] == y and via[z] == k:
+                assert (s == identity).all()
+                edges += 1
+    assert edges == gens.degree - 1
+
+
+def test_translation_acts_by_xor():
+    # the round sampler's last d rows are the basis translations
+    cipher = build_rotation_cipher(2, 2, 3)
+    gens = sample_round_generators(cipher)
+    points = np.arange(16)
+    for j in range(4):
+        assert (gens.images[cipher.ell + j] == points ^ (1 << j)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +188,13 @@ def test_preserved_by():
     quarters = BlockSystem(np.array([0, 1, 2, 3] * 2))
     assert quarters.preserved_by(c8_gens())
     assert not evens_odds.preserved_by(s8_gens())
+    # the row that breaks the blocks need not be the first
+    rot_swap = GeneratorSet(s8_gens().images[::-1], ["rot", "swap"])
+    assert not evens_odds.preserved_by(rot_swap)
+    # a set of another degree is refused, not judged on the shorter domain
+    c4 = GeneratorSet([cycle(4)], ["rot"])
+    with pytest.raises(ValueError, match="degree 4 .* degree 8"):
+        evens_odds.preserved_by(c4)
 
 
 def test_partition_block_system_from_subspace():
@@ -170,6 +202,15 @@ def test_partition_block_system_from_subspace():
     assert s.degree == 4 and s.n_blocks == 2
     assert as_partition(s) == cosets_of({0, 3}, 2)
     assert s.preserved_by(translation_group_gens(2))
+    # seeded subspaces of every dimension at d <= 6
+    rng = random.Random(0xC05E7)
+    for n in range(60):
+        d = 1 + n % 6
+        u = rref([rng.getrandbits(d) for _ in range(rng.randint(0, d))], d)
+        s = partition_block_system(u)
+        assert s.n_blocks == 1 << (d - u.dim)
+        assert as_partition(s) == cosets_of(set(u.elements()), d)
+        assert s.preserved_by(translation_group_gens(d))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +229,7 @@ def test_minimal_block_on_c8():
 
 def test_minimal_block_is_finest_brute_block_system():
     for gens in (c8_gens(), translation_group_gens(3)):
-        images = [g.images.tolist() for g in gens.perms]
+        images = gens.images.tolist()
         brute = brute_block_systems_transitive(images)
         assert len(brute) > 2, "toy groups here are imprimitive"
         for beta in range(1, gens.degree):
@@ -201,7 +242,7 @@ def test_minimal_block_is_finest_brute_block_system():
 
 def test_translation_group_brute_partitions_are_the_subspaces():
     gens = translation_group_gens(3)
-    images = [g.images.tolist() for g in gens.perms]
+    images = gens.images.tolist()
     brute = set(brute_block_systems_transitive(images))
     linear = set()
     for k in range(4):
@@ -212,9 +253,20 @@ def test_translation_group_brute_partitions_are_the_subspaces():
 
 
 def test_minimal_block_requires_transitivity():
-    a = Perm(np.array([1, 0, 2, 3]))
     with pytest.raises(IntransitiveError):
-        minimal_block(GeneratorSet((a,), ("a",)), [(0, 1)])
+        minimal_block(GeneratorSet([[1, 0, 2, 3]], ["a"]), [(0, 1)])
+
+
+def test_minimal_block_refuses_points_outside_the_domain(monkeypatch):
+    # -1 would wrap round to point 7 and glue c8 into one block, and 8
+    # would index past the rows; both are refused before the tree is built
+    calls = []
+    monkeypatch.setattr(groups, "_schreier_tree", calls.append)
+    for pair in ((0, -1), (0, 8)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"pair {pair} has a point outside [0, 8)")):
+            minimal_block(c8_gens(), [(0, 2), pair])
+    assert calls == []
 
 
 def test_is_primitive_verdicts():
@@ -222,7 +274,7 @@ def test_is_primitive_verdicts():
     assert not ok and wit is not None and wit.preserved_by(c8_gens())
     ok, wit = is_primitive(s8_gens())
     assert ok and wit is None
-    c5 = GeneratorSet((cycle(5),), ("rot",))
+    c5 = GeneratorSet([cycle(5)], ["rot"])
     assert is_primitive(c5) == (True, None)
     ok, wit = is_primitive(translation_group_gens(3))
     assert not ok
@@ -232,7 +284,7 @@ def test_is_primitive_verdicts():
 
 
 @pytest.mark.parametrize("gens", [
-    c8_gens(), s8_gens(), GeneratorSet((cycle(5),), ("rot",)),
+    c8_gens(), s8_gens(), GeneratorSet([cycle(5)], ["rot"]),
     # every Schreier generator is trivial: each beta is tested
     translation_group_gens(3),
     # 0's stabilizer joins 1, 2, 3, 5, 6, 7 in one orbit, so beta = 4,
@@ -302,7 +354,7 @@ def test_is_primitive_builds_one_schreier_tree(monkeypatch):
 def test_sample_ind_generators_shape():
     cipher = build_rotation_cipher(2, 2, 2)
     gens = sample_ind_generators(cipher)
-    assert len(gens.perms) == 1 + cipher.ell * cipher.layout.d
+    assert len(gens) == 1 + cipher.ell * cipher.layout.d
     assert gens.labels[0] == "enc[zero keys]"
     assert gens.labels[1] == "enc[k1+=bit0]"
     assert gens.degree == 16
@@ -313,17 +365,17 @@ def test_ind_generators_expose_translations():
     # base encryption to a pure XOR, which the search relies on.
     cipher = build_rotation_cipher(2, 2, 2)
     gens = sample_ind_generators(cipher)
-    g0_inverse = np.argsort(gens.perms[0].images)
+    g0_inverse = np.argsort(gens.images[0])
     d, ell = cipher.layout.d, cipher.ell
     for j in range(d):
-        g = gens.perms[1 + (ell - 1) * d + j]
-        assert Perm(g.images[g0_inverse]) == Perm.translation(d, 1 << j)
+        g = gens.images[1 + (ell - 1) * d + j]
+        assert (g[g0_inverse] == np.arange(1 << d) ^ (1 << j)).all()
 
 
 def test_sample_round_generators_shape():
     cipher = build_rotation_cipher(2, 2, 3)
     gens = sample_round_generators(cipher)
-    assert len(gens.perms) == 3 + 4
+    assert len(gens) == 3 + 4
     assert gens.labels[0] == "round1[keyless]"
     assert gens.labels[-1] == "xor[bit3]"
 
@@ -336,7 +388,7 @@ def _brute_invariant_subspaces(gens):
     """Every proper nonzero subspace whose coset partition every generator
     maps onto itself, by a sweep over all of them, in (dim, basis) order."""
     d = gens.degree.bit_length() - 1
-    images = [g.images.tolist() for g in gens.perms]
+    images = gens.images.tolist()
     found = []
     for k in range(1, d):
         for s in (Subspace(basis, d) for basis in canonical_rref_bases(d, k)):
@@ -404,8 +456,7 @@ def test_invariant_search_degenerate_identity_cipher(monkeypatch):
 def test_invariant_search_refuses_on_the_set_past_the_cap():
     # the translations of degree 64 leave all 2,823 proper subspaces
     # invariant; the search refuses on the 513th closed set it builds
-    gens = GeneratorSet(tuple(Perm.translation(6, 1 << j) for j in range(6)),
-                        tuple(f"xor[bit{j}]" for j in range(6)))
+    gens = translation_group_gens(6)
     assert count_proper_subspaces(6) == 2823
     with pytest.raises(CapExceeded) as got:
         invariant_linear_partition_search(gens)
@@ -416,7 +467,7 @@ def test_invariant_search_refuses_on_the_set_past_the_cap():
 def test_found_partitions_are_genuinely_invariant():
     cipher = build_rotation_cipher(3, 2, 2)
     gens = sample_ind_generators(cipher)
-    images = [g.images.tolist() for g in gens.perms]
+    images = gens.images.tolist()
     found = invariant_linear_partition_search(gens)
     assert found
     for s in found:
@@ -548,9 +599,8 @@ def _seeded_generator_set(rng, d):
                 for _ in range(rng.randint(1, 2)):
                     i, j = rng.randrange(1 << d), rng.randrange(1 << d)
                     images[i], images[j] = images[j], images[i]
-        perms.append(Perm(np.array(images)))
-    return GeneratorSet(tuple(perms),
-                        tuple(f"g{i}" for i in range(len(perms))))
+        perms.append(images)
+    return GeneratorSet(perms, [f"g{i}" for i in range(len(perms))])
 
 
 def test_invariant_search_matches_the_scalar_search_on_generator_sets():
@@ -577,7 +627,7 @@ def test_invariant_search_equals_brute_force_at_the_cap_boundary(
     for n in range(30):
         d = 2 + n % 5
         gens = (_seeded_generator_set(rng, d) if n % 2 else GeneratorSet(
-            (Perm(np.array(_affine_images(rng, d))),), ("affine",)))
+            [_affine_images(rng, d)], ["affine"]))
         want = _brute_invariant_subspaces(gens)
         for cap in {len(want), max(len(want) - 1, 0), 3}:
             monkeypatch.setattr(groups, "MAX_PARTITIONS", cap)
@@ -641,8 +691,7 @@ def test_invariant_search_over_several_chunks_at_d10(monkeypatch):
     rng = random.Random(10)
     gens = sample_ind_generators(
         _workload_shaped_cipher(rng, 5, 2, rotation=False, ell=5))
-    stack = np.stack([p.images for p in gens.perms])
-    phi_rows = len(np.unique(stack ^ stack[:, :1], axis=0))
+    phi_rows = len(np.unique(gens.images ^ gens.images[:, :1], axis=0))
     assert 1023 * (phi_rows + 1) > groups._SEED_CHUNK
     _same_as_scalar_search(gens)
     gens = sample_ind_generators(
@@ -668,7 +717,7 @@ def test_invariant_search_on_degenerate_degrees(d):
     rng = random.Random(d)
     for _ in range(8):
         gens = _seeded_generator_set(rng, d) if d else GeneratorSet(
-            (Perm(np.arange(1)),), ("id",))
+            [[0]], ["id"])
         assert _same_as_scalar_search(gens) == []
         assert _same_as_scalar_search(gens, 0) == []
 
