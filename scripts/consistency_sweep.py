@@ -11,7 +11,11 @@ rotation layers), audits each, and validates the verdict the hard way:
                    and (d <= 16) the invariant partitions of the group the
                    sampled encryption maps generate must be the U_1 of the
                    exhaustive chains with U_{l+1} = U_1, wherever the
-                   partition search does not refuse
+                   partition search does not refuse; and the minimal block
+                   system through {0, u} must be the coset partition of the
+                   least of those subspaces holding u (one block if none
+                   does), for u the first row of each minimal partition,
+                   1 and 2^d - 1
 
 Inconclusive verdicts are counted but carry no claim to check.  This is the
 long-running relative of the sanity sweep in the test suite; crank --count
@@ -26,8 +30,9 @@ from tbaudit.cipher import (Round, TbCipher, audit, chain_holds_under_key,
                             find_trapdoor_chains, verify_chain)
 from tbaudit.errors import CapExceeded
 from tbaudit.gf2 import BrickLayout, random_invertible
-from tbaudit.groups import (invariant_linear_partition_search,
-                            sample_ind_generators)
+from tbaudit.groups import (BlockSystem, invariant_linear_partition_search,
+                            minimal_block, minimal_invariant_partitions,
+                            partition_block_system, sample_ind_generators)
 from tbaudit.mixing import MixingLayer
 from tbaudit.presets import rotation_layer
 from tbaudit.sbox import SBox
@@ -69,7 +74,7 @@ def main() -> int:
               if m * b <= args.max_d]
     rng = random.Random(args.seed)
     tally = {"secure": 0, "vulnerable": 0, "inconclusive": 0}
-    groups = {"agree": 0, "nonempty": 0, "refused": 0}
+    groups = {"agree": 0, "nonempty": 0, "blocks": 0, "refused": 0}
     t0 = time.monotonic()
     for i in range(args.count):
         cipher = random_cipher(rng, shapes, args.rotation_share)
@@ -82,9 +87,9 @@ def main() -> int:
         assert {c.spaces for c in walls} <= {c.spaces for c in full}, \
             f"cipher {i}: walls-mode found a chain the full search missed"
         if layout.d <= 16:
+            ind = sample_ind_generators(cipher)
             try:
-                invariant = invariant_linear_partition_search(
-                    sample_ind_generators(cipher))
+                invariant = invariant_linear_partition_search(ind)
             except CapExceeded:
                 groups["refused"] += 1
             else:
@@ -96,6 +101,21 @@ def main() -> int:
                     f"not the cyclic chains' U_1"
                 groups["agree"] += 1
                 groups["nonempty"] += bool(invariant)
+                # the group holds every translation, so its block systems
+                # are the invariant linear partitions and the trivial ones,
+                # and the invariant subspaces are closed under intersection:
+                # the first one (by dim) holding u is the least
+                tops = [sub.basis[0] for sub in
+                        minimal_invariant_partitions(invariant)]
+                for u in dict.fromkeys(tops + [1, (1 << layout.d) - 1]):
+                    least = next((sub for sub in invariant if u in sub), None)
+                    want = (BlockSystem([0] * (1 << layout.d)) if least is None
+                            else partition_block_system(least))
+                    assert minimal_block(ind, [(0, u)]) == want, \
+                        f"cipher {i}: the minimal block system through " \
+                        f"{{0, {u}}} is not the least invariant partition " \
+                        f"holding {u}"
+                    groups["blocks"] += 1
         if verdict.status == "secure":
             assert not full, f"cipher {i}: secure verdict but chains exist"
         if verdict.status == "vulnerable":

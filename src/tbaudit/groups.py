@@ -13,8 +13,8 @@ A generator set has one form, a ``GeneratorSet``: a read-only (G, n) int64
 array whose row k lists the images of generator k, with one label per row.
 Every routine reads that array directly.  Block relabelling,
 ``preserved_by`` and ``partition_block_system`` are numpy expressions over
-whole arrays; ``minimal_block``'s union-find chases pairs on the rows as
-Python lists.
+whole arrays, and one routine, ``_join_classes``, joins classes of points
+by min-label propagation for both ``is_primitive`` and ``minimal_block``.
 
 Both sampled sets generate their group of interest exactly.  The round set
 generates the group of all keyed round maps.  The encryption-map set
@@ -159,13 +159,16 @@ class GeneratorSet:
 class BlockSystem:
     """A partition of the domain preserved by a group, as a block-id array.
 
-    Block ids are renumbered in the order of each block's first point.
+    Block ids must be integers; they are renumbered in the order of each
+    block's first point.
     """
 
     __slots__ = ("block_of", "n_blocks")
 
     def __init__(self, block_of) -> None:
-        arr = np.asarray(block_of, dtype=np.int64)
+        arr = np.asarray(block_of)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"block ids must be integers, not {arr.dtype}")
         _, first, inverse = np.unique(arr, return_index=True,
                                       return_inverse=True)
         rank = np.empty(len(first), dtype=np.int64)
@@ -225,54 +228,44 @@ def minimal_block(gens: GeneratorSet,
                   pairs: Sequence[tuple[int, int]]) -> BlockSystem:
     """The finest block system in which each given pair shares a block.
 
-    Union-find refinement: merging two points forces their images under
-    every generator to merge too, so merged pairs are queued and chased
-    until stable.  Requires a transitive group, and refuses a pair with a
-    point outside [0, n).
+    Requires a transitive group.  Refuses, before any work, a pair that is
+    not two integer points (a float, a bool, one point or three) and a pair
+    with a point outside [0, n).
     """
     n = gens.degree
     for pair in pairs:
-        if not all(0 <= x < n for x in pair):
-            raise ValueError(f"pair {tuple(pair)} has a point outside "
-                             f"[0, {n})")
+        pts = tuple(pair) if np.iterable(pair) else (pair,)
+        if len(pts) != 2 or not all(
+                isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                for x in pts):
+            raise ValueError(f"pair {pts} is not two integer points")
+        if not all(0 <= x < n for x in pts):
+            raise ValueError(f"pair {pts} has a point outside [0, {n})")
     _schreier_tree(gens)
-    return _minimal_block(gens, pairs)
+    return _minimal_block(gens, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
-def _minimal_block(gens: GeneratorSet,
-                   pairs: Sequence[tuple[int, int]]) -> BlockSystem:
-    """``minimal_block`` without its transitivity check, for callers that
-    have already built the Schreier tree."""
-    n = gens.degree
-    parent = list(range(n))
+def _minimal_block(gens: GeneratorSet, pairs: np.ndarray) -> BlockSystem:
+    """``minimal_block`` of an integer (P, 2) array of pairs, without its
+    checks, for callers that have already built the Schreier tree.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue: list[tuple[int, int]] = []
-    classes = n
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            classes -= 1
-            queue.append((a, b))
-    images = gens.images.tolist()
-    while queue and classes > 1:
-        a, b = queue.pop()
-        for img in images:
-            ga, gb = img[a], img[b]
-            ra, rb = find(ga), find(gb)
-            if ra != rb:
-                parent[ra] = rb
-                classes -= 1
-                if classes == 1:
-                    break
-                queue.append((ga, gb))
-    return BlockSystem([find(x) for x in range(n)])
+    Joining x and y forces g(x) and g(y) together for every generator g.
+    Each class with least point r keeps g(x) in the class of g(r) for all
+    its points x, until a step relabels r: joining g(r) with g(label[r])
+    then mends it.  So each step chases only the least points the step
+    before relabelled, each point at most once, until none moves or one
+    class holds every point.
+    """
+    points = np.arange(gens.degree, dtype=np.int64)
+    label = _join_classes(points, pairs[:, 0], pairs[:, 1])
+    moved = np.flatnonzero(label != points)
+    while len(moved) and label.any():
+        # one raveled index array per end: np.minimum.at is far slower on 2-D
+        new = _join_classes(label, gens.images[:, moved].ravel(),
+                            gens.images[:, label[moved]].ravel())
+        moved = np.flatnonzero((label == points) & (new != points))
+        label = new
+    return BlockSystem(label)
 
 
 def _schreier_tree(gens: GeneratorSet
@@ -328,27 +321,29 @@ def _transversal(images: np.ndarray, pred: np.ndarray,
     return u
 
 
-def _join_orbits(roots: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Orbit labels after adding the permutation s to the group, from
-    ``roots``, which labels each point with the least point of its orbit.
+def _join_classes(label: np.ndarray, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """Class labels after joining the class of a[i] with the class of b[i]
+    for every i, from ``label``, which labels each point with the least
+    point of its class.
 
-    On the labels, each edge x -- s(x) joins roots[x] and roots[s(x)]; both
-    ends drop to the smaller label of the two, then every label jumps to its
-    own label, until nothing changes.  The labels are then constant on each
-    joined orbit and name its least root, which is its least point.
+    On the labels, each pair joins label[a[i]] and label[b[i]]; both ends
+    drop to the smaller label of the two, then every label jumps to its own
+    label, until nothing changes.  The labels are then constant on each
+    joined class and name its least old label, which is its least point.
     """
-    ends = (roots, roots[s])
-    label = np.arange(len(roots), dtype=np.int64)
+    ends = (label[a], label[b])
+    root = np.arange(len(label), dtype=np.int64)
     while True:
-        low = np.minimum(label[ends[0]], label[ends[1]])
-        nxt = label.copy()
+        low = np.minimum(root[ends[0]], root[ends[1]])
+        nxt = root.copy()
         for end in ends:
             np.minimum.at(nxt, end, low)
         while not np.array_equal(nxt[nxt], nxt):
             nxt = nxt[nxt]
-        if np.array_equal(nxt, label):
-            return label[roots]
-        label = nxt
+        if np.array_equal(nxt, root):
+            return root[label]
+        root = nxt
 
 
 def is_primitive(gens: GeneratorSet) -> tuple[bool, BlockSystem | None]:
@@ -386,11 +381,11 @@ def is_primitive(gens: GeneratorSet) -> tuple[bool, BlockSystem | None]:
             inv_u_z[_transversal(images, pred, via, z)] = identity
             s = inv_u_z[img[u_y]]
             if not np.array_equal(s, identity):
-                roots = _join_orbits(roots, s)
+                roots = _join_classes(roots, identity, s)
         if (roots[1:] == 1).all():
             break  # H is transitive on the points other than 0
     for beta in np.flatnonzero(roots == identity)[1:].tolist():
-        system = _minimal_block(gens, [(0, beta)])
+        system = _minimal_block(gens, np.array([[0, beta]]))
         if system.nontrivial:
             return False, system
     return True, None
@@ -444,8 +439,11 @@ def partition_block_system(s: Subspace) -> BlockSystem:
 
     Each point goes to its coset's representative with no pivot bit set
     (``Subspace.coset_rep``): a pivot bit lies in its own row only, so each
-    row is added to the points that have its pivot bit.
+    row is added to the points that have its pivot bit.  Refuses an ambient
+    space past ``MAX_DEGREE`` points.
     """
+    if 1 << s.ambient > MAX_DEGREE:
+        raise ValueError(f"2^{s.ambient} points exceed MAX_DEGREE = 2^16")
     reps = np.arange(1 << s.ambient, dtype=np.int64)
     for row in s.basis:
         reps ^= np.where(reps & (row & -row), row, 0)

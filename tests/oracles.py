@@ -760,13 +760,53 @@ def scalar_violation_scan(table, m, k_lo, budget, refuse=True):
     return None, None, k_done
 
 
+def retired_minimal_block(gens, pairs):
+    """The finest partition in which each given pair shares a class and
+    x ~ y forces g(x) ~ g(y) for every generator g, by the union-find that
+    the numpy class join replaced: merging two points forces their images
+    under every generator to merge too, so merged pairs are queued and
+    chased until stable.  On a transitive group this is the minimal block
+    system through the pairs."""
+    from tbaudit.groups import BlockSystem
+    n = gens.degree
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    queue: list[tuple[int, int]] = []
+    classes = n
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            classes -= 1
+            queue.append((a, b))
+    images = gens.images.tolist()
+    while queue and classes > 1:
+        a, b = queue.pop()
+        for img in images:
+            ga, gb = img[a], img[b]
+            ra, rb = find(ga), find(gb)
+            if ra != rb:
+                parent[ra] = rb
+                classes -= 1
+                if classes == 1:
+                    break
+                queue.append((ga, gb))
+    return BlockSystem([find(x) for x in range(n)])
+
+
 def all_points_is_primitive(gens):
     """Primitivity by the loop that orbit-representative testing replaced:
     Atkinson's minimal block system gluing 0 to every other point in turn,
-    the first nontrivial one returned as the witness."""
-    from tbaudit.groups import minimal_block
+    each by the retired union-find, the first nontrivial one returned as the
+    witness.  Assumes a transitive group."""
     for beta in range(1, gens.degree):
-        system = minimal_block(gens, [(0, beta)])
+        system = retired_minimal_block(gens, [(0, beta)])
         if system.nontrivial:
             return False, system
     return True, None

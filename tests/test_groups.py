@@ -27,7 +27,8 @@ from tbaudit.presets import identity_sbox, rotation_layer
 
 from oracles import (all_points_is_primitive, brute_block_systems_transitive,
                      canonical_rref_bases, cosets_of, finest_containing_pair,
-                     partition_invariant, phi_closure_partition_search)
+                     partition_invariant, phi_closure_partition_search,
+                     retired_minimal_block)
 from test_cipher import _closure_test_ciphers, _oracle_test_brick
 
 
@@ -166,6 +167,11 @@ def test_block_system_canonical_relabelling():
     assert s.blocks() == [[0, 1], [2, 3]]
     assert s == BlockSystem(np.array([9, 9, 0, 0]))
     assert hash(s) == hash(BlockSystem(np.array([9, 9, 0, 0])))
+    # refused, not truncated: [0.2, 0.7, 1.5, 1.9] would read as [0 0 1 1]
+    with pytest.raises(ValueError, match="integers, not float64"):
+        BlockSystem([0.2, 0.7, 1.5, 1.9])
+    with pytest.raises(ValueError, match="integers, not bool"):
+        BlockSystem([True, False])
 
 
 def test_block_systems_of_different_degrees_differ():
@@ -211,6 +217,9 @@ def test_partition_block_system_from_subspace():
         assert s.n_blocks == 1 << (d - u.dim)
         assert as_partition(s) == cosets_of(set(u.elements()), d)
         assert s.preserved_by(translation_group_gens(d))
+    # 2^17 points is past MAX_DEGREE: refused before the points are built
+    with pytest.raises(ValueError, match=r"2\^17 points exceed MAX_DEGREE"):
+        partition_block_system(rref([1], 17))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,102 @@ def test_minimal_block_refuses_points_outside_the_domain(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(
                 f"pair {pair} has a point outside [0, 8)")):
             minimal_block(c8_gens(), [(0, 2), pair])
+    # refused, not truncated or re-paired: 2.5 would read as 2, True as 1,
+    # and the rows of [(0, 2, 4)] raveled would pair 4 with what follows
+    for pair in ((0, 2.5), (0, True), (0, np.float64(2)), (0, 2, 4), (0,), 3):
+        shown = pair if isinstance(pair, tuple) else (pair,)
+        with pytest.raises(ValueError, match=re.escape(
+                f"pair {shown} is not two integer points")):
+            minimal_block(c8_gens(), [(0, 2), pair])
     assert calls == []
+    # an integer (P, 2) array is taken as it is
+    pairs = np.array([[0, 4], [1, 5]], dtype=np.uint8)
+    monkeypatch.undo()
+    assert minimal_block(c8_gens(), pairs) == minimal_block(c8_gens(), [(0, 4)])
+
+
+def random_generator_set(rng):
+    """1-4 permutations of degree 1-24: any permutation, one moving a random
+    subset of the points only (often intransitive), or one keeping a random
+    partition into blocks of equal size (often imprimitive)."""
+    n = rng.randint(1, 24)
+    kind = rng.choice(("any", "support", "blocks"))
+    k = rng.choice([k for k in range(1, n + 1) if n % k == 0])
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        if kind == "blocks":
+            outer = rng.sample(range(n // k), n // k)
+            row = [outer[x // k] * k + y for x in range(0, n, k)
+                   for y in rng.sample(range(k), k)]
+        else:
+            row = list(range(n))
+            moved = (rng.sample(range(n), rng.randint(0, n))
+                     if kind == "support" else row[:])
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                row[x] = y
+        rows.append(row)
+    return GeneratorSet(rows, [f"g{i}" for i in range(len(rows))])
+
+
+def test_minimal_block_matches_the_retired_union_find():
+    # random sets, transitive or not, with 0-3 pairs, then the round and
+    # encryption sets of seeded ciphers at d <= 8 gluing 0 to spread points
+    rng = random.Random(0xB10C)
+    systems = set()
+    for _ in range(2000):
+        gens = random_generator_set(rng)
+        pairs = [(rng.randrange(gens.degree), rng.randrange(gens.degree))
+                 for _ in range(rng.randint(0, 3))]
+        got = groups._minimal_block(
+            gens, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        assert got == retired_minimal_block(gens, pairs), (gens.images,
+                                                           pairs)
+        systems.add((gens.degree, got.n_blocks))
+    assert len(systems) > 100
+    for n in range(12):
+        m, b = (4, 2) if n % 4 == 3 else ((2, 2), (3, 2), (2, 3))[n % 3]
+        layout = BrickLayout(m, b)
+        kind = ("random", "affine", "identity")[n % 3]
+        rounds = tuple(
+            Round(tuple(_oracle_test_brick(kind, rng, m) for _ in range(b)),
+                  rotation_layer(layout) if n % 2 else
+                  MixingLayer(random_invertible(rng, layout.d), layout))
+            for _ in range(rng.randint(1, 3)))
+        cipher = TbCipher(rounds)
+        for gens in (sample_round_generators(cipher),
+                     sample_ind_generators(cipher)):
+            for beta in range(1, gens.degree, 1 + gens.degree // 8):
+                got = groups._minimal_block(gens, np.array([[0, beta]]))
+                assert got == retired_minimal_block(gens, [(0, beta)])
+
+
+def test_minimal_block_chases_each_point_once(monkeypatch):
+    # after the pair join every step joins g(r) with g(label[r]) for the
+    # least points r the step before relabelled, and a point stops being
+    # least once, so the joins number at most G * (n - n_blocks); and
+    # raveled index arrays, as np.minimum.at is markedly slower on 2-D ones
+    join = groups._join_classes
+    calls = []
+
+    def counted(label, a, b):
+        assert a.ndim == b.ndim == 1
+        calls.append(len(a))
+        assert sum(calls[1:]) <= bound, "a point was chased twice"
+        return join(label, a, b)
+
+    monkeypatch.setattr(groups, "_join_classes", counted)
+    cipher = build_rotation_cipher(3, 3, 3)
+    ind = sample_ind_generators(cipher)
+    cases = [(c8_gens(), [(0, 4)]), (wreath_gens(), [(0, 4), (1, 5)]),
+             (translation_group_gens(4), [(0, 3)]),
+             (ind, [(0, 7)]), (ind, [(0, 9)]),
+             (sample_round_generators(cipher), [(0, 1)])]
+    for gens, pairs in cases:
+        want = retired_minimal_block(gens, pairs)
+        bound = len(gens) * (gens.degree - want.n_blocks)
+        calls.clear()
+        assert groups._minimal_block(gens, np.array(pairs)) == want
+        assert len(calls) >= 2  # the pair join and at least one chase
 
 
 def test_is_primitive_verdicts():
