@@ -15,7 +15,11 @@ rotation layers), audits each, and validates the verdict the hard way:
                    system through {0, u} must be the coset partition of the
                    least of those subspaces holding u (one block if none
                    does), for u the first row of each minimal partition,
-                   1 and 2^d - 1
+                   1 and 2^d - 1; and the group the keyed rounds generate
+                   must be primitive exactly when no chain is constant,
+                   (U, ..., U), with the witness's block through 0 the
+                   space of a constant chain holding the least nonzero
+                   point of any constant chain's space
 
 Inconclusive verdicts are counted but carry no claim to check.  This is the
 long-running relative of the sanity sweep in the test suite; crank --count
@@ -31,8 +35,10 @@ from tbaudit.cipher import (Round, TbCipher, audit, chain_holds_under_key,
 from tbaudit.errors import CapExceeded
 from tbaudit.gf2 import BrickLayout, random_invertible
 from tbaudit.groups import (BlockSystem, invariant_linear_partition_search,
-                            minimal_block, minimal_invariant_partitions,
-                            partition_block_system, sample_ind_generators)
+                            is_primitive, minimal_block,
+                            minimal_invariant_partitions,
+                            partition_block_system, sample_ind_generators,
+                            sample_round_generators)
 from tbaudit.mixing import MixingLayer
 from tbaudit.presets import rotation_layer
 from tbaudit.sbox import SBox
@@ -74,7 +80,8 @@ def main() -> int:
               if m * b <= args.max_d]
     rng = random.Random(args.seed)
     tally = {"secure": 0, "vulnerable": 0, "inconclusive": 0}
-    groups = {"agree": 0, "nonempty": 0, "blocks": 0, "refused": 0}
+    groups = {"agree": 0, "nonempty": 0, "blocks": 0, "primitivity": 0,
+              "imprimitive": 0, "refused": 0}
     t0 = time.monotonic()
     for i in range(args.count):
         cipher = random_cipher(rng, shapes, args.rotation_share)
@@ -116,6 +123,29 @@ def main() -> int:
                         f"{{0, {u}}} is not the least invariant partition " \
                         f"holding {u}"
                     groups["blocks"] += 1
+            # L(U) is invariant under every keyed round exactly when
+            # (U, ..., U) is a chain, and the round group's blocks are
+            # cosets, so its witness's block through 0 is the least such U
+            # holding the least point of any
+            constant = {c.spaces[0] for c in full
+                        if len(set(c.spaces)) == 1}
+            primitive, witness = is_primitive(sample_round_generators(cipher))
+            assert primitive == (not constant), \
+                f"cipher {i}: the round group is " \
+                f"{'' if primitive else 'im'}primitive, but " \
+                f"{len(constant)} chain(s) are constant"
+            if not primitive:
+                zero = witness.block_of == witness.block_of[0]
+                block = set(zero.nonzero()[0].tolist())
+                assert any(set(u.elements()) == block for u in constant), \
+                    f"cipher {i}: the witness's block through 0 is not " \
+                    f"the space of a constant chain"
+                assert min(block - {0}) == min(
+                    min(x for x in u.elements() if x) for u in constant), \
+                    f"cipher {i}: the witness's block through 0 misses " \
+                    f"the least point of the constant chains' spaces"
+                groups["imprimitive"] += 1
+            groups["primitivity"] += 1
         if verdict.status == "secure":
             assert not full, f"cipher {i}: secure verdict but chains exist"
         if verdict.status == "vulnerable":

@@ -14,7 +14,7 @@ array whose row k lists the images of generator k, with one label per row.
 Every routine reads that array directly.  Block relabelling,
 ``preserved_by`` and ``partition_block_system`` are numpy expressions over
 whole arrays, and one routine, ``_join_classes``, joins classes of points
-by min-label propagation for both ``is_primitive`` and ``minimal_block``.
+by min-label propagation for ``minimal_block``.
 
 Both sampled sets generate their group of interest exactly.  The round set
 generates the group of all keyed round maps.  The encryption-map set
@@ -38,15 +38,18 @@ partition kept by every translation, which is linear: L(U_{i+1}).  f_i
 maps L(U_i) onto L(U_{i+1}); U_{l+1} = U as G_l = id, and U_1 = U as E_0
 keeps L(U).
 
-Primitivity is Atkinson's block test (Math. Comp. 29, 1975) with one cut:
-an element h fixing 0 maps every block system onto itself, so the minimal
-system through {0, beta} equals the one through {0, h(beta)}.  Testing the
-least point of each orbit of any subgroup H of the stabilizer of 0, in
-increasing order, therefore finds the same first nontrivial system as
-testing every point.  H comes from Schreier generators of one breadth-first
-tree; on round groups it leaves one to three orbits out of 255 or 511
-points.  The tree is built once per ``is_primitive``: the block tests it
-runs skip ``minimal_block``'s own transitivity check.
+Blocks are cosets.  Let G hold every translation, B be a block through 0
+and b a point of B.  T_b(B) is a block holding T_b(0) = b, so it meets B,
+and T_b(B) = B.  So b + B = B for every b in B: B is a subspace, and the
+other blocks are its cosets.  The block systems of G are therefore exactly
+the coset partitions L(U) of its invariant subspaces U.  The minimal system
+through {0, beta} is L(C(beta)), for C(beta) the least invariant subspace
+holding beta (one block when that is the full space), and G is primitive
+exactly when no C(beta) is proper.  C(beta) is the partition search's
+closure of the seed beta, so ``is_primitive`` reads the answer off the
+search's seed pass whenever the set shows translations spanning F_2^d; any
+other set takes Atkinson's block test (Math. Comp. 29, 1975) point by
+point.
 
 The invariant-partition search runs the chain search's closure engine,
 ``gf2._seed_closure``, on one position: L(U) is invariant under g exactly
@@ -93,10 +96,6 @@ MAX_DEGREE = 1 << 16
 # The most invariant subspaces the partition search lists before it refuses
 # with CapExceeded; every join it builds is one.
 MAX_PARTITIONS = 512
-
-# How many points of the breadth-first tree give is_primitive the Schreier
-# generators of its stabilizer subgroup: on round groups, 8 leave 1-3 orbits.
-_SCHREIER_POINTS = 8
 
 # Elements in one batched array of the partition search's seed pass: seeds
 # by vectors in the first step, spans by span elements in the second.  2^15
@@ -159,14 +158,19 @@ class GeneratorSet:
 class BlockSystem:
     """A partition of the domain preserved by a group, as a block-id array.
 
-    Block ids must be integers; they are renumbered in the order of each
-    block's first point.
+    Block ids must be a non-empty 1-D array of integers; they are
+    renumbered in the order of each block's first point.
     """
 
     __slots__ = ("block_of", "n_blocks")
 
     def __init__(self, block_of) -> None:
         arr = np.asarray(block_of)
+        if arr.ndim != 1:
+            raise ValueError(f"block ids must form a 1-D array, one id per "
+                             f"point, not {arr.ndim}-D")
+        if not len(arr):
+            raise ValueError("block ids are empty: there is no point")
         if arr.dtype.kind not in "iu":
             raise ValueError(f"block ids must be integers, not {arr.dtype}")
         _, first, inverse = np.unique(arr, return_index=True,
@@ -187,7 +191,12 @@ class BlockSystem:
         return 1 < self.n_blocks < self.degree
 
     def block_size(self) -> int:
-        return self.degree // self.n_blocks
+        """The common size of the blocks; refuses blocks of unequal sizes."""
+        sizes = np.bincount(self.block_of)
+        if sizes.min() != sizes.max():
+            raise ValueError(f"blocks have sizes {sizes.min()} to "
+                             f"{sizes.max()}, not one block size")
+        return int(sizes[0])
 
     def blocks(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.n_blocks)]
@@ -307,20 +316,6 @@ def _schreier_tree(gens: GeneratorSet
     return pred, via, order
 
 
-def _transversal(images: np.ndarray, pred: np.ndarray,
-                 via: np.ndarray, y: int) -> np.ndarray:
-    """The tree element u_y (u_y(0) = y) as an image array, built by walking
-    the Schreier vector from y back to the root."""
-    path = []
-    while y:
-        path.append(int(via[y]))
-        y = int(pred[y])
-    u = np.arange(len(pred), dtype=np.int64)
-    for k in reversed(path):
-        u = images[k][u]
-    return u
-
-
 def _join_classes(label: np.ndarray, a: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
     """Class labels after joining the class of a[i] with the class of b[i]
@@ -353,38 +348,32 @@ def is_primitive(gens: GeneratorSet) -> tuple[bool, BlockSystem | None]:
     beta is nontrivial for some beta exactly when the group is imprimitive,
     and the least such beta's system is returned as the witness.
 
-    Only one beta per orbit of a subgroup H of the point stabilizer G_0 is
-    tested.  Every h in G_0 maps each block system of G onto itself, so
-    Sigma_beta = Sigma_{h(beta)}; the least nontrivial beta is therefore the
-    least point of its H-orbit, and testing the least point of every H-orbit
-    in increasing order gives the verdict and the witness of testing every
-    beta, whatever H is.  H is generated by the Schreier generators
-    u_{g(y)}^-1 g u_y of a few tree points y spread evenly over the
-    breadth-first order (the root's alone are trivial whenever the tree
-    elements at the root are the generators themselves, as for round
-    groups).  Tree elements are built on demand and never all kept.  A
-    trivial H tests every beta.
+    When the degree is 2^d and the translations x -> x + c among the rows
+    and among each row composed after the inverse of row 0 (``images[k] ^
+    arange(n)`` constant) have constants spanning F_2^d, the group holds
+    every translation, so its blocks are cosets (module docstring):
+    Sigma_beta is the coset partition of C(beta).  The round set's rows hold
+    the basis translations, and the encryption-map set's quotients
+    E_{l,j} o E_0^-1 are the translations by e_j.  The seed pass lists the
+    proper closures in the order of their least seeds, so the group is
+    primitive when it lists none, and otherwise the first is C(beta) for
+    the least beta whose closure is proper, the witness.  The closures are
+    read, not their joins, so ``MAX_PARTITIONS`` never refuses.  Any other
+    set glues 0 to each beta in turn.
     """
-    pred, via, order = _schreier_tree(gens)
     n = gens.degree
+    d = n.bit_length() - 1
     images = gens.images
-    identity = np.arange(n, dtype=np.int64)
-    roots = identity
-    for y in dict.fromkeys(order[k * n // _SCHREIER_POINTS].item()
-                           for k in range(_SCHREIER_POINTS)):
-        u_y = _transversal(images, pred, via, y)
-        for k, img in enumerate(images):
-            z = int(img[y])
-            if pred[z] == y and via[z] == k:
-                continue  # a tree edge: u_z = g u_y, so s is the identity
-            inv_u_z = np.empty(n, dtype=np.int64)
-            inv_u_z[_transversal(images, pred, via, z)] = identity
-            s = inv_u_z[img[u_y]]
-            if not np.array_equal(s, identity):
-                roots = _join_classes(roots, identity, s)
-        if (roots[1:] == 1).all():
-            break  # H is transitive on the points other than 0
-    for beta in np.flatnonzero(roots == identity)[1:].tolist():
+    shifts = np.concatenate([images, images[:, np.argsort(images[0])]]
+                            ) ^ np.arange(n)
+    steps = shifts[(shifts == shifts[:, :1]).all(axis=1), 0]
+    if d and n == 1 << d and len(_reduced_rows(steps.tolist())) == d:
+        closures = _seed_pass(gens, d)
+        if not closures:
+            return True, None
+        return False, partition_block_system(Subspace(closures[0], d))
+    _schreier_tree(gens)
+    for beta in range(1, n):
         system = _minimal_block(gens, np.array([[0, beta]]))
         if system.nontrivial:
             return False, system
@@ -500,20 +489,13 @@ def _spread_full(spans: np.ndarray, full: np.ndarray) -> None:
         pending = pending[~settled]
 
 
-def invariant_linear_partition_search(gens: GeneratorSet) -> list[Subspace]:
-    """All proper nonzero subspaces U with L(U) invariant under every
-    generator, exactly, sorted by (dim, basis).
+def _seed_pass(gens: GeneratorSet, d: int) -> list[tuple[int, ...]]:
+    """The proper closures C(v) of the partition search, as reduced rows, in
+    the order of their least seeds v.
 
-    The invariant subspaces are the closed sets of ``gf2._seed_closure`` on
-    one position whose self-loop gives span{D_u g(x)} over every x and every
-    generator kept, memoised per u within the search.  Each is the sum of
-    the closures C(v) of its own vectors, and each such sum is invariant, so
-    the answer is the proper sums of the proper closures (``gf2._joins``).
-    The search refuses with CapExceeded on the invariant subspace past
-    ``MAX_PARTITIONS``, before it builds any more.
-
-    The seed pass rests on three exact facts, so it finds the atoms, in the
-    order of their least seeds, that a closure of each seed would:
+    The closures are those of ``gf2._seed_closure`` on one position whose
+    self-loop gives span{D_u g(x)} over every x and every generator kept,
+    memoised per u within the pass.  Three exact facts spare most of them:
     - C(v) holds U1(v), the span of v and every phi_g(v) = D_v g(0),
       taken for every seed in one batched reduction; rank d means a full
       closure;
@@ -523,10 +505,7 @@ def invariant_linear_partition_search(gens: GeneratorSet) -> list[Subspace]:
     - C(v) = C(U1(v)), so one closure per distinct U1 of the seeds left is
       enough.
     """
-    n = gens.degree
-    d = n.bit_length() - 1
-    if n != 1 << d:
-        raise ValueError("degree is not a power of two")
+    n = 1 << d
     # points fit in 16 bits, as the degree is at most MAX_DEGREE = 2^16
     stack = gens.images.astype(np.uint16)
     phi = np.stack(list({row.tobytes(): row
@@ -557,8 +536,27 @@ def invariant_linear_partition_search(gens: GeneratorSet) -> list[Subspace]:
             _spread_full(spans, full)
         else:
             atoms.setdefault(memo[u1], None)
+    return list(atoms)
+
+
+def invariant_linear_partition_search(gens: GeneratorSet) -> list[Subspace]:
+    """All proper nonzero subspaces U with L(U) invariant under every
+    generator, exactly, sorted by (dim, basis).
+
+    L(U) is invariant under g exactly when U holds span{D_u g(x)} for every
+    x and every basis row u of U, so the invariant subspaces are the closed
+    sets of the seed pass's closure (``_seed_pass``).  Each is the sum of
+    the closures C(v) of its own vectors, and each such sum is invariant, so
+    the answer is the proper sums of the proper closures (``gf2._joins``).
+    The search refuses with CapExceeded on the invariant subspace past
+    ``MAX_PARTITIONS``, before it builds any more.
+    """
+    n = gens.degree
+    d = n.bit_length() - 1
+    if n != 1 << d:
+        raise ValueError("degree is not a power of two")
     out = []
-    for rows in _joins(atoms, d):
+    for rows in _joins(_seed_pass(gens, d), d):
         if len(out) == MAX_PARTITIONS:
             raise CapExceeded("too many closed subspaces",
                               estimate=MAX_PARTITIONS + 1,

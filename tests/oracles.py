@@ -812,6 +812,74 @@ def all_points_is_primitive(gens):
     return True, None
 
 
+# How many points of the breadth-first tree give retired_is_primitive the
+# Schreier generators of its stabilizer subgroup: on round groups, 8 leave
+# 1-3 orbits.
+_SCHREIER_POINTS = 8
+
+
+def _transversal(images, pred, via, y):
+    """The tree element u_y (u_y(0) = y) as an image array, built by walking
+    the Schreier vector from y back to the root."""
+    import numpy as np
+    path = []
+    while y:
+        path.append(int(via[y]))
+        y = int(pred[y])
+    u = np.arange(len(pred), dtype=np.int64)
+    for k in reversed(path):
+        u = images[k][u]
+    return u
+
+
+def retired_is_primitive(gens):
+    """Whether the generated (transitive) group is primitive, by the
+    Schreier-subgroup cut that the partition search's seed pass replaced.
+
+    Atkinson's block test: the minimal block system Sigma_beta gluing 0 to
+    beta is nontrivial for some beta exactly when the group is imprimitive,
+    and the least such beta's system is returned as the witness.
+
+    Only one beta per orbit of a subgroup H of the point stabilizer G_0 is
+    tested.  Every h in G_0 maps each block system of G onto itself, so
+    Sigma_beta = Sigma_{h(beta)}; the least nontrivial beta is therefore the
+    least point of its H-orbit, and testing the least point of every H-orbit
+    in increasing order gives the verdict and the witness of testing every
+    beta, whatever H is.  H is generated by the Schreier generators
+    u_{g(y)}^-1 g u_y of a few tree points y spread evenly over the
+    breadth-first order (the root's alone are trivial whenever the tree
+    elements at the root are the generators themselves, as for round
+    groups).  Tree elements are built on demand and never all kept.  A
+    trivial H tests every beta.
+    """
+    import numpy as np
+    from tbaudit.groups import _join_classes, _minimal_block, _schreier_tree
+    pred, via, order = _schreier_tree(gens)
+    n = gens.degree
+    images = gens.images
+    identity = np.arange(n, dtype=np.int64)
+    roots = identity
+    for y in dict.fromkeys(order[k * n // _SCHREIER_POINTS].item()
+                           for k in range(_SCHREIER_POINTS)):
+        u_y = _transversal(images, pred, via, y)
+        for k, img in enumerate(images):
+            z = int(img[y])
+            if pred[z] == y and via[z] == k:
+                continue  # a tree edge: u_z = g u_y, so s is the identity
+            inv_u_z = np.empty(n, dtype=np.int64)
+            inv_u_z[_transversal(images, pred, via, z)] = identity
+            s = inv_u_z[img[u_y]]
+            if not np.array_equal(s, identity):
+                roots = _join_classes(roots, identity, s)
+        if (roots[1:] == 1).all():
+            break  # H is transitive on the points other than 0
+    for beta in np.flatnonzero(roots == identity)[1:].tolist():
+        system = _minimal_block(gens, np.array([[0, beta]]))
+        if system.nontrivial:
+            return False, system
+    return True, None
+
+
 def _retired_phi_closure(stack, seed_rows, d):
     """The scalar closure of the seeds under every u -> g(u) + g(0), for the
     image arrays stacked as the rows of ``stack``; None when it is the full

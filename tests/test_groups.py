@@ -25,9 +25,10 @@ from tbaudit.groups import (MAX_PARTITIONS, BlockSystem, GeneratorSet,
 from tbaudit.mixing import MixingLayer
 from tbaudit.presets import identity_sbox, rotation_layer
 
-from oracles import (all_points_is_primitive, brute_block_systems_transitive,
-                     canonical_rref_bases, cosets_of, finest_containing_pair,
-                     partition_invariant, phi_closure_partition_search,
+from oracles import (_transversal, all_points_is_primitive,
+                     brute_block_systems_transitive, canonical_rref_bases,
+                     cosets_of, finest_containing_pair, partition_invariant,
+                     phi_closure_partition_search, retired_is_primitive,
                      retired_minimal_block)
 from test_cipher import _closure_test_ciphers, _oracle_test_brick
 
@@ -116,28 +117,28 @@ def test_generator_set_validation():
 
 
 def test_compose_applies_left_then_right():
-    # a followed by b is b's row indexed by a's: the tree element u_y is
-    # its path's generators composed that way, so it sends 0 to y
+    # a followed by b is b's row indexed by a's: the retired route's tree
+    # element u_y is its path's generators composed that way, so it sends 0
+    # to y
     gens = wreath_gens()
     pred, via, _ = groups._schreier_tree(gens)
     for y in range(gens.degree):
-        assert groups._transversal(gens.images, pred, via, y)[0] == y
+        assert _transversal(gens.images, pred, via, y)[0] == y
 
 
 def test_inverse_and_identity():
     # the inverse of a row sorts its images back into place; every Schreier
-    # generator u_{g(y)}^-1 g u_y fixes 0, and on a tree edge it is the
-    # identity
+    # generator u_{g(y)}^-1 g u_y of the retired route fixes 0, and on a
+    # tree edge it is the identity
     gens = wreath_gens()
     pred, via, _ = groups._schreier_tree(gens)
     identity = np.arange(gens.degree)
     edges = 0
     for y in range(gens.degree):
-        u_y = groups._transversal(gens.images, pred, via, y)
+        u_y = _transversal(gens.images, pred, via, y)
         for k, g in enumerate(gens.images):
             z = g[y]
-            inv_u_z = np.argsort(groups._transversal(gens.images, pred, via,
-                                                     z))
+            inv_u_z = np.argsort(_transversal(gens.images, pred, via, z))
             s = inv_u_z[g[u_y]]
             assert s[0] == 0
             if pred[z] == y and via[z] == k:
@@ -172,6 +173,23 @@ def test_block_system_canonical_relabelling():
         BlockSystem([0.2, 0.7, 1.5, 1.9])
     with pytest.raises(ValueError, match="integers, not bool"):
         BlockSystem([True, False])
+    # refused, not raveled: [[0, 1], [1, 0]] would read as 4 points
+    with pytest.raises(ValueError, match="1-D array, one id per point, not 2-D"):
+        BlockSystem([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="1-D array, one id per point, not 0-D"):
+        BlockSystem(3)
+    # refused as empty, not as floats nor as a degree-0 system whose block
+    # size divides by zero
+    for empty in ([], np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="block ids are empty"):
+            BlockSystem(empty)
+    # blocks of sizes 2 and 1 have no block size, where 3 // 2 read as 1
+    uneven = BlockSystem([0, 0, 1])
+    assert uneven.n_blocks == 2 and uneven.blocks() == [[0, 1], [2]]
+    with pytest.raises(ValueError, match="blocks have sizes 1 to 2"):
+        uneven.block_size()
+    assert BlockSystem([7]).block_size() == 1
+    assert BlockSystem([0, 1, 2]).block_size() == 1
 
 
 def test_block_systems_of_different_degrees_differ():
@@ -389,10 +407,11 @@ def test_is_primitive_verdicts():
 
 @pytest.mark.parametrize("gens", [
     c8_gens(), s8_gens(), GeneratorSet([cycle(5)], ["rot"]),
-    # every Schreier generator is trivial: each beta is tested
+    # the basis translations as rows: the seed pass answers, and the first
+    # proper closure is C(1) = {0, 1}
     translation_group_gens(3),
-    # 0's stabilizer joins 1, 2, 3, 5, 6, 7 in one orbit, so beta = 4,
-    # the first nontrivial one, is reached without testing 2 or 3
+    # no row is a translation: the generic route glues 0 to 1, 2 and 3,
+    # whose systems are trivial, before beta = 4, the first nontrivial one
     wreath_gens(),
 ], ids=["c8", "s8", "c5", "translations", "s2-wr-s4"])
 def test_is_primitive_matches_the_all_points_loop(gens):
@@ -425,30 +444,82 @@ def test_is_primitive_matches_the_all_points_loop_on_ciphers():
     assert min(verdicts.values()) >= 10, verdicts
 
 
-def test_is_primitive_tests_one_point_per_stabilizer_orbit(monkeypatch):
-    # the all-points loop glued 0 to each of the 511 other points
+def test_is_primitive_takes_the_seed_pass_on_translation_sets(monkeypatch):
+    # a set whose translations, among its rows or among its rows composed
+    # after row 0's inverse, span F_2^d is answered by the seed pass, with
+    # no tree and no block test; any other set builds the tree once and
+    # glues 0 to each beta in turn
     calls = []
-    minimal = groups._minimal_block
-    monkeypatch.setattr(groups, "_minimal_block",
-                        lambda gens, pairs: calls.append(pairs)
-                        or minimal(gens, pairs))
-    gens = sample_round_generators(build_rotation_cipher(3, 3, 3))
-    assert is_primitive(gens) == (True, None)
-    assert 1 <= len(calls) <= 8
-
-
-def test_is_primitive_builds_one_schreier_tree(monkeypatch):
-    # the block tests skip minimal_block's transitivity check, which would
-    # build the tree again for every tested point
-    calls = []
-    tree = groups._schreier_tree
+    tree, minimal, seed_pass = (groups._schreier_tree, groups._minimal_block,
+                                groups._seed_pass)
     monkeypatch.setattr(groups, "_schreier_tree",
-                        lambda gens: calls.append(gens) or tree(gens))
-    gens = sample_round_generators(build_rotation_cipher(3, 3, 3))
-    assert is_primitive(gens) == (True, None)
-    assert len(calls) == 1
-    minimal_block(gens, [(0, 1)])
-    assert len(calls) == 2  # the public call still checks transitivity
+                        lambda gens: calls.append("tree") or tree(gens))
+    monkeypatch.setattr(groups, "_minimal_block",
+                        lambda gens, pairs: calls.append("block")
+                        or minimal(gens, pairs))
+    monkeypatch.setattr(groups, "_seed_pass",
+                        lambda gens, d: calls.append("seed")
+                        or seed_pass(gens, d))
+    # rows T_3 and T_1 at d = 2 span F_2^2 without being the basis rows
+    t3_t1 = GeneratorSet(np.arange(4) ^ np.array([3, 1])[:, None],
+                         ["t3", "t1"])
+    # the encryption maps hold no translation row, but each E_{l,j} o E_0^-1
+    # is the translation by e_j
+    cipher = build_rotation_cipher(3, 3, 3)
+    for gens in (sample_round_generators(cipher), sample_ind_generators(cipher),
+                 translation_group_gens(3), t3_t1):
+        want = retired_is_primitive(gens)
+        calls.clear()
+        assert is_primitive(gens) == want
+        assert calls[0] == "seed" and calls.count("seed") == 1
+        assert "tree" not in calls and "block" not in calls
+    for gens in (c8_gens(), wreath_gens()):
+        want = all_points_is_primitive(gens)
+        calls.clear()
+        assert is_primitive(gens) == want
+        assert calls[0] == "tree" and calls.count("tree") == 1
+        assert "seed" not in calls and "block" in calls
+    # one translation row spans only a line: the generic route answers
+    d4 = GeneratorSet([cycle(4), np.arange(4) ^ 1], ["rot", "t1"])
+    want = all_points_is_primitive(d4)
+    calls.clear()
+    assert is_primitive(d4) == want and not want[0]
+    assert "seed" not in calls
+    # the public minimal_block still checks transitivity
+    calls.clear()
+    minimal_block(t3_t1, [(0, 1)])
+    assert calls == ["tree", "block"]
+
+
+def _primitivity_oracle_cases():
+    """Round sets of the 216 closure-test ciphers, then seeded d = 8-9
+    ciphers of the shapes of the group workload: rotation m4b2 and m3b3
+    with b rounds, and random-layer m4b2 and m3b3 with two rounds."""
+    for cipher in _closure_test_ciphers():
+        yield sample_round_generators(cipher)
+    rng = random.Random(0x5EED)
+    for n in range(24):
+        m, b = ((4, 2), (3, 3))[n % 2]
+        layout = BrickLayout(m, b)
+        rotate = n % 4 < 2
+        rounds = tuple(
+            Round(tuple(_oracle_test_brick("random", rng, m)
+                        for _ in range(b)),
+                  rotation_layer(layout) if rotate else
+                  MixingLayer(random_invertible(rng, layout.d), layout))
+            for _ in range(b if rotate else 2))
+        yield sample_round_generators(TbCipher(rounds))
+
+
+def test_is_primitive_matches_the_retired_schreier_cut():
+    # verdict and witness equal the retired route's on every round set,
+    # many of them imprimitive
+    imprimitive = 0
+    for gens in _primitivity_oracle_cases():
+        got = is_primitive(gens)
+        assert got == retired_is_primitive(gens), gens.labels
+        imprimitive += not got[0]
+    assert imprimitive >= 50, imprimitive
 
 
 # ---------------------------------------------------------------------------
