@@ -491,6 +491,43 @@ def test_is_primitive_takes_the_seed_pass_on_translation_sets(monkeypatch):
     assert calls == ["tree", "block"]
 
 
+def test_is_primitive_tests_one_point_per_stabilizer_orbit(monkeypatch):
+    # the all-points loop glued 0 to each of the 511 other points; the
+    # retired Schreier-subgroup cut, the oracle of the seed pass, glues 0 to
+    # one point per orbit of its stabilizer subgroup, and is_primitive
+    # answers the round set by the seed pass with no block test at all
+    calls = []
+    minimal = groups._minimal_block
+    monkeypatch.setattr(groups, "_minimal_block",
+                        lambda gens, pairs: calls.append(pairs)
+                        or minimal(gens, pairs))
+    gens = sample_round_generators(build_rotation_cipher(3, 3, 3))
+    assert retired_is_primitive(gens) == (True, None)
+    assert 1 <= len(calls) <= 8
+    calls.clear()
+    assert is_primitive(gens) == (True, None)
+    assert calls == []
+
+
+def test_is_primitive_builds_one_schreier_tree(monkeypatch):
+    # the generic route's block tests skip minimal_block's transitivity
+    # check, which would build the tree again for every tested point; the
+    # seed pass on a round set builds none
+    calls = []
+    tree = groups._schreier_tree
+    monkeypatch.setattr(groups, "_schreier_tree",
+                        lambda gens: calls.append(gens) or tree(gens))
+    gens = sample_round_generators(build_rotation_cipher(3, 3, 3))
+    assert is_primitive(gens) == (True, None)
+    assert calls == []
+    # S_8 is primitive, so 0 is glued to all seven other points
+    s8 = s8_gens()
+    assert is_primitive(s8) == (True, None)
+    assert len(calls) == 1
+    minimal_block(s8, [(0, 1)])
+    assert len(calls) == 2  # the public call still checks transitivity
+
+
 def _primitivity_oracle_cases():
     """Round sets of the 216 closure-test ciphers, then seeded d = 8-9
     ciphers of the shapes of the group workload: rotation m4b2 and m3b3
