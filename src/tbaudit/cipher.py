@@ -52,10 +52,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, SpecError
-from .gf2 import (_BLOCK_CHUNK, BrickLayout, Subspace, _iter_rref_blocks,
-                  _joins, _maps_cosets, _reduced_blocks, _reduced_rows,
-                  _seed_closure, _span_elements, count_proper_subspaces,
-                  subspace_image, wall_brick_mask, wall_subspace)
+from .gf2 import (_BLOCK_CHUNK, BrickLayout, Subspace, _is_int,
+                  _iter_rref_blocks, _joins, _maps_cosets, _reduced_blocks,
+                  _reduced_rows, _seed_closure, _span_elements,
+                  count_proper_subspaces, subspace_image, wall_brick_mask,
+                  wall_subspace)
 from .mixing import (FamilyReport, LayerFamily, MixingLayer, _popcount,
                      _wall_table, family_strongly_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, DerivativeImage, SBox,
@@ -168,6 +169,8 @@ def _check_key_tuple(cipher: TbCipher, keys: Sequence[int]) -> None:
         raise ValueError(f"expected {cipher.ell} round keys, got {len(keys)}")
     top = 1 << cipher.layout.d
     for k in keys:
+        if not _is_int(k):
+            raise ValueError(f"round key {k!r} is not an integer")
         if not 0 <= k < top:
             raise ValueError("round key out of range")
 
@@ -175,6 +178,9 @@ def _check_key_tuple(cipher: TbCipher, keys: Sequence[int]) -> None:
 def encrypt(cipher: TbCipher, keys: Sequence[int], x: int) -> int:
     _check_key_tuple(cipher, keys)
     layout = cipher.layout
+    if not (_is_int(x) and 0 <= x < 1 << layout.d):
+        raise ValueError(f"plaintext {x!r} is not an integer in "
+                         f"[0, 2^{layout.d})")
     for rnd, k in zip(cipher.rounds, keys):
         x = rnd.layer.matrix.apply(_substitute(layout, rnd.bricks, x)) ^ k
     return x
@@ -557,6 +563,8 @@ def find_trapdoor_chains(cipher: TbCipher, mode: str = "walls", *,
     (``gf2._reduced_blocks``), and builds each distinct subspace once,
     without a table; the chains come in (dim U_1, basis) order.
     """
+    if not _is_int(cap):
+        raise ValueError(f"cap {cap!r} is not an integer")
     if mode == "walls":
         family = family_strongly_proper(LayerFamily(cipher.layers()))
         return _walk_chains(cipher, _wall_walk(cipher, family))

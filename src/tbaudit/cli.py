@@ -25,7 +25,7 @@ from .errors import CapExceeded, SingularMatrixError, SpecError
 from .gf2 import (BitMatrix, BrickLayout, Subspace, _mask_bricks,
                   wall_brick_mask, wall_subspace)
 from .groups import (invariant_linear_partition_search, is_primitive,
-                     minimal_block, minimal_invariant_partitions,
+                     minimal_invariant_partitions, partition_block_system,
                      sample_ind_generators, sample_round_generators)
 from .mixing import (LayerFamily, MixingLayer, family_strongly_proper,
                      wall_trace)
@@ -287,7 +287,8 @@ def _demo_group_check(rounds: int = 3) -> int:
         print(f"    invariant partitions found: {names}"
               + (f" (plus {len(found) - len(minimal)} sums)"
                  if len(found) > len(minimal) else ""))
-        system = minimal_block(ind, [(0, found[0].basis[0])])
+        # blocks are cosets; found[0], of least dim, is C(u) for u in it
+        system = partition_block_system(found[0])
         print(f"    minimal block system through V_1: {system.n_blocks} "
               f"blocks of size {system.block_size()} (imprimitive)")
     else:

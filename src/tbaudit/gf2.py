@@ -55,6 +55,11 @@ __all__ = [
 AMBIENT_CAP = 128
 
 
+def _is_int(x: object) -> bool:
+    """Whether x is an int or a numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _reduced_rows(vectors: Iterable[int],
                   limit: int | None = None) -> tuple[int, ...] | None:
     """Reduced row echelon basis of the span, pivots (lowest set bits) ascending.
@@ -424,6 +429,8 @@ class BrickLayout:
     b: int
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.m) and _is_int(self.b)):
+            raise ValueError(f"m={self.m!r} and b={self.b!r} must be integers")
         if self.m < 2 or self.b < 2:
             raise ValueError("need m >= 2 and b >= 2")
         if self.m * self.b > AMBIENT_CAP:
@@ -437,6 +444,8 @@ class BrickLayout:
 def wall_subspace(layout: BrickLayout, mask: int) -> Subspace:
     """The wall whose bricks are the set bits of a b-bit brick mask (bit
     i - 1 for brick i): the direct sum of those bricks."""
+    if not _is_int(mask):
+        raise ValueError(f"brick mask {mask!r} is not an integer")
     if not 0 <= mask < 1 << layout.b:
         raise ValueError(f"brick mask {mask:#x} out of range for b={layout.b}")
     m = layout.m

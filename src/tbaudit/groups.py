@@ -14,7 +14,8 @@ array whose row k lists the images of generator k, with one label per row.
 Every routine reads that array directly.  Block relabelling,
 ``preserved_by`` and ``partition_block_system`` are numpy expressions over
 whole arrays, and one routine, ``_join_classes``, joins classes of points
-by min-label propagation for ``minimal_block``.
+by min-label propagation: the pairs of ``minimal_block``, and each x with
+every g(x) for the transitivity check, which leaves the orbits.
 
 Both sampled sets generate their group of interest exactly.  The round set
 generates the group of all keyed round maps.  The encryption-map set
@@ -74,7 +75,7 @@ import numpy as np
 
 from .cipher import TbCipher, encryption_table, round_table
 from .errors import CapExceeded, IntransitiveError
-from .gf2 import (Subspace, _joins, _reduced_blocks, _reduced_rows,
+from .gf2 import (Subspace, _is_int, _joins, _reduced_blocks, _reduced_rows,
                   _seed_closure)
 
 __all__ = [
@@ -237,26 +238,24 @@ def minimal_block(gens: GeneratorSet,
                   pairs: Sequence[tuple[int, int]]) -> BlockSystem:
     """The finest block system in which each given pair shares a block.
 
-    Requires a transitive group.  Refuses, before any work, a pair that is
-    not two integer points (a float, a bool, one point or three) and a pair
-    with a point outside [0, n).
+    Refuses, before any work, a pair that is not two integer points (a
+    float, a bool, one point or three) and a pair with a point outside
+    [0, n); then refuses an intransitive group (``_require_transitive``).
     """
     n = gens.degree
     for pair in pairs:
         pts = tuple(pair) if np.iterable(pair) else (pair,)
-        if len(pts) != 2 or not all(
-                isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-                for x in pts):
+        if len(pts) != 2 or not all(_is_int(x) for x in pts):
             raise ValueError(f"pair {pts} is not two integer points")
         if not all(0 <= x < n for x in pts):
             raise ValueError(f"pair {pts} has a point outside [0, {n})")
-    _schreier_tree(gens)
+    _require_transitive(gens)
     return _minimal_block(gens, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def _minimal_block(gens: GeneratorSet, pairs: np.ndarray) -> BlockSystem:
     """``minimal_block`` of an integer (P, 2) array of pairs, without its
-    checks, for callers that have already built the Schreier tree.
+    checks, for callers that have already checked transitivity.
 
     Joining x and y forces g(x) and g(y) together for every generator g.
     Each class with least point r keeps g(x) in the class of g(r) for all
@@ -275,45 +274,6 @@ def _minimal_block(gens: GeneratorSet, pairs: np.ndarray) -> BlockSystem:
         moved = np.flatnonzero((label == points) & (new != points))
         label = new
     return BlockSystem(label)
-
-
-def _schreier_tree(gens: GeneratorSet
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breadth-first search from 0 over the generators, as a Schreier vector.
-
-    Returns (pred, via, order): point y was first reached as
-    gens.images[via[y], pred[y]], and ``order`` lists the points in the order
-    the search reached them (0 first; via[0] is -1).  Raises
-    IntransitiveError when the search misses a point.
-    """
-    n = gens.degree
-    pred = np.full(n, -1, dtype=np.int64)
-    via = np.full(n, -1, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    levels = [np.zeros(1, dtype=np.int64)]
-    frontier = levels[0]
-    while len(frontier):
-        reached = []
-        for k, img in enumerate(gens.images):
-            imgs = img[frontier]
-            fresh_mask = ~seen[imgs]
-            if not fresh_mask.any():
-                continue
-            fresh, first = np.unique(imgs[fresh_mask], return_index=True)
-            seen[fresh] = True
-            pred[fresh] = frontier[fresh_mask][first]
-            via[fresh] = k
-            reached.append(fresh)
-        frontier = (np.concatenate(reached) if reached
-                    else np.zeros(0, dtype=np.int64))
-        levels.append(frontier)
-    order = np.concatenate(levels)
-    if len(order) < n:
-        raise IntransitiveError(
-            f"group is not transitive (orbit of 0 has size {len(order)} "
-            f"of {n})")
-    return pred, via, order
 
 
 def _join_classes(label: np.ndarray, a: np.ndarray,
@@ -341,6 +301,23 @@ def _join_classes(label: np.ndarray, a: np.ndarray,
         root = nxt
 
 
+def _require_transitive(gens: GeneratorSet) -> None:
+    """Raise IntransitiveError unless the orbit of 0 is every point.
+
+    The orbits are the classes of ``_join_classes`` after joining each point
+    x with g(x) for every generator g, so each orbit is labelled with its
+    least point, and the group is transitive when every label is 0.
+    """
+    points = np.arange(gens.degree, dtype=np.int64)
+    # one raveled index array per end: np.minimum.at is far slower on 2-D
+    label = _join_classes(points, np.tile(points, len(gens)),
+                          gens.images.ravel())
+    if label.any():
+        raise IntransitiveError(
+            f"group is not transitive (orbit of 0 has size "
+            f"{np.count_nonzero(label == 0)} of {gens.degree})")
+
+
 def is_primitive(gens: GeneratorSet) -> tuple[bool, BlockSystem | None]:
     """Whether the generated (transitive) group is primitive.
 
@@ -359,7 +336,8 @@ def is_primitive(gens: GeneratorSet) -> tuple[bool, BlockSystem | None]:
     primitive when it lists none, and otherwise the first is C(beta) for
     the least beta whose closure is proper, the witness.  The closures are
     read, not their joins, so ``MAX_PARTITIONS`` never refuses.  Any other
-    set glues 0 to each beta in turn.
+    set is checked for transitivity once (``_require_transitive``) and
+    glues 0 to each beta in turn.
     """
     n = gens.degree
     d = n.bit_length() - 1
@@ -372,7 +350,7 @@ def is_primitive(gens: GeneratorSet) -> tuple[bool, BlockSystem | None]:
         if not closures:
             return True, None
         return False, partition_block_system(Subspace(closures[0], d))
-    _schreier_tree(gens)
+    _require_transitive(gens)
     for beta in range(1, n):
         system = _minimal_block(gens, np.array([[0, beta]]))
         if system.nontrivial:

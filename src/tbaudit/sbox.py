@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapExceeded
-from .gf2 import (Subspace, _iter_rref_blocks, _reduced_rows, _span_elements,
-                  gaussian_binomial)
+from .gf2 import (Subspace, _is_int, _iter_rref_blocks, _reduced_rows,
+                  _span_elements, gaussian_binomial)
 
 __all__ = [
     "MAX_M",
@@ -61,6 +61,9 @@ class SBox:
         if n < 4 or n != 1 << m:
             raise ValueError(f"table length {n} is not a power of two >= 4")
         _check_width(m)
+        for y in dict(zip(map(type, self.table), self.table)).values():
+            if not _is_int(y):  # one entry per type is enough to test
+                raise ValueError(f"entry {y!r} is not an integer")
         if sorted(self.table) != list(range(n)):
             seen: set[int] = set()
             for i, y in enumerate(self.table):

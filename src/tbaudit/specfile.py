@@ -30,7 +30,7 @@ from typing import Any
 from . import presets
 from .cipher import Round, TbCipher
 from .errors import SingularMatrixError, SpecError
-from .gf2 import BitMatrix, BrickLayout
+from .gf2 import BitMatrix, BrickLayout, _is_int
 from .mixing import MixingLayer
 from .sbox import SBox
 
@@ -67,7 +67,7 @@ def _as_dict(obj, path: str, allowed: set[str]) -> dict:
 
 
 def _as_int(obj, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
+    if not _is_int(obj):
         _fail(path, f"expected an integer, got {type(obj).__name__}")
     return obj
 

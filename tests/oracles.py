@@ -818,6 +818,47 @@ def all_points_is_primitive(gens):
 _SCHREIER_POINTS = 8
 
 
+def _schreier_tree(gens):
+    """Breadth-first search from 0 over the generators, as a Schreier vector,
+    the transitivity check that the orbit join of ``groups`` replaced.
+
+    Returns (pred, via, order): point y was first reached as
+    gens.images[via[y], pred[y]], and ``order`` lists the points in the order
+    the search reached them (0 first; via[0] is -1).  Raises
+    IntransitiveError when the search misses a point.
+    """
+    import numpy as np
+    from tbaudit.errors import IntransitiveError
+    n = gens.degree
+    pred = np.full(n, -1, dtype=np.int64)
+    via = np.full(n, -1, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    levels = [np.zeros(1, dtype=np.int64)]
+    frontier = levels[0]
+    while len(frontier):
+        reached = []
+        for k, img in enumerate(gens.images):
+            imgs = img[frontier]
+            fresh_mask = ~seen[imgs]
+            if not fresh_mask.any():
+                continue
+            fresh, first = np.unique(imgs[fresh_mask], return_index=True)
+            seen[fresh] = True
+            pred[fresh] = frontier[fresh_mask][first]
+            via[fresh] = k
+            reached.append(fresh)
+        frontier = (np.concatenate(reached) if reached
+                    else np.zeros(0, dtype=np.int64))
+        levels.append(frontier)
+    order = np.concatenate(levels)
+    if len(order) < n:
+        raise IntransitiveError(
+            f"group is not transitive (orbit of 0 has size {len(order)} "
+            f"of {n})")
+    return pred, via, order
+
+
 def _transversal(images, pred, via, y):
     """The tree element u_y (u_y(0) = y) as an image array, built by walking
     the Schreier vector from y back to the root."""
@@ -853,7 +894,7 @@ def retired_is_primitive(gens):
     trivial H tests every beta.
     """
     import numpy as np
-    from tbaudit.groups import _join_classes, _minimal_block, _schreier_tree
+    from tbaudit.groups import _join_classes, _minimal_block
     pred, via, order = _schreier_tree(gens)
     n = gens.degree
     images = gens.images

@@ -1,6 +1,7 @@
 """Cipher model, partition transport, chain search, and the audit verdict."""
 
 import random
+import re
 import time
 from itertools import combinations
 from pathlib import Path
@@ -115,6 +116,19 @@ def test_key_tuple_validation():
         encrypt(cipher, (0,), 0)
     with pytest.raises(ValueError, match="out of range"):
         encrypt(cipher, (0, 1 << 4), 0)
+    # a bool or a float key is refused, not read as 0 or 1
+    for k in (True, 1.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"round key {k!r} is not an integer")):
+            encrypt(cipher, (0, k), 0)
+    with pytest.raises(ValueError, match="round key True"):
+        encryption_table(cipher, (True, 0))
+    # a plaintext outside [0, 2^d) is refused, not wrapped or truncated
+    for x in (-3, 1 << 4, 1 << 40, 2.0, True):
+        with pytest.raises(ValueError, match=re.escape(
+                f"plaintext {x!r} is not an integer in [0, 2^4)")):
+            encrypt(cipher, (0, 0), x)
+    assert encrypt(cipher, (0, 0), np.uint8(15)) == encrypt(cipher, (0, 0), 15)
 
 
 def test_encryption_table_is_the_pointwise_map():
@@ -379,6 +393,14 @@ def test_walls_mode_matches_the_mask_oracle():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="unknown mode"):
         find_trapdoor_chains(build_rotation_cipher(2, 2, 1), "deep")
+    # a cap that is not an integer is refused in either mode: 9.5 ran the
+    # search, and True was "above the True-bit cap"
+    for mode in ("walls", "exhaustive"):
+        for cap in (9.5, True, None):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"cap {cap!r} is not an integer")):
+                find_trapdoor_chains(build_rotation_cipher(2, 2, 1), mode,
+                                     cap=cap)
 
 
 def test_exhaustive_cap_refusal():

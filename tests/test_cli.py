@@ -445,6 +445,24 @@ def test_demo_aes_wall(capsys):
     assert "family strongly proper: yes" in out
 
 
+def _group_check_text(rounds, walls):
+    """``demo group-check --rounds`` output on the d = 9 rotation cipher,
+    whose encryption maps keep the single-brick walls when ``walls``."""
+    found = ("    invariant partitions found: wall{1}, wall{2}, wall{3} "
+             "(plus 3 sums)\n"
+             "    minimal block system through V_1: 64 blocks of size 8 "
+             "(imprimitive)\n" if walls else
+             "    invariant partitions found: none\n")
+    return ("group check at degree 512:\n"
+            f"  sampled encryption-map generators ({1 + 9 * rounds} perms):\n"
+            + found
+            + f"  sampled round-map generators ({9 + rounds} perms): "
+            "primitive\n"
+            + ("  the round maps generate a primitive group, yet the "
+               "encryption maps share an invariant partition: the trapdoor "
+               "is invisible to the round-group test\n" if walls else ""))
+
+
 def test_demo_group_check(capsys):
     code, out, _ = run_cli(capsys, "demo", "group-check")
     assert code == 0
@@ -453,6 +471,13 @@ def test_demo_group_check(capsys):
     # the paper's second claim: a primitive round group hides the trapdoor
     assert "sampled round-map generators (12 perms): primitive\n" in out
     assert "the trapdoor is invisible to the round-group test" in out
+    # the whole text, byte for byte, for 1 to 6 rounds: the walls are
+    # invariant exactly when the round count is a multiple of 3
+    for rounds in range(1, 7):
+        code, out, _ = run_cli(capsys, "demo", "group-check", "--rounds",
+                               str(rounds))
+        assert code == 0
+        assert out == _group_check_text(rounds, rounds % 3 == 0), rounds
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Bit-packed linear algebra against brute-force set arithmetic."""
 
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -403,6 +404,11 @@ def test_layout_validation():
         BrickLayout(4, 1)
     with pytest.raises(ValueError):
         BrickLayout(16, 16)  # 256 bits > ambient cap
+    for m, b in ((2.5, 2), (2, 3.0), (True, 2), (2, "3")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"m={m!r} and b={b!r} must be integers")):
+            BrickLayout(m, b)
+    assert BrickLayout(np.int64(3), 2).m == 3
 
 
 def test_layout_masks_and_support():
@@ -426,6 +432,11 @@ def test_wall_index_validation():
         wall_subspace(BrickLayout(2, 2), 1 << 2)  # brick 3
     with pytest.raises(ValueError):
         wall_subspace(BrickLayout(2, 2), -1)
+    # a bool or a float mask is refused, not read as brick 1
+    for mask in (True, 1.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"brick mask {mask!r} is not an integer")):
+            wall_subspace(BrickLayout(2, 2), mask)
 
 
 def test_wall_brick_mask_recognition():

@@ -25,7 +25,7 @@ from tbaudit.groups import (MAX_PARTITIONS, BlockSystem, GeneratorSet,
 from tbaudit.mixing import MixingLayer
 from tbaudit.presets import identity_sbox, rotation_layer
 
-from oracles import (_transversal, all_points_is_primitive,
+from oracles import (_schreier_tree, _transversal, all_points_is_primitive,
                      brute_block_systems_transitive, canonical_rref_bases,
                      cosets_of, finest_containing_pair, partition_invariant,
                      phi_closure_partition_search, retired_is_primitive,
@@ -121,7 +121,7 @@ def test_compose_applies_left_then_right():
     # element u_y is its path's generators composed that way, so it sends 0
     # to y
     gens = wreath_gens()
-    pred, via, _ = groups._schreier_tree(gens)
+    pred, via, _ = _schreier_tree(gens)
     for y in range(gens.degree):
         assert _transversal(gens.images, pred, via, y)[0] == y
 
@@ -131,7 +131,7 @@ def test_inverse_and_identity():
     # generator u_{g(y)}^-1 g u_y of the retired route fixes 0, and on a
     # tree edge it is the identity
     gens = wreath_gens()
-    pred, via, _ = groups._schreier_tree(gens)
+    pred, via, _ = _schreier_tree(gens)
     identity = np.arange(gens.degree)
     edges = 0
     for y in range(gens.degree):
@@ -280,15 +280,17 @@ def test_translation_group_brute_partitions_are_the_subspaces():
 
 
 def test_minimal_block_requires_transitivity():
-    with pytest.raises(IntransitiveError):
+    with pytest.raises(IntransitiveError, match=re.escape(
+            "group is not transitive (orbit of 0 has size 2 of 4)")):
         minimal_block(GeneratorSet([[1, 0, 2, 3]], ["a"]), [(0, 1)])
 
 
 def test_minimal_block_refuses_points_outside_the_domain(monkeypatch):
     # -1 would wrap round to point 7 and glue c8 into one block, and 8
-    # would index past the rows; both are refused before the tree is built
+    # would index past the rows; both are refused before transitivity is
+    # checked
     calls = []
-    monkeypatch.setattr(groups, "_schreier_tree", calls.append)
+    monkeypatch.setattr(groups, "_require_transitive", calls.append)
     for pair in ((0, -1), (0, 8)):
         with pytest.raises(ValueError, match=re.escape(
                 f"pair {pair} has a point outside [0, 8)")):
@@ -330,15 +332,20 @@ def random_generator_set(rng):
     return GeneratorSet(rows, [f"g{i}" for i in range(len(rows))])
 
 
+def random_pair_cases(rng, count):
+    """``count`` sets of ``random_generator_set``, each with 0-3 pairs."""
+    for _ in range(count):
+        gens = random_generator_set(rng)
+        yield gens, [(rng.randrange(gens.degree), rng.randrange(gens.degree))
+                     for _ in range(rng.randint(0, 3))]
+
+
 def test_minimal_block_matches_the_retired_union_find():
     # random sets, transitive or not, with 0-3 pairs, then the round and
     # encryption sets of seeded ciphers at d <= 8 gluing 0 to spread points
     rng = random.Random(0xB10C)
     systems = set()
-    for _ in range(2000):
-        gens = random_generator_set(rng)
-        pairs = [(rng.randrange(gens.degree), rng.randrange(gens.degree))
-                 for _ in range(rng.randint(0, 3))]
+    for gens, pairs in random_pair_cases(rng, 2000):
         got = groups._minimal_block(
             gens, np.array(pairs, dtype=np.int64).reshape(-1, 2))
         assert got == retired_minimal_block(gens, pairs), (gens.images,
@@ -360,6 +367,36 @@ def test_minimal_block_matches_the_retired_union_find():
             for beta in range(1, gens.degree, 1 + gens.degree // 8):
                 got = groups._minimal_block(gens, np.array([[0, beta]]))
                 assert got == retired_minimal_block(gens, [(0, beta)])
+
+
+def orbit_refusal(check, gens):
+    """The IntransitiveError text that ``check(gens)`` raises, or None."""
+    try:
+        check(gens)
+    except IntransitiveError as exc:
+        return str(exc)
+    return None
+
+
+def test_transitivity_matches_the_retired_tree():
+    # the sets of the union-find test: the orbit join and the retired
+    # breadth-first tree give the same verdict, and the same orbit size in
+    # the same text
+    verdicts = {True: 0, False: 0}
+    for gens, _ in random_pair_cases(random.Random(0xB10C), 2000):
+        got = orbit_refusal(groups._require_transitive, gens)
+        assert got == orbit_refusal(_schreier_tree, gens), gens.images
+        verdicts[got is None] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+    # one cycle of degree 2^16, a path of 2^16 - 1 joins for the labels;
+    # the tree took over a second on it, one level per point
+    n = 1 << 16
+    assert orbit_refusal(groups._require_transitive,
+                         GeneratorSet([cycle(n)], ["rot"])) is None
+    fixed_last = np.append(cycle(n - 1), n - 1)
+    assert orbit_refusal(groups._require_transitive,
+                         GeneratorSet([fixed_last], ["rot"])) == (
+        f"group is not transitive (orbit of 0 has size {n - 1} of {n})")
 
 
 def test_minimal_block_chases_each_point_once(monkeypatch):
@@ -447,13 +484,13 @@ def test_is_primitive_matches_the_all_points_loop_on_ciphers():
 def test_is_primitive_takes_the_seed_pass_on_translation_sets(monkeypatch):
     # a set whose translations, among its rows or among its rows composed
     # after row 0's inverse, span F_2^d is answered by the seed pass, with
-    # no tree and no block test; any other set builds the tree once and
-    # glues 0 to each beta in turn
+    # no transitivity check and no block test; any other set checks
+    # transitivity once and glues 0 to each beta in turn
     calls = []
-    tree, minimal, seed_pass = (groups._schreier_tree, groups._minimal_block,
-                                groups._seed_pass)
-    monkeypatch.setattr(groups, "_schreier_tree",
-                        lambda gens: calls.append("tree") or tree(gens))
+    orbit, minimal, seed_pass = (groups._require_transitive,
+                                 groups._minimal_block, groups._seed_pass)
+    monkeypatch.setattr(groups, "_require_transitive",
+                        lambda gens: calls.append("orbit") or orbit(gens))
     monkeypatch.setattr(groups, "_minimal_block",
                         lambda gens, pairs: calls.append("block")
                         or minimal(gens, pairs))
@@ -472,12 +509,12 @@ def test_is_primitive_takes_the_seed_pass_on_translation_sets(monkeypatch):
         calls.clear()
         assert is_primitive(gens) == want
         assert calls[0] == "seed" and calls.count("seed") == 1
-        assert "tree" not in calls and "block" not in calls
+        assert "orbit" not in calls and "block" not in calls
     for gens in (c8_gens(), wreath_gens()):
         want = all_points_is_primitive(gens)
         calls.clear()
         assert is_primitive(gens) == want
-        assert calls[0] == "tree" and calls.count("tree") == 1
+        assert calls[0] == "orbit" and calls.count("orbit") == 1
         assert "seed" not in calls and "block" in calls
     # one translation row spans only a line: the generic route answers
     d4 = GeneratorSet([cycle(4), np.arange(4) ^ 1], ["rot", "t1"])
@@ -488,7 +525,7 @@ def test_is_primitive_takes_the_seed_pass_on_translation_sets(monkeypatch):
     # the public minimal_block still checks transitivity
     calls.clear()
     minimal_block(t3_t1, [(0, 1)])
-    assert calls == ["tree", "block"]
+    assert calls == ["orbit", "block"]
 
 
 def test_is_primitive_tests_one_point_per_stabilizer_orbit(monkeypatch):
@@ -510,13 +547,14 @@ def test_is_primitive_tests_one_point_per_stabilizer_orbit(monkeypatch):
 
 
 def test_is_primitive_builds_one_schreier_tree(monkeypatch):
-    # the generic route's block tests skip minimal_block's transitivity
-    # check, which would build the tree again for every tested point; the
-    # seed pass on a round set builds none
+    # the generic route checks transitivity once, where the retired route
+    # built one Schreier tree, and its block tests skip minimal_block's
+    # check, which would join the orbits again for every tested point; the
+    # seed pass on a round set checks none
     calls = []
-    tree = groups._schreier_tree
-    monkeypatch.setattr(groups, "_schreier_tree",
-                        lambda gens: calls.append(gens) or tree(gens))
+    orbit = groups._require_transitive
+    monkeypatch.setattr(groups, "_require_transitive",
+                        lambda gens: calls.append(gens) or orbit(gens))
     gens = sample_round_generators(build_rotation_cipher(3, 3, 3))
     assert is_primitive(gens) == (True, None)
     assert calls == []

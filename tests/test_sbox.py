@@ -1,6 +1,7 @@
 """S-box measurements against dict-and-set brute force."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -63,6 +64,12 @@ def test_sbox_validation():
         SBox((0, 1))
     with pytest.raises(ValueError, match="exceeds"):
         SBox(tuple(range(1 << 13)))
+    # non-integer entries are refused, even where they equal a bijection
+    # (the message names an entry of the offending type)
+    for table, bad in (((0.0, 1.0, 2, 3), 1.0), ((0, True, 2, 3), True)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"entry {bad!r} is not an integer")):
+            SBox(table)
 
 
 @given(perm_strategy)
