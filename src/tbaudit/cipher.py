@@ -837,6 +837,8 @@ def build_rotation_cipher(m: int, b: int, ell: int) -> TbCipher:
     """Field-inversion bricks with the brick-rotation layer: proper mixing
     in every round, yet every wall image is again a wall, so the partition
     trapdoor applies for any number of rounds."""
+    if not _is_int(ell):
+        raise ValueError(f"round count ell={ell!r} is not an integer")
     if ell < 1:
         raise ValueError("need at least one round")
     layout = BrickLayout(m, b)

@@ -16,14 +16,13 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from pathlib import Path
 
 from . import presets
 from .cipher import (DEFAULT_CHAIN_CAP, audit, build_rotation_cipher,
                      encryption_table, find_trapdoor_chains, partition_image)
 from .errors import CapExceeded, SingularMatrixError, SpecError
-from .gf2 import (BitMatrix, BrickLayout, Subspace, _mask_bricks,
-                  wall_brick_mask, wall_subspace)
+from .gf2 import (BrickLayout, Subspace, _mask_bricks, wall_brick_mask,
+                  wall_subspace)
 from .groups import (invariant_linear_partition_search, is_primitive,
                      minimal_invariant_partitions, partition_block_system,
                      sample_ind_generators, sample_round_generators)
@@ -32,7 +31,8 @@ from .mixing import (LayerFamily, MixingLayer, family_strongly_proper,
 from .report import (audit_report, chains_report, completeness, dumps_report,
                      mixing_report, sbox_report, verify_report)
 from .sbox import ANTI_INVARIANCE_BUDGET, SBox
-from .specfile import load_cipher, parse_cipher, read_json
+from .specfile import (_parse_layer, _parse_values, _read_text, load_cipher,
+                       parse_cipher, read_json)
 
 EXIT_OK = 0
 EXIT_VULNERABLE = 2
@@ -61,23 +61,6 @@ def _fmt_subspace(s: Subspace, layout: BrickLayout) -> str:
     return f"span[{_hexes(s.basis)}] (dim {s.dim})"
 
 
-def _read_values_file(path: str) -> list[int]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read {path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise SpecError(f"{path} is not UTF-8: byte "
-                        f"{exc.object[exc.start]:#04x} at offset {exc.start}")
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise SpecError(f"{path} is empty")
-    try:
-        return [int(p, 16) for p in parts]
-    except ValueError:
-        raise SpecError(f"{path} contains a non-hex token")
-
-
 # ---------------------------------------------------------------------------
 # analyze-sbox
 
@@ -89,11 +72,7 @@ def _brick_from_args(args) -> SBox:
         return presets.BUILTIN_BRICKS[args.builtin](args.m)
     if args.table is None:
         raise SpecError("need a table file or --builtin NAME")
-    values = _read_values_file(args.table)
-    try:
-        return SBox(tuple(values))
-    except ValueError as exc:
-        raise SpecError(str(exc))
+    return SBox(tuple(_parse_values(_read_text(args.table), args.table)))
 
 
 def _cmd_analyze_sbox(args) -> int:
@@ -137,12 +116,8 @@ def _layer_from_args(args) -> MixingLayer:
         return presets.BUILTIN_LAYERS[args.builtin](args.m, args.b)
     if args.matrix is None:
         raise SpecError("need a matrix file or --builtin NAME")
-    rows = _read_values_file(args.matrix)
-    layout = BrickLayout(args.m, args.b)
-    if len(rows) != layout.d:
-        raise SpecError(f"matrix has {len(rows)} rows, layout m={args.m} "
-                        f"b={args.b} needs {layout.d}")
-    return MixingLayer(BitMatrix(tuple(rows), layout.d), layout)
+    rows = _parse_values(_read_text(args.matrix), args.matrix)
+    return _parse_layer(rows, BrickLayout(args.m, args.b), args.matrix)
 
 
 def _cmd_analyze_mixing(args) -> int:

@@ -303,8 +303,12 @@ class BitMatrix:
     ncols: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.ncols <= AMBIENT_CAP or len(self.rows) > AMBIENT_CAP:
-            raise ValueError("matrix dimensions out of range")
+        if not (_is_int(self.ncols) and 0 <= self.ncols <= AMBIENT_CAP
+                and len(self.rows) <= AMBIENT_CAP):
+            raise ValueError(f"ncols={self.ncols!r} or row count out of range")
+        for row in dict(zip(map(type, self.rows), self.rows)).values():
+            if not _is_int(row):  # one row per type is enough to test
+                raise ValueError(f"matrix row {row!r} is not an integer")
         mask = (1 << self.ncols) - 1
         for row in self.rows:
             if row & ~mask:
@@ -372,6 +376,8 @@ def subspace_image(s: Subspace, m: BitMatrix) -> Subspace:
 
 def gaussian_binomial(d: int, k: int) -> int:
     """Number of k-dimensional subspaces of (F_2)^d."""
+    if not (_is_int(d) and _is_int(k)):
+        raise ValueError(f"d={d!r} and k={k!r} must be integers")
     if k < 0 or k > d:
         return 0
     num = 1
@@ -384,6 +390,8 @@ def gaussian_binomial(d: int, k: int) -> int:
 
 def count_proper_subspaces(d: int) -> int:
     """Number of nontrivial subspaces (0 < dim < d)."""
+    if not _is_int(d):
+        raise ValueError(f"d={d!r} is not an integer")
     return sum(gaussian_binomial(d, k) for k in range(1, d))
 
 

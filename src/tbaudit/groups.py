@@ -105,6 +105,11 @@ MAX_PARTITIONS = 512
 _SEED_CHUNK = 1 << 15
 
 
+def _check_degree(n: int) -> None:
+    if n == 0 or n > MAX_DEGREE:
+        raise ValueError(f"degree must be in [1, {MAX_DEGREE}]")
+
+
 class GeneratorSet:
     """Permutations of {0, ..., n-1} as one read-only (G, n) int64 array.
 
@@ -129,8 +134,7 @@ class GeneratorSet:
             raise ValueError("no generators")
         if len(labels) != g:
             raise ValueError("labels do not match generators")
-        if n == 0 or n > MAX_DEGREE:
-            raise ValueError(f"degree must be in [1, {MAX_DEGREE}]")
+        _check_degree(n)
         arr = arr.astype(np.int64)
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("permutation image out of range")
@@ -373,6 +377,7 @@ def sample_ind_generators(cipher: TbCipher) -> GeneratorSet:
     those are exactly the U_1 of the chains with U_{l+1} = U_1.
     """
     d = cipher.layout.d
+    _check_degree(1 << d)
     ell = cipher.ell
     keys = [(0,) * ell] + [tuple(1 << j if r == i else 0 for r in range(ell))
                             for i in range(ell) for j in range(d)]
@@ -389,6 +394,7 @@ def sample_round_generators(cipher: TbCipher) -> GeneratorSet:
     set generates exactly the group spanned by all keyed round maps.
     """
     d = cipher.layout.d
+    _check_degree(1 << d)
     points = np.arange(1 << d, dtype=np.uint32)
     rows = ([round_table(rnd) for rnd in cipher.rounds]
             + [points ^ (1 << j) for j in range(d)])

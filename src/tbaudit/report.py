@@ -29,13 +29,14 @@ from .cipher import (DEFAULT_CHAIN_CAP, MAX_TABLE_D, SEMANTICS,
                      TbCipher, audit, brick_condition, chain_holds_under_key,
                      find_trapdoor_chains, verify_chain)
 from .errors import CapExceeded, SpecError
-from .gf2 import (BitMatrix, BrickLayout, Subspace, _mask_bricks,
+from .gf2 import (BrickLayout, Subspace, _mask_bricks,
                   subspace_image, wall_subspace)
 from .mixing import (WALL_CAP, FamilyReport, LayerFamily, MixingLayer,
                      family_strongly_proper, is_proper, is_strongly_proper)
 from .sbox import (ANTI_INVARIANCE_BUDGET, SBox, analyze_sbox,
                    anti_invariance_scan_cost)
-from .specfile import cipher_to_spec, parse_cipher
+from .specfile import (_as_int, _parse_layer, _parse_layout, _parse_values,
+                       cipher_to_spec, parse_cipher)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -69,7 +70,8 @@ def subspace_json(s: Subspace) -> dict:
 
 
 def subspace_from_json(obj: dict) -> Subspace:
-    return Subspace(tuple(int(r, 16) for r in obj["basis"]), obj["ambient"])
+    return Subspace(tuple(_parse_values(obj["basis"], "basis")),
+                    _as_int(obj["ambient"], "ambient"))
 
 
 def _wall_json(mask: int) -> list[int]:
@@ -291,16 +293,6 @@ def _diff_paths(a: Any, b: Any, path: str, out: list[str]) -> None:
                    f"regeneration gives {reprlib.repr(a)}")
 
 
-def _recorded_int(field: str, value) -> int:
-    """A cap, budget, family length or exponent read from a report.  The
-    writer records plain ints; anything else is malformed, since NaN fails
-    every comparison with a ceiling and a float or bool would reach the
-    analysis as a bound."""
-    if type(value) is not int:
-        raise ValueError(f"{field}={value!r} is not an integer")
-    return value
-
-
 def _wide_search_refusal(field: str, cap, d: int) -> CapExceeded:
     return CapExceeded(
         f"report records {field}={cap!r}: an exhaustive chain search at "
@@ -320,14 +312,14 @@ def _check_budget(field: str, budget, m: int) -> None:
 
 
 def _verify_sbox(report: dict, problems: list[str]) -> None:
-    table = tuple(int(v, 16) for v in report["table"].split())
-    box = SBox(table)
+    box = SBox(tuple(_parse_values(report["table"], "$.table")))
     flags = report.get("flags", {})
-    budget = _recorded_int("budget", report["anti_invariance"]["budget"])
+    budget = _as_int(report["anti_invariance"]["budget"],
+                     "$.anti_invariance.budget")
     _check_budget("budget", budget, box.m)
     r = flags.get("r")
     fresh = sbox_report(
-        box, requested_r=None if r is None else _recorded_int("r", r),
+        box, requested_r=None if r is None else _as_int(r, "$.flags.r"),
         use_condition1prime=bool(flags.get("condition1prime")), budget=budget)
     _diff_paths(_strip_timestamp(fresh), _strip_timestamp(report), "$", problems)
     violation = report["anti_invariance"]["violation"]
@@ -355,12 +347,11 @@ def _verify_sbox(report: dict, problems: list[str]) -> None:
 
 
 def _verify_mixing(report: dict, problems: list[str]) -> None:
-    layout = BrickLayout(report["layout"]["m"], report["layout"]["b"])
-    rows = tuple(int(r, 16) for r in report["rows"])
-    layer = MixingLayer(BitMatrix(rows, layout.d), layout)
+    layout = _parse_layout(report["layout"], "$.layout")
+    layer = _parse_layer(report["rows"], layout, "$.rows")
     ell = report.get("flags", {}).get("family")
     fresh = mixing_report(layer, family_ell=None if ell is None
-                          else _recorded_int("family", ell))
+                          else _as_int(ell, "$.flags.family"))
     _diff_paths(_strip_timestamp(fresh), _strip_timestamp(report), "$", problems)
     witness = report["proper"]["witness"]
     if witness is not None:
@@ -380,10 +371,10 @@ def _verify_mixing(report: dict, problems: list[str]) -> None:
 def _verify_audit(report: dict, problems: list[str]) -> None:
     cphr = parse_cipher(report["cipher"])
     flags = report.get("flags", {})
-    exhaustive_cap = _recorded_int("exhaustive_cap",
-                                   flags.get("exhaustive_cap", 0))
-    anti_budget = _recorded_int("anti_budget",
-                                flags.get("anti_budget", ANTI_INVARIANCE_BUDGET))
+    exhaustive_cap = _as_int(flags.get("exhaustive_cap", 0),
+                             "$.flags.exhaustive_cap")
+    anti_budget = _as_int(flags.get("anti_budget", ANTI_INVARIANCE_BUDGET),
+                          "$.flags.anti_budget")
     d = cphr.layout.d
     _check_budget("anti_budget", anti_budget, cphr.layout.m)
     # The fallback runs only on an inconclusive verdict, so auditing without
@@ -417,7 +408,7 @@ def _verify_audit(report: dict, problems: list[str]) -> None:
 def _verify_chains(report: dict, problems: list[str]) -> None:
     cphr = parse_cipher(report["cipher"])
     cap = report.get("flags", {}).get("cap")
-    kwargs = {} if cap is None else {"cap": _recorded_int("cap", cap)}
+    kwargs = {} if cap is None else {"cap": _as_int(cap, "$.flags.cap")}
     d = cphr.layout.d
     if (report["mode"] == "exhaustive" and cap is not None
             and cap >= d > DEFAULT_CHAIN_CAP):

@@ -17,6 +17,11 @@ all bricks of the round.  Layers are builtin names, an object
 {"name": "random_strongly_proper", "seed": n}, or a list of d hex row
 vectors giving the matrix that acts on row vectors from the right.
 Validation failures raise SpecError with the JSON path of the offender.
+
+This module is the one reader and decoder of untrusted input: it reads
+every file given to the program (``_read_text``, bounded at MAX_JSON_BYTES)
+and decodes every table, matrix, layout, subspace row or recorded integer
+that a spec, a report or a table or matrix file carries.
 """
 
 from __future__ import annotations
@@ -165,20 +170,24 @@ def _parse_once(seen: dict, parse, entry, *args):
     return parse(entry, *args)
 
 
+def _parse_layout(obj, path: str) -> BrickLayout:
+    lay = _as_dict(obj, path, {"m", "b"})
+    if "m" not in lay or "b" not in lay:
+        _fail(path, "needs both 'm' and 'b'")
+    m = _as_int(lay["m"], f"{path}.m")
+    b = _as_int(lay["b"], f"{path}.b")
+    try:
+        return BrickLayout(m, b)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
 def parse_cipher(obj) -> TbCipher:
     """Build a cipher from a parsed JSON object."""
     top = _as_dict(obj, "$", {"layout", "rounds"})
     if "layout" not in top:
         _fail("$", "missing 'layout'")
-    lay = _as_dict(top["layout"], "$.layout", {"m", "b"})
-    if "m" not in lay or "b" not in lay:
-        _fail("$.layout", "needs both 'm' and 'b'")
-    m = _as_int(lay["m"], "$.layout.m")
-    b = _as_int(lay["b"], "$.layout.b")
-    try:
-        layout = BrickLayout(m, b)
-    except ValueError as exc:
-        _fail("$.layout", str(exc))
+    layout = _parse_layout(top["layout"], "$.layout")
     rounds_obj = top.get("rounds")
     if not isinstance(rounds_obj, list) or not rounds_obj:
         _fail("$.rounds", "expected a nonempty list of rounds")
@@ -220,12 +229,10 @@ def _nesting_depth(text: str) -> int:
                default=0)
 
 
-def read_json(path: str | Path) -> Any:
-    """Read a JSON file given to the program (a spec or a report); a file
-    that cannot be read, decoded as UTF-8 or parsed, is larger than
-    MAX_JSON_BYTES or nests deeper than MAX_JSON_DEPTH is a SpecError.  Both
-    bounds are checked before the parser runs, so the answer does not depend
-    on the caller's stack depth."""
+def _read_text(path: str | Path) -> str:
+    """The text of a file given to the program; a file that cannot be read
+    or decoded as UTF-8, or is larger than MAX_JSON_BYTES, is a SpecError.
+    No more than one byte past the bound is read."""
     p = Path(path)
     try:
         with p.open("rb") as f:
@@ -236,10 +243,20 @@ def read_json(path: str | Path) -> Any:
         raise SpecError(f"file larger than {MAX_JSON_BYTES} bytes",
                         path=str(p))
     try:
-        text = data.decode()
+        return data.decode()
     except UnicodeDecodeError as exc:
         raise SpecError(f"not UTF-8: byte {data[exc.start]:#04x} at offset "
                         f"{exc.start}", path=str(p))
+
+
+def read_json(path: str | Path) -> Any:
+    """Read a JSON file given to the program (a spec or a report) by
+    ``_read_text``; a file that cannot be parsed or nests deeper than
+    MAX_JSON_DEPTH is a SpecError too.  Both bounds are checked before the
+    parser runs, so the answer does not depend on the caller's stack
+    depth."""
+    p = Path(path)
+    text = _read_text(p)
     if _nesting_depth(text) > MAX_JSON_DEPTH:
         raise SpecError(f"JSON nested too deeply (more than "
                         f"{MAX_JSON_DEPTH} levels)", path=str(p))

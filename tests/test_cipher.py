@@ -1066,6 +1066,11 @@ def test_semantics_resolutions_are_recorded():
 def test_builders_validate():
     with pytest.raises(ValueError):
         build_rotation_cipher(3, 3, 0)
+    # True built a 1-round cipher and 2.0 raised a bare TypeError
+    for ell in (True, 2.0):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"round count ell={ell!r}")):
+            build_rotation_cipher(3, 3, ell)
     assert build_present_toy_cipher(3).ell == 3
     assert build_secure_toy_cipher(2).layout == BrickLayout(3, 2)
     assert build_linear_toy_cipher(2).layout.d == 6

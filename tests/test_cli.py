@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tbaudit
-from tbaudit import presets, specfile
+from tbaudit import cli, presets, specfile
 from tbaudit.cipher import audit
 from tbaudit.cli import _build_parser, main
 from tbaudit.errors import SpecError
@@ -260,7 +260,7 @@ def test_analyze_sbox_input_errors(capsys, tmp_path):
     bad = tmp_path / "bad.hex"
     bad.write_text("0 1 zz 3\n")
     code, _, err = run_cli(capsys, "analyze-sbox", str(bad))
-    assert code == 64 and "non-hex" in err
+    assert code == 64 and "not a hex value" in err
 
 
 def test_identity_brick_above_max_m_is_refused_before_its_table(tmp_path):
@@ -612,7 +612,22 @@ def test_verify_report_refuses_recorded_bounds_that_are_not_ints(capsys,
             code, _, err = run_cli(capsys, "verify-report", str(rep_path))
             assert time.monotonic() - start < 2.0, (field, value)
             assert code == 1 and "malformed report" in err, (field, value)
-            assert f"{field}=" in err and "not an integer" in err
+            assert f"$.{outer}.{field}: expected an integer" in err
+
+
+def test_verify_report_names_the_field_of_a_bad_subject(capsys, tmp_path):
+    # the subject is decoded by the spec-file parsers, whose problems name
+    # the JSON path of the bad field
+    sbox = sbox_report(presets.present_sbox())
+    sbox["table"] = sbox["table"].replace("c", "zz", 1)
+    mixing = mixing_report(presets.rotation_layer(BrickLayout(3, 2)))
+    mixing["layout"]["m"] = True
+    rep_path = tmp_path / "subject.json"
+    for rep, problem in ((sbox, "$.table: not a hex value: 'zz'"),
+                         (mixing, "$.layout.m: expected an integer, got bool")):
+        rep_path.write_text(dumps_report(rep))
+        code, _, err = run_cli(capsys, "verify-report", str(rep_path))
+        assert code == 1 and "malformed report" in err and problem in err
 
 
 @pytest.mark.parametrize("bricks", ["[0]", "[4]", '["1"]', "[1.5]", "[[1]]"])
@@ -680,6 +695,24 @@ def test_oversized_json_is_refused(capsys, tmp_path):
         assert ("larger than" in err) == (want == 64)
     code, _, err = run_cli(capsys, "audit", str(path))
     assert code == 64 and "larger than" in err
+
+
+def test_oversized_table_and_matrix_files_are_refused_unparsed(
+        capsys, tmp_path, monkeypatch):
+    # the spec-file bound holds for every file the program reads: a table
+    # or matrix file one byte past it is refused before any token is parsed
+    parsed = []
+    monkeypatch.setattr(specfile, "MAX_JSON_BYTES", 64)
+    monkeypatch.setattr(cli, "_parse_values",
+                        lambda *a: parsed.append(a) or [])
+    path = tmp_path / "big.hex"
+    path.write_text("1 " * 32 + "\n")
+    for argv in (["analyze-sbox", str(path)],
+                 ["analyze-mixing", str(path), "--m", "2", "--b", "2"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 64, argv
+        assert f"{path}: file larger than 64 bytes" in err
+    assert parsed == []
 
 
 def test_deeply_nested_json_is_a_spec_error(capsys, tmp_path):

@@ -1,11 +1,13 @@
-"""Hostile-input fuzzing of the two entry points that read untrusted JSON.
+"""Hostile-input fuzzing of the entry points that read untrusted input.
 
-Each example takes a golden report or a spec file and replaces, deletes or
-adds one value somewhere in it.  The replacement values are the ones that
+Each JSON example takes a golden report or a spec file and replaces, deletes
+or adds one value somewhere in it.  The replacement values are the ones that
 slip past naive checks: NaN, infinities, floats, bools, huge ints, strings
 and deeply nested lists.  Whatever the input, ``parse_cipher`` must return a
 cipher or raise ``SpecError`` or ``CapExceeded``, and ``verify_report`` must
-return a verdict with its problems listed or raise one of those two.
+return a verdict with its problems listed or raise one of those two.  The
+same kind of values, written as tokens to a table or matrix file, must make
+the command line exit 0, 64 or 65, never raise.
 """
 
 import copy
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tbaudit.cipher import TbCipher
+from tbaudit.cli import main
 from tbaudit.errors import CapExceeded, SpecError
 from tbaudit.report import verify_report
 from tbaudit.specfile import parse_cipher
@@ -99,3 +102,27 @@ def test_verify_report_survives_mutated_goldens(doc):
         return
     assert ok is (not problems)
     assert all(isinstance(p, str) for p in problems)
+
+
+TOKENS = st.lists(st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "True", "None", "9.5", "1e300",
+                     "-1", "0x10", "1_0", "zz", "ff" * 40, "[]", "{}", "\u00e9",
+                     "\udcff"]),
+    st.integers(-2**80, 2**80).map(str),
+    st.integers(0, 300).map(lambda v: format(v, "x"))), max_size=20)
+
+
+@settings(FUZZ, suppress_health_check=[HealthCheck.too_slow,
+                                       HealthCheck.function_scoped_fixture])
+@given(TOKENS, st.sampled_from([" ", ",", "\n", ", "]),
+       st.sampled_from([None, ["0", "1", "3", "2"], ["1", "2", "4", "8"]]))
+def test_cli_survives_hostile_table_and_matrix_files(tmp_path, tokens, sep,
+                                                     valid):
+    # a valid 2-bit table or 4-row matrix now and then reaches the analysis;
+    # "\udcff" writes the byte 0xff, which is not UTF-8
+    path = tmp_path / "values.hex"
+    path.write_bytes(sep.join(valid or tokens).encode(
+        errors="surrogateescape"))
+    for argv in (["analyze-sbox", str(path)],
+                 ["analyze-mixing", str(path), "--m", "2", "--b", "2"]):
+        assert main(argv) in (0, 64, 65), (argv, path.read_bytes())

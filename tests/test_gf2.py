@@ -153,6 +153,14 @@ def test_gaussian_binomial_matches_recurrence():
         for k in range(d + 2):
             assert gaussian_binomial(d, k) == gaussian_recurrence(d, k)
     assert gaussian_binomial(4, -1) == 0
+    # a bool is not a dimension: gaussian_binomial(4, True) gave 15 and
+    # count_proper_subspaces(True) gave 0
+    for call, args, named in ((gaussian_binomial, (4, True), "k=True"),
+                              (gaussian_binomial, (2.0, 1), "d=2.0"),
+                              (count_proper_subspaces, (True,), "d=True"),
+                              (count_proper_subspaces, (4.0,), "d=4.0")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            call(*args)
 
 
 def test_known_subspace_counts():
@@ -333,6 +341,14 @@ def test_matrix_validation():
         BitMatrix((4,), 2)  # row beyond ncols
     with pytest.raises(ValueError):
         BitMatrix((1,), 200)
+    # a bool row was taken as 1; a float row or ncols raised a bare TypeError
+    for rows, ncols, named in (((True, 2), 2, "row True"),
+                               ((1.5, 2), 2, "row 1.5"),
+                               ((1, 2), 2.0, "ncols=2.0"),
+                               ((1, 2), True, "ncols=True")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            BitMatrix(rows, ncols)
+    assert BitMatrix((np.int64(1), 2), 2).apply(3) == 3
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32))

@@ -94,6 +94,23 @@ def test_perm_validation():
         GeneratorSet(np.zeros((1, 2, 2), dtype=np.int64), ["a"])
 
 
+def test_samplers_refuse_a_degree_past_the_cap_before_any_table(
+        monkeypatch):
+    # d = 18 is 2^18 points, past MAX_DEGREE: refused before any of the 37
+    # codebooks or 2 round tables is built
+    calls = []
+    for name in ("encryption_table", "round_table"):
+        real = getattr(groups, name)
+        monkeypatch.setattr(groups, name, lambda *a, real=real, name=name: (
+            calls.append(name), real(*a))[1])
+    cipher = build_rotation_cipher(3, 6, 2)
+    for sample in (sample_ind_generators, sample_round_generators):
+        with pytest.raises(ValueError,
+                           match=re.escape("degree must be in [1, 65536]")):
+            sample(cipher)
+    assert calls == []
+
+
 def test_generator_set_validation():
     with pytest.raises(ValueError, match="no generators"):
         GeneratorSet(np.zeros((0, 4), dtype=np.int64), [])
